@@ -128,28 +128,6 @@ def _build_analyze(sub):
     return p
 
 
-# per-command coercers turning manifest/config strings back into flag values
-_COERCERS = {
-    "simulate": {
-        "in_path": str, "mask_seed": int, "density": float, "response": str,
-        "noise_sigma": float, "noise_seed": int, "out_dir": str,
-    },
-    "reconstruct": {
-        "y": str, "z": str, "mask": str, "rank": int, "patch": str, "stride": int,
-        "improved": _bool_word, "response": str, "threads": int, "out": str,
-    },
-    "eval": {
-        "ref": str, "est": str, "out": str, "peak": str, "scene": str,
-        "method": str, "rank": int, "patch": str, "stride": int,
-    },
-    "sweep": {
-        "in_path": str, "vary": str, "values": str, "mask_seed": int, "density": float,
-        "response": str, "noise_sigma": float, "noise_seed": int, "rank": int,
-        "patch": str, "stride": int, "improved": _bool_word, "threads": int, "out": str,
-    },
-    "analyze": {"in_path": str, "patch": int, "samples": int, "seed": int, "out": str},
-}
-
 _IGNORED_CONFIG_KEYS = {"command", "version"}
 
 
@@ -170,9 +148,18 @@ def _build_parser():
     return parser, commands
 
 
-def _config_defaults(config_path, command):
+def _coercers(subparser):
+    """Flag dest -> function turning a manifest/config string into its value."""
+    return {
+        a.dest: _bool_word if isinstance(a, argparse._StoreTrueAction) else a.type or str
+        for a in subparser._actions
+        if a.dest not in ("help", "config")
+    }
+
+
+def _config_defaults(config_path, command, subparser):
     entries = hio.read_manifest(config_path)
-    coercers = _COERCERS[command]
+    coercers = _coercers(subparser)
     declared = entries.pop("command", None)
     if declared is not None and declared != command:
         raise UsageError(
@@ -202,8 +189,8 @@ def _parse_args(argv):
     known, _ = pre.parse_known_args(argv)
     parser, commands = _build_parser()
     if known.config and known.command in commands:
-        defaults = _config_defaults(known.config, known.command)
         subparser = commands[known.command]
+        defaults = _config_defaults(known.config, known.command, subparser)
         for action in subparser._actions:
             if action.dest in defaults:
                 action.required = False
@@ -244,43 +231,38 @@ def _manifest_value(value):
     return value
 
 
-def _write_manifest(path, command, pairs):
-    entries = {"command": command, "version": __version__}
-    entries.update({k: _manifest_value(v) for k, v in pairs.items()})
-    hio.write_manifest(path, entries)
+def _write_manifest(path, args, **resolved):
+    """Record every flag of ``args``, with the values the command resolved."""
+    flags = {k: v for k, v in vars(args).items() if k not in ("command", "config", "func")}
+    entries = {"command": args.command, "version": __version__, **flags, **resolved}
+    hio.write_manifest(path, {k: _manifest_value(v) for k, v in entries.items()})
 
 
-def _run_simulate(args):
-    truth = hio.read_cube(args.in_path)
+def _measure(truth, response, args):
+    """Mask, coded and multiband measurements of ``truth``, with the flags' noise."""
+    if not 0 <= args.noise_sigma < float("inf"):
+        raise UsageError(f"--noise-sigma must be finite and nonnegative, got {args.noise_sigma}")
     rows, cols, bands = truth.shape
-    response = forward.response_from_spec(args.response, bands)
     mask = forward.gen_mask(rows, cols, bands, args.mask_seed, args.density)
     y = forward.simulate_cassi(truth, mask)
     z = forward.simulate_multiband(truth, response)
     if args.noise_sigma > 0:
         y = forward.add_noise(y, args.noise_sigma, args.noise_seed)
         z = forward.add_noise(z, args.noise_sigma, args.noise_seed + 1)
-    elif args.noise_sigma < 0:
-        raise UsageError(f"--noise-sigma must be nonnegative, got {args.noise_sigma}")
+    return y, z, mask
+
+
+def _run_simulate(args):
+    truth = hio.read_cube(args.in_path)
+    response = forward.response_from_spec(args.response, truth.shape[2])
+    y, z, mask = _measure(truth, response, args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     hio.write_cube(y[:, :, None], out_dir / "y.hsc")
     hio.write_cube(z, out_dir / "z.hsc")
     hio.write_cube(mask, out_dir / "mask.hsc")
     hio.save_response(response, out_dir / "response.txt")
-    _write_manifest(
-        out_dir / "manifest.txt",
-        "simulate",
-        {
-            "in_path": args.in_path,
-            "mask_seed": args.mask_seed,
-            "density": args.density,
-            "response": args.response,
-            "noise_sigma": args.noise_sigma,
-            "noise_seed": args.noise_seed,
-            "out_dir": args.out_dir,
-        },
-    )
+    _write_manifest(out_dir / "manifest.txt", args)
     dead = forward.zero_spectrum_pixels(mask)
     if dead:
         plural = "pixel has" if dead == 1 else "pixels have"
@@ -304,13 +286,6 @@ def _run_reconstruct(args):
     stride = args.stride if args.stride is not None else max(1, m // 2)
     threads = _threads(args)
     y, z, mask = _load_measurements(args)
-    bands = mask.shape[2]
-    if args.rank < 1 or args.rank > z.shape[2]:
-        raise UsageError(f"--rank must be in [1, {z.shape[2]}] for {z.shape[2]} channels")
-    if m * n <= args.rank * bands:
-        raise UsageError(
-            f"patch area m*n = {m * n} must exceed rank*bands = {args.rank * bands}"
-        )
     response = hio.load_response(args.response) if args.response else None
     config = fusion.FusionConfig(
         rank=args.rank, patch_rows=m, patch_cols=n, stride=stride, improved=args.improved
@@ -321,22 +296,7 @@ def _run_reconstruct(args):
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     hio.write_cube(xhat, out)
-    _write_manifest(
-        Path(str(out) + ".manifest.txt"),
-        "reconstruct",
-        {
-            "y": args.y,
-            "z": args.z,
-            "mask": args.mask,
-            "rank": args.rank,
-            "patch": f"{m},{n}",
-            "stride": stride,
-            "improved": args.improved,
-            "response": args.response,
-            "threads": threads,
-            "out": args.out,
-        },
-    )
+    _write_manifest(f"{out}.manifest.txt", args, patch=f"{m},{n}", stride=stride, threads=threads)
     print(f"wrote {out} ({wall:.2f} s)")
 
 
@@ -374,21 +334,7 @@ def _run_eval(args):
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     hio.write_report([row], out)
-    _write_manifest(
-        Path(str(out) + ".manifest.txt"),
-        "eval",
-        {
-            "ref": args.ref,
-            "est": args.est,
-            "out": args.out,
-            "peak": args.peak,
-            "scene": scene,
-            "method": args.method,
-            "rank": args.rank,
-            "patch": args.patch,
-            "stride": args.stride,
-        },
-    )
+    _write_manifest(f"{out}.manifest.txt", args, scene=scene)
     print(
         f"m_psnr = {report.m_psnr:.6g} dB, m_ssim = {report.m_ssim:.6g}, "
         f"msa = {report.msa:.6g} deg"
@@ -405,7 +351,7 @@ def _sweep_values(args):
 
 def _run_sweep(args):
     truth = hio.read_cube(args.in_path)
-    rows, cols, bands = truth.shape
+    bands = truth.shape[2]
     base_m, base_n = _parse_patch(args.patch)
     threads = _threads(args)
     scene = Path(args.in_path).stem
@@ -423,18 +369,7 @@ def _run_sweep(args):
             resp_spec = value
         stride = args.stride if args.stride is not None else max(1, m // 2)
         response = forward.response_from_spec(resp_spec, bands)
-        if rank < 1 or rank > response.shape[1]:
-            raise UsageError(
-                f"rank {rank} is out of range for {response.shape[1]} channels ({resp_spec})"
-            )
-        if m * n <= rank * bands:
-            raise UsageError(f"patch area m*n = {m * n} must exceed rank*bands = {rank * bands}")
-        mask = forward.gen_mask(rows, cols, bands, args.mask_seed, args.density)
-        y = forward.simulate_cassi(truth, mask)
-        z = forward.simulate_multiband(truth, response)
-        if args.noise_sigma > 0:
-            y = forward.add_noise(y, args.noise_sigma, args.noise_seed)
-            z = forward.add_noise(z, args.noise_sigma, args.noise_seed + 1)
+        y, z, mask = _measure(truth, response, args)
         config = fusion.FusionConfig(
             rank=rank, patch_rows=m, patch_cols=n, stride=stride, improved=args.improved
         )
@@ -459,26 +394,7 @@ def _run_sweep(args):
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     hio.write_report(report_rows, out)
-    _write_manifest(
-        Path(str(out) + ".manifest.txt"),
-        "sweep",
-        {
-            "in_path": args.in_path,
-            "vary": args.vary,
-            "values": args.values,
-            "mask_seed": args.mask_seed,
-            "density": args.density,
-            "response": args.response,
-            "noise_sigma": args.noise_sigma,
-            "noise_seed": args.noise_seed,
-            "rank": args.rank,
-            "patch": args.patch,
-            "stride": args.stride if args.stride is not None else "",
-            "improved": args.improved,
-            "threads": threads,
-            "out": args.out,
-        },
-    )
+    _write_manifest(f"{out}.manifest.txt", args, threads=threads)
 
 
 def _run_analyze(args):
@@ -507,17 +423,7 @@ def _run_analyze(args):
         ("index", "patch_mean_log10_sigma", "global_log10_sigma"),
         [(t + 1, float(patch_log[t]), float(global_log[t])) for t in range(length)],
     )
-    _write_manifest(
-        Path(str(out) + ".manifest.txt"),
-        "analyze",
-        {
-            "in_path": args.in_path,
-            "patch": args.patch,
-            "samples": args.samples,
-            "seed": args.seed,
-            "out": args.out,
-        },
-    )
+    _write_manifest(f"{out}.manifest.txt", args)
     print(f"wrote {length} singular-value rows to {out}")
 
 

@@ -122,27 +122,27 @@ def extract_patch(cube, origin, patch_rows, patch_cols):
 def aggregate(patches, origins, rows, cols):
     """Average overlapping patches back into a full (rows, cols, bands) cube.
 
-    Values are summed into an accumulator together with a per-pixel coverage
-    count, in the order the patches are given, then divided once. The order
-    is fixed, so the result is bit-identical across runs and worker counts.
+    ``patches`` may be any iterable (a generator is consumed one patch at a
+    time, so the patches are never held together). Values are summed into an
+    accumulator together with a per-pixel coverage count, in the order the
+    patches are given, then divided once. The order is fixed, so the result
+    is bit-identical across runs and worker counts.
     """
-    patches = [check_cube(p, "patch") for p in patches]
-    origins = list(origins)
-    if len(patches) != len(origins):
-        raise ValueError("patches and origins differ in length")
-    if not patches:
-        raise ValueError("no patches to aggregate")
-    bands = patches[0].shape[2]
-    acc = np.zeros((rows, cols, bands))
-    count = np.zeros((rows, cols))
-    for patch, (i0, j0) in zip(patches, origins):
-        if patch.shape[2] != bands:
+    acc = count = None
+    for patch, (i0, j0) in zip(patches, origins, strict=True):
+        patch = check_cube(patch, "patch")
+        if acc is None:
+            acc = np.zeros((rows, cols, patch.shape[2]))
+            count = np.zeros((rows, cols))
+        elif patch.shape[2] != acc.shape[2]:
             raise ValueError("patches have inconsistent band counts")
         pr, pc = patch.shape[:2]
         if i0 < 0 or j0 < 0 or i0 + pr > rows or j0 + pc > cols:
             raise ValueError(f"patch at ({i0}, {j0}) exceeds image bounds")
         acc[i0 : i0 + pr, j0 : j0 + pc, :] += patch
         count[i0 : i0 + pr, j0 : j0 + pc] += 1.0
+    if acc is None:
+        raise ValueError("no patches to aggregate")
     if (count == 0).any():
         holes = int((count == 0).sum())
         raise ValueError(f"{holes} pixels have zero patch coverage")

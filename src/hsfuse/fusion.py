@@ -6,9 +6,9 @@ coefficients W. W is estimated from the multiband image (top right singular
 vectors of its unfolding, so its rows are orthonormal and all scale lives in
 E), and E is solved from the coded image through a structured sensing matrix
 whose row for pixel p is the Kronecker product of that pixel's coefficient
-and mask spectra. ``fuse`` runs the solve once over the whole image;
-``pfuse`` solves overlapping spatial windows independently (optionally in
-parallel) and averages the overlaps.
+and mask spectra. ``pfuse`` solves overlapping spatial windows independently
+(optionally in parallel) and averages the overlaps; ``fuse`` is ``pfuse``
+with a single window covering the whole image.
 
 The layout of vec(E) is defined operationally: stacking E column by column
 makes ``assemble_phi_w(C, W) @ vec(E)`` equal the pixel-major ravel of
@@ -36,6 +36,9 @@ __all__ = [
     "pfuse",
 ]
 
+# relative singular-value threshold below which a patch's rank is shrunk
+RANK_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class FusionConfig:
@@ -43,9 +46,8 @@ class FusionConfig:
 
     ``rank`` is the spectral subspace dimension (bounded by the multiband
     channel count), ``patch_rows``/``patch_cols``/``stride`` drive the
-    overlapping grid, ``improved`` switches the basis solve to the joint
-    coded+multiband system, and ``rank_tol`` is the relative singular-value
-    threshold for shrinking the rank on degenerate (flat) patches.
+    overlapping grid, and ``improved`` switches the basis solve to the joint
+    coded+multiband system.
     """
 
     rank: int = 3
@@ -53,7 +55,6 @@ class FusionConfig:
     patch_cols: int = 100
     stride: int = 50
     improved: bool = False
-    rank_tol: float = 1e-10
 
     def __post_init__(self):
         if self.rank < 1:
@@ -62,8 +63,6 @@ class FusionConfig:
             raise ValueError("patch dimensions must be positive")
         if self.stride < 1 or self.stride > min(self.patch_rows, self.patch_cols):
             raise ValueError("stride must satisfy 1 <= stride <= min(patch dims)")
-        if not 0.0 <= self.rank_tol < 1.0:
-            raise ValueError(f"rank_tol must be in [0, 1), got {self.rank_tol}")
 
 
 class CoefficientEstimate(NamedTuple):
@@ -87,12 +86,12 @@ class PatchStats:
     basis: Optional[np.ndarray]
 
 
-def estimate_coefficients(z, k, rank_tol=1e-10):
+def estimate_coefficients(z, k):
     """Coefficients from the multiband image: top-k right singular vectors.
 
     Returns W with orthonormal rows (W @ W.T = I), shaped (k_eff, pixels).
     k_eff < k only when trailing singular values fall below
-    rank_tol * sigma_1, i.e. the data genuinely has fewer spectral degrees
+    RANK_TOL * sigma_1, i.e. the data genuinely has fewer spectral degrees
     of freedom; the shrunk rank is reported in the result.
     """
     z = core.check_cube(z, "multiband measurement")
@@ -105,7 +104,7 @@ def estimate_coefficients(z, k, rank_tol=1e-10):
     svd = numeric.truncated_svd(zmat, min(k, min(zmat.shape)))
     if svd.s[0] == 0.0:
         raise ValueError("multiband measurement is identically zero (rank 0)")
-    keep = int(np.count_nonzero(svd.s > rank_tol * svd.s[0]))
+    keep = int(np.count_nonzero(svd.s > RANK_TOL * svd.s[0]))
     return CoefficientEstimate(svd.v[:, :keep].T.copy(), keep, svd.s[:keep].copy())
 
 
@@ -197,15 +196,15 @@ def _check_measurements(y, z, mask):
     return y, z, mask
 
 
-def _fuse_block(y, z, mask, rank, improved, response, rank_tol):
-    """Shared fusion core for one image or patch; returns (cube, stats fields)."""
+def _fuse_block(y, z, mask, rank, improved, response):
+    """Fusion of one window; returns (cube, (rank, residual, W, E))."""
     rows, cols, bands = mask.shape
     if not z.any():
         if y.any():
             raise ValueError("multiband measurement is identically zero (rank 0)")
         # nothing was measured at all: the zero cube is the exact solution
         return np.zeros((rows, cols, bands)), (0, 0.0, None, None)
-    est = estimate_coefficients(z, rank, rank_tol)
+    est = estimate_coefficients(z, rank)
     phi, rhs = _system(y, mask, est.coefficients, improved, z, response)
     sol = numeric.lstsq(phi, rhs)
     basis = sol.x.reshape(bands, est.rank, order="F")
@@ -213,34 +212,32 @@ def _fuse_block(y, z, mask, rank, improved, response, rank_tol):
     return cube, (est.rank, sol.residual, est.coefficients, basis)
 
 
-def fuse(y, z, mask, rank, improved=False, response=None, rank_tol=1e-10):
+def fuse(y, z, mask, rank, improved=False, response=None):
     """Global fusion of one coded and one multiband measurement.
 
     Coefficients come from the multiband image, the spectral basis from the
-    coded image; the reconstruction is fold3(E @ W). Requires more pixels
+    coded image; the reconstruction is fold3(E @ W). This is :func:`pfuse`
+    with one window covering the whole image, so it requires more pixels
     than basis unknowns (rows*cols > rank*bands).
     """
     y, z, mask = _check_measurements(y, z, mask)
     rows, cols, bands = mask.shape
-    if rank > z.shape[2]:
-        raise ValueError(f"rank {rank} exceeds the channel count {z.shape[2]}")
     if rows * cols <= rank * bands:
-        raise ValueError(
-            f"image area {rows * cols} must exceed rank*bands = {rank * bands}"
-        )
-    cube, _ = _fuse_block(y, z, mask, rank, improved, response, rank_tol)
-    return cube
+        raise ValueError(f"image area {rows * cols} must exceed rank*bands = {rank * bands}")
+    config = FusionConfig(rank, rows, cols, min(rows, cols), improved)
+    return pfuse(y, z, mask, config, response=response)
 
 
 def pfuse(y, z, mask, config, workers=1, response=None, stats=None):
     """Patch-based fusion over an overlapping grid, averaged on overlaps.
 
     Every grid window is solved independently (with ``workers`` > 1, on a
-    thread pool); aggregation then runs in grid order on the main thread,
-    so the output is bit-identical for any worker count. Patches whose
-    multiband data is numerically rank deficient are solved at their
-    effective rank; all-zero patches reconstruct as zero. Pass a list as
-    ``stats`` to receive one :class:`PatchStats` per patch.
+    thread pool of at most one thread per patch), and each patch cube is fed
+    to :func:`core.aggregate` on the main thread in grid order instead of
+    being buffered, so the output is bit-identical for any worker count.
+    Patches whose multiband data is numerically rank deficient are solved at
+    their effective rank; all-zero patches reconstruct as zero. Pass a list
+    as ``stats`` to receive one :class:`PatchStats` per patch, in grid order.
 
     The patch area must exceed the number of basis unknowns
     (patch_rows*patch_cols > rank*bands), otherwise the per-patch systems
@@ -258,6 +255,7 @@ def pfuse(y, z, mask, config, workers=1, response=None, stats=None):
     if config.improved and response is None:
         raise ValueError("the improved solve requires the multiband response")
     grid = core.make_grid(rows, cols, m, n, config.stride)
+    workers = min(workers or 1, len(grid.origins))
 
     def solve(origin):
         i0, j0 = origin
@@ -265,22 +263,22 @@ def pfuse(y, z, mask, config, workers=1, response=None, stats=None):
         zp = z[i0 : i0 + m, j0 : j0 + n, :]
         cp = mask[i0 : i0 + m, j0 : j0 + n, :]
         try:
-            return _fuse_block(yp, zp, cp, config.rank, config.improved, response, config.rank_tol)
+            cube, fields = _fuse_block(yp, zp, cp, config.rank, config.improved, response)
         except numeric.RankDeficiencyError as err:
             raise numeric.RankDeficiencyError(
                 f"patch at origin ({i0}, {j0}): {err}", column=err.column
             ) from err
         except ValueError as err:
             raise ValueError(f"patch at origin ({i0}, {j0}): {err}") from err
+        return cube, PatchStats(origin, *fields)
 
-    if workers is not None and workers > 1:
+    def cubes(mapper):
+        for cube, record in mapper(solve, grid.origins):
+            if stats is not None:
+                stats.append(record)
+            yield cube
+
+    if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(solve, grid.origins))
-    else:
-        results = [solve(origin) for origin in grid.origins]
-
-    if stats is not None:
-        for origin, (_, fields) in zip(grid.origins, results):
-            rank_eff, residual, coeff, basis = fields
-            stats.append(PatchStats(origin, rank_eff, residual, coeff, basis))
-    return core.aggregate([cube for cube, _ in results], grid.origins, rows, cols)
+            return core.aggregate(cubes(pool.map), grid.origins, rows, cols)
+    return core.aggregate(cubes(map), grid.origins, rows, cols)

@@ -76,6 +76,22 @@ class TestSimulate:
     def test_missing_input_is_io_error(self, tmp_path):
         assert run("simulate", "--in", tmp_path / "nope.hsc", "--out-dir", tmp_path / "o") == 3
 
+    @pytest.mark.parametrize("sigma", ["-0.5", "inf", "nan"])
+    def test_bad_noise_rejected(self, scene, tmp_path, sigma):
+        cube, truth, out_dir = scene
+        out = tmp_path / "noisy"
+        assert run("simulate", "--in", truth, "--noise-sigma", sigma, "--out-dir", out) == 2
+        assert not out.exists()
+
+    def test_manifest_records_every_flag(self, scene):
+        cube, truth, out_dir = scene
+        entries = hio.read_manifest(out_dir / "manifest.txt")
+        assert entries == {
+            "command": "simulate", "version": cli.__version__, "in_path": str(truth),
+            "mask_seed": "5", "density": "0.5", "response": "average",
+            "noise_sigma": "0.0", "noise_seed": "1", "out_dir": str(out_dir),
+        }
+
 
 class TestReconstruct:
     def test_roundtrip_recovers_rank3_scene(self, scene, tmp_path):
@@ -245,6 +261,18 @@ class TestSweep:
         rows = read_csv(out)
         assert float(rows[0]["m_psnr"]) > float(rows[1]["m_psnr"]) + 3.0
 
+    def test_negative_noise_rejected(self, tmp_path, capsys):
+        cube, _, _ = dyadic_low_rank_cube(781, 24, 24, 8, 2)
+        truth = tmp_path / "truth.hsc"
+        hio.write_cube(cube, truth)
+        out = tmp_path / "s.csv"
+        code = run("sweep", "--in", truth, "--vary", "rank", "--values", "1,2",
+                   "--response", "average:2", "--noise-sigma", -0.5, "--patch", 24,
+                   "--out", out)
+        assert code == cli.EXIT_USAGE
+        assert "noise-sigma" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rank_beyond_channels_rejected(self, tmp_path):
         cube, _, _ = dyadic_low_rank_cube(780, 24, 24, 8, 2)
         truth = tmp_path / "truth.hsc"
@@ -299,6 +327,56 @@ class TestConfigHandling:
         assert run("simulate", "--config", out_dir / "manifest.txt", "--out-dir", rerun) == 0
         for name in ("y.hsc", "z.hsc", "mask.hsc"):
             assert (out_dir / name).read_bytes() == (rerun / name).read_bytes()
+
+    def test_reconstruct_manifest_records_resolved_values(self, scene, tmp_path):
+        cube, truth, out_dir = scene
+        out = tmp_path / "xhat.hsc"
+        assert run("reconstruct", "--y", out_dir / "y.hsc", "--z", out_dir / "z.hsc",
+                   "--mask", out_dir / "mask.hsc", "--patch", 12, "--threads", 2,
+                   "--out", out) == 0
+        entries = hio.read_manifest(f"{out}.manifest.txt")
+        assert (entries["patch"], entries["stride"], entries["threads"]) == ("12,12", "6", "2")
+        assert (entries["improved"], entries["response"]) == ("false", "")
+
+    def test_eval_rerun_from_manifest(self, scene, tmp_path):
+        cube, truth, out_dir = scene
+        first, again = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run("eval", "--ref", truth, "--est", truth, "--out", first, "--peak", "2.5",
+                   "--method", "m", "--rank", 2, "--patch", "9,7", "--stride", 3) == 0
+        assert hio.read_manifest(f"{first}.manifest.txt")["scene"] == "truth"
+        assert run("eval", "--config", f"{first}.manifest.txt", "--out", again) == 0
+        (row_first,), (row_again,) = read_csv(first), read_csv(again)
+        row_first.pop("wall_seconds")
+        row_again.pop("wall_seconds")
+        assert row_first == row_again
+        assert (row_first["method"], row_first["k"], row_first["m"]) == ("m", "2", "9")
+
+    def test_sweep_rerun_from_manifest(self, tmp_path):
+        cube, _, _ = dyadic_low_rank_cube(782, 24, 24, 8, 2)
+        truth = tmp_path / "truth.hsc"
+        hio.write_cube(cube, truth)
+        first, again = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run("sweep", "--in", truth, "--vary", "patch", "--values", "12,24",
+                   "--rank", 2, "--response", "average:2", "--noise-sigma", 0.01,
+                   "--improved", "--threads", 2, "--out", first) == 0
+        assert run("sweep", "--config", f"{first}.manifest.txt", "--out", again) == 0
+        rows_first, rows_again = read_csv(first), read_csv(again)
+        assert len(rows_first) == 2
+        for a, b in zip(rows_first, rows_again):
+            a.pop("wall_seconds")
+            b.pop("wall_seconds")
+            assert a == b
+        assert rows_first[0]["method"] == "pfusion-improved"
+
+    def test_analyze_rerun_from_manifest(self, tmp_path):
+        cube = two_zone_cube(884, 30, 15, 0, 15, 6, rank=2)
+        path = tmp_path / "scene.hsc"
+        hio.write_cube(cube, path)
+        first, again = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run("analyze", "--in", path, "--patch", 8, "--samples", 7, "--seed", 3,
+                   "--out", first) == 0
+        assert run("analyze", "--config", f"{first}.manifest.txt", "--out", again) == 0
+        assert first.read_bytes() == again.read_bytes()
 
     def test_no_command_is_usage_error(self):
         assert run() == cli.EXIT_USAGE

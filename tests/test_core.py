@@ -166,3 +166,20 @@ class TestExtractAggregate:
     def test_band_mismatch_detected(self):
         with pytest.raises(ValueError, match="band counts"):
             core.aggregate([np.ones((2, 2, 1)), np.ones((2, 2, 2))], [(0, 0), (0, 0)], 2, 2)
+
+    def test_generator_equals_list(self):
+        rng = np.random.default_rng(14)
+        grid = core.make_grid(10, 13, 4, 5, 2)
+        patches = [rng.random((4, 5, 3)) for _ in grid.origins]
+        streamed = core.aggregate((p for p in patches), grid.origins, 10, 13)
+        assert np.array_equal(streamed, core.aggregate(patches, grid.origins, 10, 13))
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_length_mismatch_detected(self, count):
+        patches = (np.ones((2, 2, 1)) for _ in range(count))
+        with pytest.raises(ValueError, match="zip"):
+            core.aggregate(patches, [(0, 0), (0, 0)], 2, 2)
+
+    def test_no_patches(self):
+        with pytest.raises(ValueError, match="no patches"):
+            core.aggregate(iter(()), (), 2, 2)

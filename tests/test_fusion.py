@@ -227,7 +227,7 @@ class TestFuse:
 
     def test_area_constraint(self):
         # 4x4 image with rank*bands = 16 is not overdetermined
-        with pytest.raises(ValueError, match="exceed rank\\*bands"):
+        with pytest.raises(ValueError, match="image area 16 must exceed rank\\*bands = 16"):
             fusion.fuse(np.ones((4, 4)), np.ones((4, 4, 3)), np.ones((4, 4, 8)), 2)
 
     def test_rank_above_channels(self):
@@ -328,6 +328,27 @@ class TestPfuse:
             assert s.basis.shape == (4, s.rank)
             assert s.residual >= 0.0
 
+    def test_workers_capped_at_patch_count(self, monkeypatch):
+        seen = []
+
+        class RecordingPool(fusion.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(fusion, "ThreadPoolExecutor", RecordingPool)
+        rng = np.random.default_rng(55)
+        cube, _, _ = low_rank_cube(55, 10, 10, 4, 2)
+        mask = forward.gen_mask(10, 10, 4, 56, 0.5)
+        y = forward.simulate_cassi(cube, mask)
+        z = forward.simulate_multiband(cube, rng.random((4, 2)))
+        config = FusionConfig(rank=2, patch_rows=5, patch_cols=5, stride=5)
+        assert np.array_equal(fusion.pfuse(y, z, mask, config, workers=64),
+                              fusion.pfuse(y, z, mask, config, workers=1))
+        assert seen == [4]
+        fusion.fuse(y, z, mask, 2)  # one window: solved without a pool
+        assert seen == [4]
+
     def test_rank_deficient_patch_names_origin(self):
         # an all-zero mask makes every per-patch system rank deficient
         rng = np.random.default_rng(52)
@@ -351,3 +372,8 @@ class TestFusionConfig:
     def test_bad_rank(self):
         with pytest.raises(ValueError, match="rank"):
             FusionConfig(rank=0)
+
+    def test_rank_tol_is_a_constant(self):
+        assert fusion.RANK_TOL == 1e-10
+        with pytest.raises(TypeError):
+            FusionConfig(rank_tol=1e-3)
