@@ -39,7 +39,14 @@ from .metrics import (
     msa,
     singular_spectrum,
 )
-from .numeric import LstsqResult, RankDeficiencyError, SvdResult, lstsq, truncated_svd
+from .numeric import (
+    LstsqResult,
+    RankDeficiencyError,
+    SvdResult,
+    lstsq,
+    normal_lstsq,
+    truncated_svd,
+)
 
 __all__ = [
     "__version__",
@@ -81,5 +88,6 @@ __all__ = [
     "RankDeficiencyError",
     "SvdResult",
     "lstsq",
+    "normal_lstsq",
     "truncated_svd",
 ]

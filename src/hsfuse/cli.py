@@ -238,24 +238,35 @@ def _write_manifest(path, args, **resolved):
     hio.write_manifest(path, {k: _manifest_value(v) for k, v in entries.items()})
 
 
-def _measure(truth, response, args):
-    """Mask, coded and multiband measurements of ``truth``, with the flags' noise."""
+def _check_noise(args):
     if not 0 <= args.noise_sigma < float("inf"):
         raise UsageError(f"--noise-sigma must be finite and nonnegative, got {args.noise_sigma}")
+
+
+def _coded(truth, args):
+    """Mask and coded measurement of ``truth``, with the flags' noise."""
     rows, cols, bands = truth.shape
     mask = forward.gen_mask(rows, cols, bands, args.mask_seed, args.density)
     y = forward.simulate_cassi(truth, mask)
-    z = forward.simulate_multiband(truth, response)
     if args.noise_sigma > 0:
         y = forward.add_noise(y, args.noise_sigma, args.noise_seed)
+    return y, mask
+
+
+def _multiband(truth, response, args):
+    """Multiband measurement of ``truth``, with the flags' noise."""
+    z = forward.simulate_multiband(truth, response)
+    if args.noise_sigma > 0:
         z = forward.add_noise(z, args.noise_sigma, args.noise_seed + 1)
-    return y, z, mask
+    return z
 
 
 def _run_simulate(args):
     truth = hio.read_cube(args.in_path)
     response = forward.response_from_spec(args.response, truth.shape[2])
-    y, z, mask = _measure(truth, response, args)
+    _check_noise(args)
+    y, mask = _coded(truth, args)
+    z = _multiband(truth, response, args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     hio.write_cube(y[:, :, None], out_dir / "y.hsc")
@@ -341,38 +352,59 @@ def _run_eval(args):
     )
 
 
-def _sweep_values(args):
+def _positive_int(flag, text):
+    try:
+        value = int(text)
+        if value >= 1:
+            return value
+    except ValueError:
+        pass
+    raise UsageError(f"bad {flag} value {text!r} in --values: expected an integer >= 1")
+
+
+def _sweep_plan(args, shape):
+    """(value, FusionConfig, response spec, response) per swept value, all validated
+    against a truth cube of ``shape`` before anything is simulated."""
     sep = ";" if args.vary == "response" else ","
     values = [v.strip() for v in args.values.split(sep) if v.strip()]
     if not values:
         raise UsageError("--values is empty")
-    return values
-
-
-def _run_sweep(args):
-    truth = hio.read_cube(args.in_path)
-    bands = truth.shape[2]
     base_m, base_n = _parse_patch(args.patch)
-    threads = _threads(args)
-    scene = Path(args.in_path).stem
-    report_rows = []
-    for value in _sweep_values(args):
+    plan = []
+    for value in values:
         rank, (m, n), resp_spec = args.rank, (base_m, base_n), args.response
         if args.vary == "rank":
-            rank = int(value)
+            rank = _positive_int("rank", value)
             if resp_spec.partition(":")[0] == "average":
                 # the multiband channel count tracks the requested rank
                 resp_spec = f"average:{rank}"
         elif args.vary == "patch":
-            m = n = int(value)
+            m = n = _positive_int("patch", value)
         else:
             resp_spec = value
         stride = args.stride if args.stride is not None else max(1, m // 2)
-        response = forward.response_from_spec(resp_spec, bands)
-        y, z, mask = _measure(truth, response, args)
         config = fusion.FusionConfig(
             rank=rank, patch_rows=m, patch_cols=n, stride=stride, improved=args.improved
         )
+        response = forward.response_from_spec(resp_spec, shape[2])
+        config.grid(shape, response.shape[1])
+        plan.append((value, config, resp_spec, response))
+    return plan
+
+
+def _run_sweep(args):
+    truth = hio.read_cube(args.in_path)
+    plan = _sweep_plan(args, truth.shape)
+    threads = _threads(args)
+    _check_noise(args)
+    scene = Path(args.in_path).stem
+    # the mask and coded image do not depend on any swept value
+    y, mask = _coded(truth, args)
+    report_rows = []
+    z_spec = None
+    for value, config, resp_spec, response in plan:
+        if resp_spec != z_spec:
+            z, z_spec = _multiband(truth, response, args), resp_spec
         start = time.perf_counter()
         xhat = fusion.pfuse(y, z, mask, config, workers=threads, response=response)
         wall = time.perf_counter() - start
@@ -381,9 +413,9 @@ def _run_sweep(args):
             hio.ReportRow(
                 scene=scene,
                 method="pfusion-improved" if args.improved else "pfusion",
-                rank=rank,
-                patch=m,
-                stride=stride,
+                rank=config.rank,
+                patch=config.patch_rows,
+                stride=config.stride,
                 m_psnr=report.m_psnr,
                 m_ssim=report.m_ssim,
                 msa=report.msa,

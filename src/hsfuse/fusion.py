@@ -64,6 +64,23 @@ class FusionConfig:
         if self.stride < 1 or self.stride > min(self.patch_rows, self.patch_cols):
             raise ValueError("stride must satisfy 1 <= stride <= min(patch dims)")
 
+    def grid(self, shape, channels):
+        """Patch grid over a (rows, cols, bands) scene measured in ``channels`` channels.
+
+        Raises ValueError when this config cannot reconstruct such a scene:
+        the rank exceeds the channel count, the patch area does not exceed
+        the basis unknowns (rank*bands), or the patch exceeds the image.
+        """
+        rows, cols, bands = shape
+        m, n = self.patch_rows, self.patch_cols
+        if self.rank > channels:
+            raise ValueError(f"rank {self.rank} exceeds the channel count {channels}")
+        if m * n <= self.rank * bands:
+            raise ValueError(
+                f"patch area m*n = {m * n} must exceed rank*bands = {self.rank * bands}"
+            )
+        return core.make_grid(rows, cols, m, n, self.stride)
+
 
 class CoefficientEstimate(NamedTuple):
     coefficients: np.ndarray  # (rank, pixels), orthonormal rows
@@ -75,8 +92,10 @@ class CoefficientEstimate(NamedTuple):
 class PatchStats:
     """Per-patch solve record collected by :func:`pfuse`.
 
-    ``coefficients``/``basis`` are None for all-zero patches, which are
-    reconstructed as zero without a solve.
+    ``coefficients``/``basis``/``solver`` are None for all-zero patches,
+    which are reconstructed as zero without a solve. ``solver`` is
+    ``"cholesky"`` when the base solve kept its normal-equation answer and
+    ``"qr"`` when it fell back to pivoted QR (always, for the joint solve).
     """
 
     origin: tuple
@@ -84,6 +103,7 @@ class PatchStats:
     residual: float
     coefficients: Optional[np.ndarray]
     basis: Optional[np.ndarray]
+    solver: Optional[str]
 
 
 def estimate_coefficients(z, k):
@@ -146,8 +166,12 @@ def assemble_phi_rgb(response, w):
     return np.einsum("tp,bc->cptb", w, response).reshape(channels * pixels, k * bands)
 
 
-def _system(y, mask, w, improved, z, response):
-    """Assemble the least-squares system (phi, rhs) for the basis solve."""
+def _solve(y, mask, w, improved, z, response):
+    """Least-squares basis solve as a :class:`numeric.LstsqResult`.
+
+    The base system goes through the normal equations with their pivoted-QR
+    fallback; the stacked joint system stays on pivoted QR.
+    """
     phi = assemble_phi_w(mask, w)
     rhs = y.ravel(order="F")
     if improved:
@@ -162,23 +186,25 @@ def _system(y, mask, w, improved, z, response):
             )
         phi = np.vstack((phi, assemble_phi_rgb(response, w)))
         rhs = np.concatenate((rhs, z.ravel(order="F")))
-    return phi, rhs
+        return numeric.lstsq(phi, rhs)
+    return numeric.normal_lstsq(phi, rhs)
 
 
 def solve_basis(y, mask, w, improved=False, z=None, response=None):
     """Spectral basis from the coded image given coefficients W.
 
-    Solves min ||vec(Y) - phi_W @ e|| by QR least squares and reshapes e to
-    (bands, k). With ``improved=True`` the multiband measurement joins the
-    stacked system through its own structured matrix (roughly 4x the work);
-    on consistent data both paths give the same E @ W.
+    Solves min ||vec(Y) - phi_W @ e|| by least squares and reshapes e to
+    (bands, k): through the Cholesky-factored normal equations when
+    phi_W is well conditioned, by pivoted QR otherwise
+    (:func:`numeric.normal_lstsq`). With ``improved=True`` the multiband
+    measurement joins the stacked system through its own structured matrix,
+    solved by pivoted QR; on consistent data both paths give the same E @ W.
     """
     y = np.asarray(y, dtype=np.float64)
     mask = core.check_cube(mask, "mask")
     if y.ndim != 2 or y.shape != mask.shape[:2]:
         raise ValueError(f"coded image shape {y.shape} does not match mask {mask.shape[:2]}")
-    phi, rhs = _system(y, mask, np.asarray(w, dtype=np.float64), improved, z, response)
-    sol = numeric.lstsq(phi, rhs)
+    sol = _solve(y, mask, np.asarray(w, dtype=np.float64), improved, z, response)
     return sol.x.reshape(mask.shape[2], -1, order="F")
 
 
@@ -197,19 +223,18 @@ def _check_measurements(y, z, mask):
 
 
 def _fuse_block(y, z, mask, rank, improved, response):
-    """Fusion of one window; returns (cube, (rank, residual, W, E))."""
+    """Fusion of one window; returns (cube, (rank, residual, W, E, solver))."""
     rows, cols, bands = mask.shape
     if not z.any():
         if y.any():
             raise ValueError("multiband measurement is identically zero (rank 0)")
         # nothing was measured at all: the zero cube is the exact solution
-        return np.zeros((rows, cols, bands)), (0, 0.0, None, None)
+        return np.zeros((rows, cols, bands)), (0, 0.0, None, None, None)
     est = estimate_coefficients(z, rank)
-    phi, rhs = _system(y, mask, est.coefficients, improved, z, response)
-    sol = numeric.lstsq(phi, rhs)
+    sol = _solve(y, mask, est.coefficients, improved, z, response)
     basis = sol.x.reshape(bands, est.rank, order="F")
     cube = core.fold3(basis @ est.coefficients, rows, cols)
-    return cube, (est.rank, sol.residual, est.coefficients, basis)
+    return cube, (est.rank, sol.residual, est.coefficients, basis, sol.solver)
 
 
 def fuse(y, z, mask, rank, improved=False, response=None):
@@ -244,17 +269,11 @@ def pfuse(y, z, mask, config, workers=1, response=None, stats=None):
     cannot have full column rank.
     """
     y, z, mask = _check_measurements(y, z, mask)
-    rows, cols, bands = mask.shape
+    rows, cols, _ = mask.shape
     m, n = config.patch_rows, config.patch_cols
-    if config.rank > z.shape[2]:
-        raise ValueError(f"rank {config.rank} exceeds the channel count {z.shape[2]}")
-    if m * n <= config.rank * bands:
-        raise ValueError(
-            f"patch area m*n = {m * n} must exceed rank*bands = {config.rank * bands}"
-        )
+    grid = config.grid(mask.shape, z.shape[2])
     if config.improved and response is None:
         raise ValueError("the improved solve requires the multiband response")
-    grid = core.make_grid(rows, cols, m, n, config.stride)
     workers = min(workers or 1, len(grid.origins))
 
     def solve(origin):

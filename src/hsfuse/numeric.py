@@ -1,22 +1,45 @@
-"""Dense kernels used by the fusion solves: top-k SVD and QR least squares.
+"""Dense kernels used by the fusion solves: top-k SVD and least squares.
 
-Both wrap LAPACK (via numpy/scipy) behind explicit numerical contracts:
-the SVD returns descending singular triplets with orthonormal factors, and
-the least-squares solve goes through a column-pivoted QR factorisation,
-which equals the normal-equation solution on full-column-rank systems but
-does not square the condition number.
+All wrap LAPACK (via numpy/scipy) behind explicit numerical contracts:
+the SVD returns descending singular triplets with orthonormal factors.
+``lstsq`` is the reference least-squares solve: a column-pivoted QR
+factorisation, which equals the normal-equation solution on
+full-column-rank systems but does not square the condition number.
+``normal_lstsq`` solves the normal equations by Cholesky, several times
+faster on tall systems, and hands the system to ``lstsq`` whenever the
+Gram matrix's estimated condition number makes that squaring unsafe, so
+its answer stays within about 1e-10 relative of QR's.
 """
 
 from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack
 
-__all__ = ["RANK_RTOL", "RankDeficiencyError", "SvdResult", "LstsqResult", "truncated_svd", "lstsq"]
+__all__ = [
+    "RANK_RTOL",
+    "CHOLESKY_RCOND_MIN",
+    "RankDeficiencyError",
+    "SvdResult",
+    "LstsqResult",
+    "truncated_svd",
+    "lstsq",
+    "normal_lstsq",
+]
 
 # Relative tolerance on the pivoted-QR diagonal below which a column is
 # declared numerically dependent.
 RANK_RTOL = 1e-10
+
+# Smallest reciprocal condition number of G = phi.T @ phi for which
+# normal_lstsq trusts its Cholesky solution. The normal equations lose
+# accuracy in proportion to cond(G) = cond(phi)**2: their relative error is
+# about eps * cond(G) (eps = 1.1e-16), against QR's eps * cond(phi). With
+# rcond(G) >= 1e-6 that is at most ~1e-10, i.e. cond(phi) <= 1e3. dpocon
+# estimates the 1-norm condition, which for a symmetric matrix is never
+# below the 2-norm one, so the bound errs towards falling back to QR.
+CHOLESKY_RCOND_MIN = 1e-6
 
 
 class RankDeficiencyError(ArithmeticError):
@@ -36,6 +59,7 @@ class SvdResult(NamedTuple):
 class LstsqResult(NamedTuple):
     x: np.ndarray
     residual: float
+    solver: str  # "cholesky" (normal equations) or "qr" (pivoted QR)
 
 
 def truncated_svd(mat, k):
@@ -56,14 +80,7 @@ def truncated_svd(mat, k):
     return SvdResult(u[:, :k].copy(), s[:k].copy(), vt[:k].T.copy())
 
 
-def lstsq(phi, y):
-    """Minimise ||y - phi @ x||_2 for a tall full-column-rank system.
-
-    Solved through column-pivoted QR. If the smallest diagonal of the R
-    factor falls below RANK_RTOL times the largest, the system is declared
-    rank deficient and the offending (original) column index is reported.
-    Returns the solution together with the residual 2-norm.
-    """
+def _check_system(phi, y):
     phi = np.asarray(phi, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if phi.ndim != 2:
@@ -75,6 +92,19 @@ def lstsq(phi, y):
         raise ValueError(f"system is underdetermined: {rows} rows < {cols} columns")
     if not np.isfinite(phi).all():
         raise ValueError("system matrix contains non-finite entries")
+    return phi, y
+
+
+def lstsq(phi, y):
+    """Minimise ||y - phi @ x||_2 for a tall full-column-rank system.
+
+    Solved through column-pivoted QR. If the smallest diagonal of the R
+    factor falls below RANK_RTOL times the largest, the system is declared
+    rank deficient and the offending (original) column index is reported.
+    Returns the solution together with the residual 2-norm.
+    """
+    phi, y = _check_system(phi, y)
+    cols = phi.shape[1]
     q, r, perm = scipy.linalg.qr(phi, mode="economic", pivoting=True)
     diag = np.abs(np.diag(r))
     dmax = diag.max()
@@ -93,4 +123,27 @@ def lstsq(phi, y):
     x = np.empty_like(z)
     x[perm] = z
     residual = float(np.linalg.norm(y - phi @ x))
-    return LstsqResult(x, residual)
+    return LstsqResult(x, residual, "qr")
+
+
+def normal_lstsq(phi, y):
+    """:func:`lstsq` through the normal equations, when they are safe.
+
+    Forms G = phi.T @ phi and phi.T @ y, factors G by Cholesky and keeps
+    that solution only if the factorisation succeeds and the estimated
+    reciprocal condition number of G is at least CHOLESKY_RCOND_MIN.
+    Otherwise (including every rank-deficient system) it returns
+    ``lstsq(phi, y)`` itself, with the same errors. The residual is
+    measured on phi, not derived from G.
+    """
+    phi, y = _check_system(phi, y)
+    gram = phi.T @ phi
+    if np.isfinite(gram).all():
+        factor, info = lapack.dpotrf(gram)
+        if info == 0:
+            # dpocon needs the 1-norm of G itself, not of its factor
+            rcond, _ = lapack.dpocon(factor, np.abs(gram).sum(axis=0).max())
+            if rcond >= CHOLESKY_RCOND_MIN:
+                x, _ = lapack.dpotrs(factor, phi.T @ y)
+                return LstsqResult(x, float(np.linalg.norm(y - phi @ x)), "cholesky")
+    return lstsq(phi, y)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import dyadic_low_rank_cube, rel_err, smooth_spectra_cube, two_zone_cube
-from hsfuse import cli, forward, fusion
+from hsfuse import cli, forward, fusion, metrics
 from hsfuse import io as hio
 
 
@@ -272,6 +272,84 @@ class TestSweep:
         assert code == cli.EXIT_USAGE
         assert "noise-sigma" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_measurements_made_once(self, tmp_path, monkeypatch):
+        calls = {"gen_mask": 0, "simulate_multiband": 0}
+
+        def counted(name):
+            original = getattr(forward, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(forward, name, wrapper)
+
+        counted("gen_mask")
+        counted("simulate_multiband")
+        cube, _, _ = dyadic_low_rank_cube(782, 24, 24, 8, 3)
+        truth = tmp_path / "truth.hsc"
+        hio.write_cube(cube, truth)
+        assert run("sweep", "--in", truth, "--vary", "rank", "--values", "1,2,3",
+                   "--patch", 12, "--out", tmp_path / "rank.csv") == 0
+        # one mask for the sweep; the multiband response follows the rank
+        assert calls == {"gen_mask": 1, "simulate_multiband": 3}
+        assert run("sweep", "--in", truth, "--vary", "patch", "--values", "8,12,24",
+                   "--out", tmp_path / "patch.csv") == 0
+        assert calls == {"gen_mask": 2, "simulate_multiband": 4}
+
+    def test_rows_match_per_value_measurements(self, tmp_path):
+        cube = smooth_spectra_cube(783, 24, 24, 8)
+        truth = tmp_path / "truth.hsc"
+        hio.write_cube(cube, truth)
+        out = tmp_path / "sweep.csv"
+        assert run("sweep", "--in", truth, "--vary", "rank", "--values", "1,2,3",
+                   "--noise-sigma", 0.01, "--mask-seed", 4, "--noise-seed", 6,
+                   "--patch", 12, "--out", out) == 0
+        truth_cube = hio.read_cube(truth)
+        expected = []
+        for rank in (1, 2, 3):
+            # every value measured from scratch, as each were its own simulate
+            mask = forward.gen_mask(24, 24, 8, 4, 0.5)
+            y = forward.add_noise(forward.simulate_cassi(truth_cube, mask), 0.01, 6)
+            response = forward.response_from_spec(f"average:{rank}", 8)
+            z = forward.add_noise(forward.simulate_multiband(truth_cube, response), 0.01, 7)
+            xhat = fusion.pfuse(y, z, mask, fusion.FusionConfig(rank, 12, 12, 6), workers=2)
+            report = metrics.evaluate(truth_cube, xhat)
+            expected.append(hio.ReportRow("truth", "pfusion", rank, 12, 6, report.m_psnr,
+                                          report.m_ssim, report.msa, 0.0))
+        hio.write_report(expected, tmp_path / "expected.csv")
+        got, want = read_csv(out), read_csv(tmp_path / "expected.csv")
+        for row in got + want:
+            del row["wall_seconds"]
+        assert got == want
+
+    @pytest.mark.parametrize(
+        "vary,values,message",
+        [
+            ("rank", "2,x", "rank value 'x'"),
+            ("patch", "12,0", "patch value '0'"),
+            ("patch", "12,48", "patch 48x48 exceeds image 24x24"),
+            ("response", "average:2;single:0", "rank 2 exceeds the channel count 1"),
+        ],
+    )
+    def test_bad_value_rejected_before_simulating(self, tmp_path, monkeypatch, capsys,
+                                                  vary, values, message):
+        def no_mask(*_args, **_kwargs):
+            raise AssertionError("simulated before validating --values")
+
+        monkeypatch.setattr(forward, "gen_mask", no_mask)
+        cube, _, _ = dyadic_low_rank_cube(784, 24, 24, 8, 2)
+        truth = tmp_path / "truth.hsc"
+        hio.write_cube(cube, truth)
+        out = tmp_path / "s.csv"
+        code = run("sweep", "--in", truth, "--vary", vary, "--values", values,
+                   "--rank", 2, "--patch", 12, "--out", out)
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_USAGE
+        assert message in captured.err
+        assert "m_psnr" not in captured.out
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["truth.hsc"]
 
     def test_rank_beyond_channels_rejected(self, tmp_path):
         cube, _, _ = dyadic_low_rank_cube(780, 24, 24, 8, 2)

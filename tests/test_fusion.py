@@ -327,6 +327,22 @@ class TestPfuse:
         for s in stats:
             assert s.basis.shape == (4, s.rank)
             assert s.residual >= 0.0
+            assert s.solver == "cholesky"
+
+    def test_stats_record_solver(self):
+        cube = two_zone_cube(57, 16, 8, 8, 0, 6, rank=2)
+        mask = forward.gen_mask(16, 16, 6, 58, 0.5)
+        response = forward.average_response(6, 2)
+        y = forward.simulate_cassi(cube, mask)
+        z = forward.simulate_multiband(cube, response)
+        config = FusionConfig(rank=2, patch_rows=8, patch_cols=8, stride=8)
+        base, joint = [], []
+        fusion.pfuse(y, z, mask, config, stats=base)
+        fusion.pfuse(y, z, mask, FusionConfig(2, 8, 8, 8, improved=True),
+                     response=response, stats=joint)
+        # right-hand patches are all zero and skip the solve
+        assert [s.solver for s in base] == ["cholesky", None, "cholesky", None]
+        assert [s.solver for s in joint] == ["qr", None, "qr", None]
 
     def test_workers_capped_at_patch_count(self, monkeypatch):
         seen = []
@@ -377,3 +393,69 @@ class TestFusionConfig:
         assert fusion.RANK_TOL == 1e-10
         with pytest.raises(TypeError):
             FusionConfig(rank_tol=1e-3)
+
+
+def qr_reference(monkeypatch, *args, **kwargs):
+    """pfuse output and stats with the base solve forced onto pivoted QR."""
+    stats = []
+    with monkeypatch.context() as patched:
+        patched.setattr(fusion.numeric, "normal_lstsq", fusion.numeric.lstsq)
+        return fusion.pfuse(*args, **kwargs, stats=stats), stats
+
+
+class TestBaseSolver:
+    """The Cholesky base solve against the pivoted-QR reference on degenerate patches."""
+
+    def run_both(self, monkeypatch, y, z, mask, config):
+        stats = []
+        fast = fusion.pfuse(y, z, mask, config, stats=stats)
+        ref, ref_stats = qr_reference(monkeypatch, y, z, mask, config)
+        assert all(s.solver == "qr" for s in ref_stats)
+        assert np.abs(fast - ref).max() <= 1e-12 * max(np.abs(ref).max(), 1.0)
+        return fast, stats
+
+    def test_flat_patches(self, monkeypatch):
+        cube = np.full((16, 16, 6), 0.3)
+        mask = forward.gen_mask(16, 16, 6, 60, 0.5)
+        y = forward.simulate_cassi(cube, mask)
+        z = forward.simulate_multiband(cube, forward.average_response(6, 3))
+        config = FusionConfig(rank=3, patch_rows=8, patch_cols=8, stride=4)
+        xhat, stats = self.run_both(monkeypatch, y, z, mask, config)
+        assert all(s.rank == 1 and s.solver == "cholesky" for s in stats)
+        assert rel_err(xhat, cube) < 1e-10
+
+    def test_one_channel_patches(self, monkeypatch):
+        cube, _, _ = low_rank_cube(61, 12, 12, 5, 1)
+        mask = forward.gen_mask(12, 12, 5, 62, 0.5)
+        y = forward.simulate_cassi(cube, mask)
+        z = forward.simulate_multiband(cube, forward.average_response(5, 1))
+        config = FusionConfig(rank=1, patch_rows=6, patch_cols=6, stride=3)
+        xhat, stats = self.run_both(monkeypatch, y, z, mask, config)
+        assert all(s.solver == "cholesky" for s in stats)
+        assert rel_err(xhat, cube) < 1e-10
+
+    def test_zero_mask_raises_as_qr(self, monkeypatch):
+        rng = np.random.default_rng(63)
+        z, y = rng.random((8, 8, 3)), rng.random((8, 8))
+        config = FusionConfig(rank=1, patch_rows=8, patch_cols=8, stride=8)
+        with pytest.raises(RankDeficiencyError) as fast:
+            fusion.pfuse(y, z, np.zeros((8, 8, 4)), config)
+        with pytest.raises(RankDeficiencyError) as ref:
+            qr_reference(monkeypatch, y, z, np.zeros((8, 8, 4)), config)
+        assert str(fast.value) == str(ref.value)
+        assert fast.value.column == ref.value.column
+
+    def test_ill_conditioned_patch_falls_back(self, monkeypatch):
+        # mask band 3 is band 2 up to 1e-5: cond(phi) ~ 1e5 fails the Cholesky bound
+        rng = np.random.default_rng(64)
+        cube, _, _ = low_rank_cube(64, 12, 12, 6, 2)
+        mask = forward.gen_mask(12, 12, 6, 65, 0.5).copy()
+        mask[:, :, 3] = mask[:, :, 2] + 1e-5 * rng.standard_normal((12, 12))
+        y = forward.simulate_cassi(cube, mask)
+        z = forward.simulate_multiband(cube, rng.random((6, 2)))
+        config = FusionConfig(rank=2, patch_rows=12, patch_cols=12, stride=12)
+        stats = []
+        xhat = fusion.pfuse(y, z, mask, config, stats=stats)
+        ref, _ = qr_reference(monkeypatch, y, z, mask, config)
+        assert [s.solver for s in stats] == ["qr"]
+        assert np.array_equal(xhat, ref)

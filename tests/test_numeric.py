@@ -1,9 +1,16 @@
-"""Dense kernel contract tests: truncated SVD and QR least squares."""
+"""Dense kernel contract tests: truncated SVD and least squares (QR and Cholesky)."""
 
 import numpy as np
 import pytest
 
-from hsfuse.numeric import RankDeficiencyError, lstsq, truncated_svd
+from hsfuse import forward, fusion
+from hsfuse.numeric import (
+    CHOLESKY_RCOND_MIN,
+    RankDeficiencyError,
+    lstsq,
+    normal_lstsq,
+    truncated_svd,
+)
 
 
 class TestTruncatedSvd:
@@ -124,3 +131,100 @@ class TestLstsq:
     def test_rhs_shape_mismatch(self):
         with pytest.raises(ValueError, match="right-hand side"):
             lstsq(np.ones((4, 2)), np.ones(5))
+
+    def test_reports_qr_solver(self):
+        assert lstsq(np.eye(3), np.ones(3)).solver == "qr"
+
+
+def near_dependent_system(eps, seed=9):
+    """Structured coded-camera system whose mask band 5 is band 4 + eps * noise.
+
+    Columns (t, 4) and (t, 5) of phi then differ by O(eps), so cond(phi)
+    grows like 1/eps while everything else about the system stays typical.
+    """
+    rng = np.random.default_rng(seed)
+    rows, cols, bands, k = 24, 24, 12, 2
+    mask = forward.gen_mask(rows, cols, bands, seed, 0.5).copy()
+    mask[:, :, 5] = mask[:, :, 4] + eps * rng.standard_normal((rows, cols))
+    w = np.linalg.qr(rng.standard_normal((rows * cols, k)))[0].T
+    phi = fusion.assemble_phi_w(mask, w)
+    y = phi @ rng.standard_normal(k * bands) + 0.01 * rng.standard_normal(rows * cols)
+    return phi, y
+
+
+def rel_diff(a, b):
+    return float(np.linalg.norm(a - b) / np.linalg.norm(b))
+
+
+class TestNormalLstsq:
+    @pytest.mark.parametrize("seed,shape", [(10, (40, 7)), (11, (300, 24)), (12, (1600, 93))])
+    def test_matches_qr_on_well_conditioned_systems(self, seed, shape):
+        rng = np.random.default_rng(seed)
+        phi = rng.standard_normal(shape)
+        y = rng.standard_normal(shape[0])
+        fast, ref = normal_lstsq(phi, y), lstsq(phi, y)
+        assert fast.solver == "cholesky"
+        assert rel_diff(fast.x, ref.x) <= 1e-12
+        assert abs(fast.residual - ref.residual) <= 1e-12 * ref.residual
+
+    def test_normal_equations_hold(self):
+        rng = np.random.default_rng(13)
+        phi = rng.standard_normal((40, 7))
+        y = rng.standard_normal(40)
+        res = normal_lstsq(phi, y)
+        assert np.linalg.norm(phi.T @ (y - phi @ res.x)) <= 1e-8 * np.linalg.norm(phi.T @ y)
+
+    def test_bound_is_stated(self):
+        assert CHOLESKY_RCOND_MIN == 1e-6
+
+    def test_conditioning_sweep_falls_back_at_the_bound(self):
+        solvers = []
+        for eps in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
+            phi, y = near_dependent_system(eps)
+            gram = phi.T @ phi
+            rcond = 1.0 / np.linalg.cond(gram, 1)
+            fast, ref = normal_lstsq(phi, y), lstsq(phi, y)
+            solvers.append(fast.solver)
+            if fast.solver == "cholesky":
+                assert rel_diff(fast.x, ref.x) <= 1e-9, eps
+            else:
+                assert np.array_equal(fast.x, ref.x) and fast.residual == ref.residual, eps
+            # the estimate may differ from the exact 1-norm figure by a small factor
+            if rcond >= 10 * CHOLESKY_RCOND_MIN:
+                assert fast.solver == "cholesky", (eps, rcond)
+            if rcond <= CHOLESKY_RCOND_MIN / 10:
+                assert fast.solver == "qr", (eps, rcond)
+        # well-conditioned systems stay on the fast path, the rest fall back, once
+        assert solvers[0] == "cholesky" and solvers[-1] == "qr"
+        switch = solvers.index("qr")
+        assert set(solvers[:switch]) == {"cholesky"} and set(solvers[switch:]) == {"qr"}
+
+    @pytest.mark.parametrize(
+        "phi",
+        [
+            np.zeros((5, 2)),
+            np.column_stack([np.arange(10.0), np.cos(np.arange(10.0)), np.arange(10.0)]),
+        ],
+        ids=["zero", "duplicate-column"],
+    )
+    def test_rank_deficiency_same_as_qr(self, phi):
+        y = np.linspace(1.0, 2.0, phi.shape[0])
+        with pytest.raises(RankDeficiencyError) as ref:
+            lstsq(phi, y)
+        with pytest.raises(RankDeficiencyError) as fast:
+            normal_lstsq(phi, y)
+        assert str(fast.value) == str(ref.value)
+        assert fast.value.column == ref.value.column
+
+    def test_non_finite_same_as_qr(self):
+        phi = np.ones((6, 2))
+        phi[3, 1] = np.inf
+        with pytest.raises(ValueError, match="non-finite") as ref:
+            lstsq(phi, np.ones(6))
+        with pytest.raises(ValueError, match="non-finite") as fast:
+            normal_lstsq(phi, np.ones(6))
+        assert str(fast.value) == str(ref.value)
+
+    def test_underdetermined_rejected(self):
+        with pytest.raises(ValueError, match="underdetermined"):
+            normal_lstsq(np.ones((2, 3)), np.ones(2))
