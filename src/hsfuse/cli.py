@@ -315,22 +315,22 @@ def _peak_value(text):
     if str(text).strip().lower() == "refmax":
         return None
     try:
-        return float(text)
+        return metrics.check_peak(text)
     except ValueError as err:
-        raise UsageError(f"bad --peak value {text!r}") from err
+        raise UsageError(f"bad --peak value {text!r}: {err}") from err
 
 
 def _run_eval(args):
+    peak = _peak_value(args.peak)
+    m_label, _ = _parse_patch(args.patch)
     ref = hio.read_cube(args.ref)
     est = hio.read_cube(args.est)
-    peak = _peak_value(args.peak)
     start = time.perf_counter()
     report = metrics.evaluate(
         ref, est, peak=1.0 if peak is None else peak, per_band_peak=peak is None
     )
     wall = time.perf_counter() - start
     scene = args.scene if args.scene is not None else Path(args.ref).stem
-    m_label, _ = _parse_patch(args.patch)
     row = hio.ReportRow(
         scene=scene,
         method=args.method,

@@ -3,17 +3,27 @@
 M-PSNR and M-SSIM are the means over bands of per-band PSNR/SSIM; MSA is
 the mean spectral angle between per-pixel spectra, in degrees. All three
 reject shape mismatches instead of broadcasting.
+
+SSIM is the Gaussian-window index of Wang et al., "Image quality
+assessment: from error visibility to structural similarity" (IEEE TIP,
+2004): an 11x11 window with sigma 1.5, evaluated only where it fits inside
+the image. That window is the outer product of an 11-tap 1-D Gaussian with
+itself, so each band's five local moments (the means of x, y, x*x, y*y and
+x*y) are filtered once along the rows and once along the columns, as one
+stacked array, with plain numpy slices and no FFT. This costs 11 taps per
+pixel and pass, whatever the image size.
 """
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from . import core
 
 __all__ = [
     "MetricReport",
+    "check_peak",
     "band_psnr",
     "band_ssim",
     "m_psnr",
@@ -49,6 +59,24 @@ class MetricReport:
     msa_skipped: int
 
 
+def _normal(value):
+    """True where ``value`` is a positive normal float: not 0, subnormal, inf or NaN."""
+    return (value >= sys.float_info.min) & (value <= sys.float_info.max)
+
+
+def check_peak(peak):
+    """``peak`` as a float, or ValueError unless it is a usable dynamic range.
+
+    The peak must be positive and its square, which PSNR divides by, a
+    normal float: a NaN, infinite or underflowing peak would otherwise
+    report NaN or -inf.
+    """
+    value = float(peak)
+    if not (value > 0 and _normal(value * value)):
+        raise ValueError(f"peak must be positive with a normal-float square, got {peak}")
+    return value
+
+
 def _check_pair(ref, est):
     ref = core.check_cube(ref, "reference")
     est = core.check_cube(est, "estimate")
@@ -65,7 +93,8 @@ def band_psnr(ref, est, peak=1.0, cap_db=PSNR_CAP_DB):
     ref, est : array_like
         Cubes of identical shape.
     peak : float or None
-        Peak signal value. ``None`` uses each band's reference maximum.
+        Peak signal value (see :func:`check_peak`). ``None`` uses each
+        band's reference maximum.
     cap_db : float
         Upper bound on the reported value; bands with zero error take the
         cap exactly.
@@ -73,12 +102,13 @@ def band_psnr(ref, est, peak=1.0, cap_db=PSNR_CAP_DB):
     ref, est = _check_pair(ref, est)
     if peak is None:
         peaks = ref.max(axis=(0, 1))
-        if (peaks <= 0).any():
-            raise ValueError("per-band peak requested but a band's reference maximum is <= 0")
+        if not _normal(peaks * peaks).all():
+            raise ValueError(
+                "per-band peak requested but a band's reference maximum is <= 0 "
+                "or too small to square"
+            )
     else:
-        if peak <= 0:
-            raise ValueError(f"peak must be positive, got {peak}")
-        peaks = np.full(ref.shape[2], float(peak))
+        peaks = np.full(ref.shape[2], check_peak(peak))
     diff = ref - est
     mse = np.mean(diff * diff, axis=(0, 1))
     out = np.full(mse.shape, float(cap_db))
@@ -92,23 +122,46 @@ def m_psnr(ref, est, peak=1.0, cap_db=PSNR_CAP_DB):
     return float(band_psnr(ref, est, peak, cap_db).mean())
 
 
-def _gaussian_kernel(size=_SSIM_WINDOW, sigma=_SSIM_SIGMA):
+def _gaussian_taps(size=_SSIM_WINDOW, sigma=_SSIM_SIGMA):
     coords = np.arange(size) - (size - 1) / 2.0
     g = np.exp(-(coords**2) / (2.0 * sigma**2))
-    kernel = np.outer(g, g)
-    return kernel / kernel.sum()
+    return g / g.sum()
 
 
-def _ssim_band(x, y, peak, kernel):
-    c1 = (_SSIM_K1 * peak) ** 2
-    c2 = (_SSIM_K2 * peak) ** 2
-    mu_x = fftconvolve(x, kernel, mode="valid")
-    mu_y = fftconvolve(y, kernel, mode="valid")
-    sxx = fftconvolve(x * x, kernel, mode="valid") - mu_x * mu_x
-    syy = fftconvolve(y * y, kernel, mode="valid") - mu_y * mu_y
-    sxy = fftconvolve(x * y, kernel, mode="valid") - mu_x * mu_y
-    num = (2.0 * mu_x * mu_y + c1) * (2.0 * sxy + c2)
-    den = (mu_x * mu_x + mu_y * mu_y + c1) * (sxx + syy + c2)
+def _gaussian_valid(a, axis, taps):
+    """Filter ``a`` along ``axis`` with the symmetric ``taps``, valid part only."""
+    size = taps.shape[0]
+    half = size // 2
+    n = a.shape[axis] - size + 1
+    head = (slice(None),) * axis
+
+    def tap(k):
+        return a[head + (slice(k, k + n),)]
+
+    out = taps[half] * tap(half)
+    pair = np.empty_like(out)
+    for k in range(half):
+        np.add(tap(k), tap(size - 1 - k), out=pair)
+        pair *= taps[k]
+        out += pair
+    return out
+
+
+def _ssim_band(x, y, c1, c2, taps):
+    # x, y, x*x, y*y, x*y in one contiguous array, filtered together
+    moments = np.empty((5,) + x.shape)
+    moments[0] = x
+    moments[1] = y
+    np.multiply(moments[0], moments[0], out=moments[2])
+    np.multiply(moments[1], moments[1], out=moments[3])
+    np.multiply(moments[0], moments[1], out=moments[4])
+    mu_x, mu_y, exx, eyy, exy = _gaussian_valid(_gaussian_valid(moments, 1, taps), 2, taps)
+    mu_xx = mu_x * mu_x
+    mu_yy = mu_y * mu_y
+    mu_xy = mu_x * mu_y
+    # for x == y both factors of num equal those of den bit for bit, so SSIM is exactly 1
+    num = (2.0 * mu_xy + c1) * (2.0 * (exy - mu_xy) + c2)
+    den = (mu_xx + mu_yy + c1) * ((exx - mu_xx) + (eyy - mu_yy) + c2)
     return float(np.mean(num / den))
 
 
@@ -120,15 +173,20 @@ def band_ssim(ref, est, peak=1.0):
     be at least 11x11.
     """
     ref, est = _check_pair(ref, est)
-    if peak <= 0:
-        raise ValueError(f"peak must be positive, got {peak}")
+    peak = check_peak(peak)
+    c1 = (_SSIM_K1 * peak) ** 2
+    c2 = (_SSIM_K2 * peak) ** 2
+    if not _normal(c1 * c2):
+        # a flat window's SSIM is c1*c2 / (c1*c2), which is 0/0 or inf/inf
+        # once that product leaves the normal range
+        raise ValueError(f"peak {peak} is out of range for SSIM's stability constants")
     if ref.shape[0] < _SSIM_WINDOW or ref.shape[1] < _SSIM_WINDOW:
         raise ValueError(
             f"image {ref.shape[:2]} is smaller than the {_SSIM_WINDOW}x{_SSIM_WINDOW} SSIM window"
         )
-    kernel = _gaussian_kernel()
+    taps = _gaussian_taps()
     return np.array(
-        [_ssim_band(ref[:, :, b], est[:, :, b], peak, kernel) for b in range(ref.shape[2])]
+        [_ssim_band(ref[:, :, b], est[:, :, b], c1, c2, taps) for b in range(ref.shape[2])]
     )
 
 

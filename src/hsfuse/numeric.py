@@ -9,13 +9,14 @@ full-column-rank systems but does not square the condition number.
 faster on tall systems, and hands the system to ``lstsq`` whenever the
 Gram matrix's estimated condition number makes that squaring unsafe, so
 its answer stays within about 1e-10 relative of QR's.
+
+scipy.linalg is imported by the two solves themselves, not by this module:
+it takes longer to load than numpy, and only reconstruction needs it.
 """
 
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg import lapack
 
 __all__ = [
     "RANK_RTOL",
@@ -103,6 +104,8 @@ def lstsq(phi, y):
     rank deficient and the offending (original) column index is reported.
     Returns the solution together with the residual 2-norm.
     """
+    import scipy.linalg
+
     phi, y = _check_system(phi, y)
     cols = phi.shape[1]
     q, r, perm = scipy.linalg.qr(phi, mode="economic", pivoting=True)
@@ -136,6 +139,8 @@ def normal_lstsq(phi, y):
     ``lstsq(phi, y)`` itself, with the same errors. The residual is
     measured on phi, not derived from G.
     """
+    from scipy.linalg import lapack
+
     phi, y = _check_system(phi, y)
     gram = phi.T @ phi
     if np.isfinite(gram).all():

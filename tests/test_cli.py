@@ -1,8 +1,15 @@
 """End-to-end CLI tests (run in-process through cli.main)."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import hsfuse
 from helpers import dyadic_low_rank_cube, rel_err, smooth_spectra_cube, two_zone_cube
 from hsfuse import cli, forward, fusion, metrics
 from hsfuse import io as hio
@@ -217,6 +224,68 @@ class TestEval:
         (row,) = read_csv(out)
         assert (row["scene"], row["method"], row["k"], row["m"], row["s"]) == (
             "toy", "pfusion", "3", "100", "50")
+
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--patch", "x"), ("--peak", "nan"), ("--peak", "inf"), ("--peak", "1e-300"),
+         ("--peak", "-1")],
+    )
+    def test_bad_flag_rejected_before_reading(self, scene, tmp_path, monkeypatch, capsys,
+                                              flag, value):
+        calls = {"read_cube": 0, "evaluate": 0}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(hio, "read_cube")
+        counted(metrics, "evaluate")
+        cube, truth, out_dir = scene
+        out = tmp_path / "eval.csv"
+        code = run("eval", "--ref", truth, "--est", truth, "--out", out, flag, value)
+        assert code == cli.EXIT_USAGE
+        assert f"{flag} value {value!r}" in capsys.readouterr().err
+        assert calls == {"read_cube": 0, "evaluate": 0}
+        assert not out.exists()
+
+    def test_peak_beyond_ssim_range(self, scene, tmp_path, capsys):
+        cube, truth, out_dir = scene
+        out = tmp_path / "eval.csv"
+        code = run("eval", "--ref", truth, "--est", truth, "--out", out, "--peak", "1e-100")
+        assert code == cli.EXIT_USAGE
+        assert "peak 1e-100" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestStartup:
+    def test_imports_only_what_runs(self):
+        # scipy.signal and scipy.linalg take ~1 s to import; every command
+        # would pay it before doing any work
+        code = (
+            "import json, sys\n"
+            "import numpy as np\n"
+            "import hsfuse.cli\n"
+            "from hsfuse import numeric\n"
+            "heavy = ('scipy.signal', 'scipy.linalg')\n"
+            "before = [m for m in heavy if m in sys.modules]\n"
+            "rng = np.random.default_rng(0)\n"
+            "numeric.normal_lstsq(rng.random((8, 3)), rng.random(8))\n"
+            "print(json.dumps([before, 'scipy.linalg' in sys.modules]))\n"
+        )
+        src = str(Path(hsfuse.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        before, linalg_after_solve = json.loads(done.stdout)
+        assert before == []
+        assert linalg_after_solve
 
 
 class TestSweep:

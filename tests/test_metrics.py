@@ -1,5 +1,7 @@
 """Metric tests against scalar-loop and direct-formula oracles."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,21 @@ class TestPsnr:
         with pytest.raises(ValueError, match="peak"):
             metrics.m_psnr(np.ones((4, 4, 2)), np.ones((4, 4, 2)), peak=0.0)
 
+    @pytest.mark.parametrize("peak", [float("nan"), float("inf"), -1.0, 1e-300, 1e200])
+    def test_hostile_peak_rejected(self, peak):
+        # NaN, inf and underflowing or overflowing squares used to give nan/-inf
+        cube = np.random.default_rng(3).random((12, 12, 2))
+        with pytest.raises(ValueError, match="peak"):
+            metrics.band_psnr(cube, 0.5 * cube, peak=peak)
+        with pytest.raises(ValueError, match="peak"):
+            metrics.band_ssim(cube, 0.5 * cube, peak=peak)
+
+    def test_per_band_peak_too_small_to_square(self):
+        ref = np.full((4, 4, 2), 0.5)
+        ref[:, :, 1] = 1e-300
+        with pytest.raises(ValueError, match="reference maximum"):
+            metrics.band_psnr(ref, 0.5 * ref, peak=None)
+
     def test_noise_monotone(self):
         rng = np.random.default_rng(7)
         ref = rng.random((16, 16, 3))
@@ -120,15 +137,36 @@ class TestSsim:
         cube = np.full((11, 11, 2), 0.37)
         assert metrics.m_ssim(cube, cube.copy()) == 1.0
 
-    @pytest.mark.parametrize("seed", range(9, 12))
-    def test_matches_direct_window_oracle(self, seed):
+    # non-square and minimum-size images catch a row/column mix-up in the
+    # separable filter
+    @pytest.mark.parametrize(
+        "seed,shape",
+        [
+            pytest.param(9, (32, 32), id="9"),
+            pytest.param(10, (32, 32), id="10"),
+            pytest.param(11, (32, 32), id="11"),
+            pytest.param(12, (11, 11), id="11x11"),
+            pytest.param(13, (11, 40), id="11x40"),
+            pytest.param(14, (37, 13), id="37x13"),
+        ],
+    )
+    def test_matches_direct_window_oracle(self, seed, shape):
         rng = np.random.default_rng(seed)
-        ref = rng.random((32, 32, 2))
+        ref = rng.random(shape + (2,))
         est = np.clip(ref + 0.1 * rng.standard_normal(ref.shape), 0.0, 1.0)
         got = metrics.band_ssim(ref, est)
         for b in range(2):
             oracle = ssim_window_oracle(ref[:, :, b], est[:, :, b])
-            assert abs(got[b] - oracle) < 1e-8
+            assert abs(got[b] - oracle) < 1e-12
+
+    @pytest.mark.parametrize("peak", [1e-100, 1e100])
+    def test_peak_beyond_stability_constants(self, peak):
+        # PSNR takes this peak, but c1*c2 leaves the normal range: a flat
+        # window's SSIM would be 0/0 or inf/inf
+        cube = np.zeros((11, 11, 1))
+        assert np.isfinite(metrics.band_psnr(cube + peak * 1e-3, cube, peak=peak)).all()
+        with pytest.raises(ValueError, match=re.escape(f"peak {peak}")):
+            metrics.band_ssim(cube, cube, peak=peak)
 
     def test_image_smaller_than_window(self):
         with pytest.raises(ValueError, match="window"):
