@@ -65,7 +65,9 @@ def _build_reconstruct(sub):
     p.add_argument("--mask", required=True, help="mask cube (HSC1)")
     p.add_argument("--rank", type=int, default=3, help="spectral subspace rank")
     p.add_argument("--patch", default="100", help="patch size m or m,n")
-    p.add_argument("--stride", type=int, default=None, help="patch stride (default m//2)")
+    p.add_argument(
+        "--stride", type=int, default=None, help="patch stride (default min(m,n)//2, at least 1)"
+    )
     p.add_argument("--improved", action="store_true", help="joint coded+multiband basis solve")
     p.add_argument("--response", default=None, help="response file (required with --improved)")
     p.add_argument("--threads", type=int, default=None, help="patch workers (default: cpu count)")
@@ -107,7 +109,9 @@ def _build_sweep(sub):
     p.add_argument("--noise-seed", type=int, default=1)
     p.add_argument("--rank", type=int, default=3)
     p.add_argument("--patch", default="100")
-    p.add_argument("--stride", type=int, default=None)
+    p.add_argument(
+        "--stride", type=int, default=None, help="patch stride (default min(m,n)//2, at least 1)"
+    )
     p.add_argument("--improved", action="store_true")
     p.add_argument("--threads", type=int, default=None)
     p.add_argument("--out", required=True, help="output CSV path")
@@ -215,6 +219,10 @@ def _parse_patch(text):
     raise UsageError(f"--patch takes m or m,n, got {text!r}")
 
 
+def _stride(args, m, n):
+    return args.stride if args.stride is not None else core.default_stride(m, n)
+
+
 def _threads(args):
     if args.threads is not None:
         if args.threads < 1:
@@ -294,7 +302,7 @@ def _run_reconstruct(args):
     if args.improved and not args.response:
         raise UsageError("--improved requires --response (the base solve does not)")
     m, n = _parse_patch(args.patch)
-    stride = args.stride if args.stride is not None else max(1, m // 2)
+    stride = _stride(args, m, n)
     threads = _threads(args)
     y, z, mask = _load_measurements(args)
     response = hio.load_response(args.response) if args.response else None
@@ -382,7 +390,7 @@ def _sweep_plan(args, shape):
             m = n = _positive_int("patch", value)
         else:
             resp_spec = value
-        stride = args.stride if args.stride is not None else max(1, m // 2)
+        stride = _stride(args, m, n)
         config = fusion.FusionConfig(
             rank=rank, patch_rows=m, patch_cols=n, stride=stride, improved=args.improved
         )

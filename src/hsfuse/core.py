@@ -22,6 +22,7 @@ __all__ = [
     "pixel_coords",
     "unfold3",
     "fold3",
+    "default_stride",
     "make_grid",
     "extract_patch",
     "aggregate",
@@ -92,6 +93,11 @@ def _axis_origins(extent, patch, stride):
     if xs[-1] != extent - patch:
         xs.append(extent - patch)
     return xs
+
+
+def default_stride(patch_rows, patch_cols):
+    """Half the shorter patch side (at least 1): valid for every patch shape."""
+    return max(1, min(patch_rows, patch_cols) // 2)
 
 
 def make_grid(rows, cols, patch_rows, patch_cols, stride):

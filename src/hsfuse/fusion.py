@@ -10,6 +10,11 @@ and mask spectra. ``pfuse`` solves overlapping spatial windows independently
 (optionally in parallel) and averages the overlaps; ``fuse`` is ``pfuse``
 with a single window covering the whole image.
 
+The improved (joint) solve adds the multiband measurement's rows to that
+system. They all lie in the span of W's k row directions, so the
+channels*pixels multiband rows reduce exactly to k*channels rows before the
+pivoted-QR solve, and its cost stays close to the base solve's.
+
 The layout of vec(E) is defined operationally: stacking E column by column
 makes ``assemble_phi_w(C, W) @ vec(E)`` equal the pixel-major ravel of
 ``simulate_cassi(fold3(E @ W), C)`` for every E, W, C of matching shape.
@@ -96,6 +101,9 @@ class PatchStats:
     which are reconstructed as zero without a solve. ``solver`` is
     ``"cholesky"`` when the base solve kept its normal-equation answer and
     ``"qr"`` when it fell back to pivoted QR (always, for the joint solve).
+    ``residual`` is the 2-norm residual of the patch's least-squares
+    system: the coded rows, plus for the joint solve all channels*pixels
+    multiband rows (not only the reduced rows that were factored).
     """
 
     origin: tuple
@@ -166,28 +174,47 @@ def assemble_phi_rgb(response, w):
     return np.einsum("tp,bc->cptb", w, response).reshape(channels * pixels, k * bands)
 
 
-def _solve(y, mask, w, improved, z, response):
+def _joint_response(response, bands, channels):
+    """The multiband response, checked against the mask's bands and z's channels."""
+    if response is None:
+        raise ValueError("the improved solve requires the multiband response")
+    response = validate_response(response, bands=bands)
+    if response.shape[1] != channels:
+        raise ValueError(
+            f"response has {response.shape[1]} channels, "
+            f"the multiband measurement has {channels}"
+        )
+    return response
+
+
+def _solve(y, mask, w, z, response):
     """Least-squares basis solve as a :class:`numeric.LstsqResult`.
 
-    The base system goes through the normal equations with their pivoted-QR
-    fallback; the stacked joint system stays on pivoted QR.
+    Without ``response`` this is the base system, solved through the normal
+    equations with their pivoted-QR fallback. With it (already checked by
+    :func:`_joint_response`) the multiband rows join the system, and the
+    joint system is solved by pivoted QR on its exact multiband reduction:
+    reordered with all channels of pixel 0 first, the multiband rows are
+    kron(W.T, A.T), and with the thin QR W.T = Q R that is
+    kron(Q, I) @ kron(R, A.T), where kron(Q, I) has orthonormal columns. So the channels*pixels multiband rows can be
+    replaced by the k*channels rows kron(R, A.T) against vec(Z Q) (Z the
+    channels x pixels unfolding of z) without changing the Gram matrix,
+    the column norms or the least-squares answer; the part of Z outside
+    span(Q) is added back to the residual, which stays the stacked system's.
     """
     phi = assemble_phi_w(mask, w)
     rhs = y.ravel(order="F")
-    if improved:
-        if z is None or response is None:
-            raise ValueError("the improved solve requires the multiband measurement and its response")
-        response = validate_response(response, bands=mask.shape[2])
-        z = core.check_cube(z, "multiband measurement")
-        if z.shape[:2] != y.shape or z.shape[2] != response.shape[1]:
-            raise ValueError(
-                f"multiband shape {z.shape} does not match image {y.shape} "
-                f"and {response.shape[1]} channels"
-            )
-        phi = np.vstack((phi, assemble_phi_rgb(response, w)))
-        rhs = np.concatenate((rhs, z.ravel(order="F")))
-        return numeric.lstsq(phi, rhs)
-    return numeric.normal_lstsq(phi, rhs)
+    if response is None:
+        return numeric.normal_lstsq(phi, rhs)
+    q, r = np.linalg.qr(w.T)
+    zmat = core.unfold3(z)
+    zq = zmat @ q
+    sol = numeric.lstsq(
+        np.vstack((phi, np.kron(r, response.T))),
+        np.concatenate((rhs, zq.ravel(order="F"))),
+    )
+    outside = np.linalg.norm(zmat - zq @ q.T)
+    return sol._replace(residual=float(np.hypot(sol.residual, outside)))
 
 
 def solve_basis(y, mask, w, improved=False, z=None, response=None):
@@ -197,14 +224,25 @@ def solve_basis(y, mask, w, improved=False, z=None, response=None):
     (bands, k): through the Cholesky-factored normal equations when
     phi_W is well conditioned, by pivoted QR otherwise
     (:func:`numeric.normal_lstsq`). With ``improved=True`` the multiband
-    measurement joins the stacked system through its own structured matrix,
-    solved by pivoted QR; on consistent data both paths give the same E @ W.
+    measurement joins the system through its own structured matrix
+    (:func:`assemble_phi_rgb`), and the joint least-squares problem is
+    solved by pivoted QR on an exact reduction of the multiband rows to
+    k*channels rows; W need not have orthonormal rows. On consistent data
+    both paths give the same E @ W.
     """
     y = np.asarray(y, dtype=np.float64)
     mask = core.check_cube(mask, "mask")
+    w = np.asarray(w, dtype=np.float64)
     if y.ndim != 2 or y.shape != mask.shape[:2]:
         raise ValueError(f"coded image shape {y.shape} does not match mask {mask.shape[:2]}")
-    sol = _solve(y, mask, np.asarray(w, dtype=np.float64), improved, z, response)
+    if improved:
+        if z is None:
+            raise ValueError("the improved solve requires the multiband measurement")
+        z = core.check_cube(z, "multiband measurement")
+        if z.shape[:2] != y.shape:
+            raise ValueError(f"multiband shape {z.shape} does not match image {y.shape}")
+    response = _joint_response(response, mask.shape[2], z.shape[2]) if improved else None
+    sol = _solve(y, mask, w, z, response)
     return sol.x.reshape(mask.shape[2], -1, order="F")
 
 
@@ -222,7 +260,7 @@ def _check_measurements(y, z, mask):
     return y, z, mask
 
 
-def _fuse_block(y, z, mask, rank, improved, response):
+def _fuse_block(y, z, mask, rank, response):
     """Fusion of one window; returns (cube, (rank, residual, W, E, solver))."""
     rows, cols, bands = mask.shape
     if not z.any():
@@ -231,7 +269,7 @@ def _fuse_block(y, z, mask, rank, improved, response):
         # nothing was measured at all: the zero cube is the exact solution
         return np.zeros((rows, cols, bands)), (0, 0.0, None, None, None)
     est = estimate_coefficients(z, rank)
-    sol = _solve(y, mask, est.coefficients, improved, z, response)
+    sol = _solve(y, mask, est.coefficients, z, response)
     basis = sol.x.reshape(bands, est.rank, order="F")
     cube = core.fold3(basis @ est.coefficients, rows, cols)
     return cube, (est.rank, sol.residual, est.coefficients, basis, sol.solver)
@@ -272,8 +310,7 @@ def pfuse(y, z, mask, config, workers=1, response=None, stats=None):
     rows, cols, _ = mask.shape
     m, n = config.patch_rows, config.patch_cols
     grid = config.grid(mask.shape, z.shape[2])
-    if config.improved and response is None:
-        raise ValueError("the improved solve requires the multiband response")
+    response = _joint_response(response, mask.shape[2], z.shape[2]) if config.improved else None
     workers = min(workers or 1, len(grid.origins))
 
     def solve(origin):
@@ -282,7 +319,7 @@ def pfuse(y, z, mask, config, workers=1, response=None, stats=None):
         zp = z[i0 : i0 + m, j0 : j0 + n, :]
         cp = mask[i0 : i0 + m, j0 : j0 + n, :]
         try:
-            cube, fields = _fuse_block(yp, zp, cp, config.rank, config.improved, response)
+            cube, fields = _fuse_block(yp, zp, cp, config.rank, response)
         except numeric.RankDeficiencyError as err:
             raise numeric.RankDeficiencyError(
                 f"patch at origin ({i0}, {j0}): {err}", column=err.column

@@ -3,8 +3,9 @@
 All wrap LAPACK (via numpy/scipy) behind explicit numerical contracts:
 the SVD returns descending singular triplets with orthonormal factors.
 ``lstsq`` is the reference least-squares solve: a column-pivoted QR
-factorisation, which equals the normal-equation solution on
-full-column-rank systems but does not square the condition number.
+factorisation (Q applied to the right-hand side, never formed), which
+equals the normal-equation solution on full-column-rank systems but does
+not square the condition number.
 ``normal_lstsq`` solves the normal equations by Cholesky, several times
 faster on tall systems, and hands the system to ``lstsq`` whenever the
 Gram matrix's estimated condition number makes that squaring unsafe, so
@@ -93,22 +94,27 @@ def _check_system(phi, y):
         raise ValueError(f"system is underdetermined: {rows} rows < {cols} columns")
     if not np.isfinite(phi).all():
         raise ValueError("system matrix contains non-finite entries")
+    if not np.isfinite(y).all():
+        raise ValueError("right-hand side contains non-finite entries")
     return phi, y
 
 
 def lstsq(phi, y):
     """Minimise ||y - phi @ x||_2 for a tall full-column-rank system.
 
-    Solved through column-pivoted QR. If the smallest diagonal of the R
-    factor falls below RANK_RTOL times the largest, the system is declared
-    rank deficient and the offending (original) column index is reported.
-    Returns the solution together with the residual 2-norm.
+    Solved through column-pivoted QR; Q.T @ y comes from applying the
+    Householder reflectors to y (``scipy.linalg.qr_multiply``), so the
+    economic Q is never formed. If the smallest diagonal of the R factor
+    falls below RANK_RTOL times the largest, the system is declared rank
+    deficient and the offending (original) column index is reported.
+    Returns the solution together with the residual 2-norm, measured on phi.
     """
     import scipy.linalg
 
     phi, y = _check_system(phi, y)
     cols = phi.shape[1]
-    q, r, perm = scipy.linalg.qr(phi, mode="economic", pivoting=True)
+    # Q is applied to y as its Householder reflectors and never formed (y @ Q is Q.T @ y)
+    qty, r, perm = scipy.linalg.qr_multiply(phi, y, mode="right", pivoting=True)
     diag = np.abs(np.diag(r))
     dmax = diag.max()
     if dmax == 0.0:
@@ -122,7 +128,7 @@ def lstsq(phi, y):
             f"numerical rank {int(bad[0])} < {cols} columns (column {column} is dependent)",
             column=column,
         )
-    z = scipy.linalg.solve_triangular(r, q.T @ y)
+    z = scipy.linalg.solve_triangular(r, qty)
     x = np.empty_like(z)
     x[perm] = z
     residual = float(np.linalg.norm(y - phi @ x))

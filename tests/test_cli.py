@@ -145,6 +145,46 @@ class TestReconstruct:
         assert code == 0
         assert rel_err(hio.read_cube(out), cube) < 1e-8
 
+    @pytest.mark.parametrize("patch,resolved,stride", [("24,6", "24,6", "3"), ("12", "12,12", "6")],
+                             ids=["rectangular", "square"])
+    def test_default_stride(self, scene, tmp_path, patch, resolved, stride):
+        # half the shorter side; m//2 = 12 used to exceed a 24x6 patch's 6-pixel side
+        cube, truth, out_dir = scene
+        out = tmp_path / "x.hsc"
+        code = run("reconstruct", "--y", out_dir / "y.hsc", "--z", out_dir / "z.hsc",
+                   "--mask", out_dir / "mask.hsc", "--patch", patch, "--out", out)
+        assert code == 0
+        entries = hio.read_manifest(f"{out}.manifest.txt")
+        assert (entries["patch"], entries["stride"]) == (resolved, stride)
+        assert rel_err(hio.read_cube(out), cube) < 1e-8
+        rerun = tmp_path / "rerun.hsc"
+        assert run("reconstruct", "--config", f"{out}.manifest.txt", "--out", rerun) == 0
+        assert out.read_bytes() == rerun.read_bytes()
+
+    @pytest.mark.parametrize(
+        "shape,message",
+        [((5, 3), "response has 5 rows, expected 12 bands"),
+         ((12, 2), "response has 2 channels, the multiband measurement has 3")],
+        ids=["bands", "channels"],
+    )
+    def test_improved_response_checked_before_solving(self, scene, tmp_path, monkeypatch,
+                                                      capsys, shape, message):
+        def no_solve(*_args, **_kwargs):
+            raise AssertionError("a patch was solved before the response was checked")
+
+        monkeypatch.setattr(fusion, "_fuse_block", no_solve)
+        cube, truth, out_dir = scene
+        resp = tmp_path / "resp.txt"
+        hio.save_response(np.ones(shape), resp)
+        out = tmp_path / "x.hsc"
+        code = run("reconstruct", "--y", out_dir / "y.hsc", "--z", out_dir / "z.hsc",
+                   "--mask", out_dir / "mask.hsc", "--patch", 12, "--improved",
+                   "--response", resp, "--out", out)
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_USAGE
+        assert message in err and "patch" not in err
+        assert not out.exists()
+
     def test_threads_do_not_change_bytes(self, scene, tmp_path):
         cube, truth, out_dir = scene
         blobs = []
@@ -329,6 +369,16 @@ class TestSweep:
         assert code == 0
         rows = read_csv(out)
         assert float(rows[0]["m_psnr"]) > float(rows[1]["m_psnr"]) + 3.0
+
+    def test_rectangular_patch_default_stride(self, tmp_path):
+        cube, _, _ = dyadic_low_rank_cube(785, 24, 24, 8, 2)
+        truth = tmp_path / "truth.hsc"
+        hio.write_cube(cube, truth)
+        out = tmp_path / "sweep.csv"
+        code = run("sweep", "--in", truth, "--vary", "rank", "--values", "1,2",
+                   "--response", "average:2", "--patch", "24,6", "--out", out)
+        assert code == 0
+        assert [r["s"] for r in read_csv(out)] == ["3", "3"]
 
     def test_negative_noise_rejected(self, tmp_path, capsys):
         cube, _, _ = dyadic_low_rank_cube(781, 24, 24, 8, 2)

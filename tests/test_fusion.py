@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import low_rank_cube, rel_err, two_zone_cube
-from hsfuse import core, forward, fusion, metrics
+from hsfuse import core, forward, fusion, metrics, numeric
 from hsfuse.fusion import FusionConfig
 from hsfuse.numeric import RankDeficiencyError
 
@@ -459,3 +459,121 @@ class TestBaseSolver:
         ref, _ = qr_reference(monkeypatch, y, z, mask, config)
         assert [s.solver for s in stats] == ["qr"]
         assert np.array_equal(xhat, ref)
+
+
+def stacked_reference(y, mask, w, z, response):
+    """The joint system as assembled rows: coded rows over channels*pixels multiband rows."""
+    phi = np.vstack((fusion.assemble_phi_w(mask, w), fusion.assemble_phi_rgb(response, w)))
+    return numeric.lstsq(phi, np.concatenate((y.ravel(order="F"), z.ravel(order="F"))))
+
+
+def noisy_joint_instance(seed, rows=12, cols=10, bands=6, rank=2, channels=3):
+    """Noisy coded and multiband measurements of a low-rank cube, with their mask and response."""
+    rng = np.random.default_rng(seed)
+    cube, _, _ = low_rank_cube(seed, rows, cols, bands, rank)
+    mask = forward.gen_mask(rows, cols, bands, seed + 1, 0.5)
+    response = rng.random((bands, channels))
+    y = forward.add_noise(forward.simulate_cassi(cube, mask), 0.05, seed + 2)
+    z = forward.add_noise(forward.simulate_multiband(cube, response), 0.05, seed + 3)
+    return y, z, mask, response
+
+
+class TestJointSolver:
+    """The reduced joint solve against the stacked pivoted-QR system it replaces."""
+
+    def check_against_reference(self, y, z, mask, response, w):
+        ref = stacked_reference(y, mask, w, z, response)
+        x = fusion.solve_basis(y, mask, w, improved=True, z=z, response=response)
+        x = x.reshape(-1, order="F")
+        assert np.linalg.norm(x - ref.x) <= 1e-12 * np.linalg.norm(ref.x)
+        phi = np.vstack((fusion.assemble_phi_w(mask, w), fusion.assemble_phi_rgb(response, w)))
+        rhs = np.concatenate((y.ravel(order="F"), z.ravel(order="F")))
+        assert abs(np.linalg.norm(rhs - phi @ x) - ref.residual) <= 1e-12 * ref.residual
+
+    def test_orthonormal_coefficients(self):
+        y, z, mask, response = noisy_joint_instance(70, rank=3)
+        w = fusion.estimate_coefficients(z, 3).coefficients
+        self.check_against_reference(y, z, mask, response, w)
+
+    def test_general_coefficients(self):
+        # rows neither orthonormal nor of equal scale: the R factor carries them
+        y, z, mask, response = noisy_joint_instance(71)
+        rng = np.random.default_rng(72)
+        w = rng.standard_normal((2, 120)) * np.array([[5.0], [0.2]])
+        self.check_against_reference(y, z, mask, response, w)
+
+    def test_rank_shrunk_coefficients(self):
+        rng = np.random.default_rng(73)
+        cube, _, _ = low_rank_cube(73, 12, 10, 6, 1)
+        mask = forward.gen_mask(12, 10, 6, 74, 0.5)
+        response = rng.random((6, 3))
+        y = forward.add_noise(forward.simulate_cassi(cube, mask), 0.05, 75)
+        z = forward.simulate_multiband(cube, response)
+        est = fusion.estimate_coefficients(z, 3)
+        assert est.rank == 1
+        self.check_against_reference(y, z, mask, response, est.coefficients)
+
+    def test_one_channel_response(self):
+        y, z, mask, response = noisy_joint_instance(76, rank=1, channels=1)
+        w = fusion.estimate_coefficients(z, 1).coefficients
+        self.check_against_reference(y, z, mask, response, w)
+
+    def test_patch_stats_report_stacked_residual(self):
+        # rank 2 of 3 noisy channels: part of z lies outside the coefficients' span
+        y, z, mask, response = noisy_joint_instance(77, rows=16, cols=16, rank=3)
+        config = FusionConfig(rank=2, patch_rows=8, patch_cols=8, stride=4, improved=True)
+        stats = []
+        fusion.pfuse(y, z, mask, config, response=response, stats=stats)
+        assert len(stats) == 9
+        for s in stats:
+            i0, j0 = s.origin
+            window = (slice(i0, i0 + 8), slice(j0, j0 + 8))
+            ref = stacked_reference(y[window], mask[window], s.coefficients, z[window], response)
+            assert s.solver == "qr"
+            assert abs(s.residual - ref.residual) <= 1e-12 * ref.residual
+            assert np.linalg.norm(s.basis.reshape(-1, order="F") - ref.x) <= (
+                1e-12 * np.linalg.norm(ref.x))
+
+    def test_zero_mask_still_rank_deficient(self):
+        # 3 channels cannot pin 4 bands: k*channels < k*bands rows without the mask
+        rng = np.random.default_rng(78)
+        z, y = rng.random((8, 8, 3)), rng.random((8, 8))
+        mask, response = np.zeros((8, 8, 4)), rng.random((4, 3))
+        w = fusion.estimate_coefficients(z, 2).coefficients
+        with pytest.raises(RankDeficiencyError):
+            stacked_reference(y, mask, w, z, response)
+        with pytest.raises(RankDeficiencyError):
+            fusion.solve_basis(y, mask, w, improved=True, z=z, response=response)
+        config = FusionConfig(rank=2, patch_rows=8, patch_cols=8, stride=8, improved=True)
+        with pytest.raises(RankDeficiencyError, match="origin \\(0, 0\\)"):
+            fusion.pfuse(y, z, mask, config, response=response)
+
+    def test_multiband_rows_fill_the_mask_gap(self):
+        # with as many channels as bands the multiband rows alone give full rank
+        rng = np.random.default_rng(79)
+        z, y = rng.random((8, 8, 4)), rng.random((8, 8))
+        mask, response = np.zeros((8, 8, 4)), rng.random((4, 4)) + np.eye(4)
+        w = fusion.estimate_coefficients(z, 2).coefficients
+        self.check_against_reference(y, z, mask, response, w)
+
+    @pytest.mark.parametrize(
+        "response,message",
+        [
+            (np.ones((5, 3)), "response has 5 rows, expected 6 bands"),
+            (np.ones((6, 2)), "response has 2 channels, the multiband measurement has 3"),
+        ],
+        ids=["bands", "channels"],
+    )
+    def test_response_checked_before_any_patch(self, monkeypatch, response, message):
+        def no_solve(*_args, **_kwargs):
+            raise AssertionError("a patch was solved before the response was checked")
+
+        monkeypatch.setattr(fusion, "_fuse_block", no_solve)
+        y, z, mask, _ = noisy_joint_instance(80)
+        config = FusionConfig(rank=2, patch_rows=6, patch_cols=5, stride=5, improved=True)
+        with pytest.raises(ValueError) as err:
+            fusion.pfuse(y, z, mask, config, response=response)
+        assert str(err.value) == message
+        with pytest.raises(ValueError, match=message):
+            fusion.solve_basis(y, mask, np.ones((1, 120)), improved=True, z=z,
+                               response=response)

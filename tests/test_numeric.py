@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from hsfuse import forward, fusion
 from hsfuse.numeric import (
@@ -134,6 +135,26 @@ class TestLstsq:
 
     def test_reports_qr_solver(self):
         assert lstsq(np.eye(3), np.ones(3)).solver == "qr"
+
+    @pytest.mark.parametrize("shape", [(12, 12), (50, 6), (4105, 93)])
+    def test_matches_explicit_q(self, shape):
+        # Q.T @ y from the reflectors equals the product with the formed economic Q
+        rng = np.random.default_rng(shape[1])
+        phi = rng.standard_normal(shape)
+        y = rng.standard_normal(shape[0])
+        q, r, perm = scipy.linalg.qr(phi, mode="economic", pivoting=True)
+        x = np.empty(shape[1])
+        x[perm] = scipy.linalg.solve_triangular(r, q.T @ y)
+        res = lstsq(phi, y)
+        assert np.linalg.norm(res.x - x) <= 1e-12 * np.linalg.norm(x)
+        assert abs(res.residual - np.linalg.norm(y - phi @ x)) <= 1e-12 * np.linalg.norm(y)
+
+    @pytest.mark.parametrize("solve", [lstsq, normal_lstsq], ids=["qr", "cholesky"])
+    def test_non_finite_rhs_rejected(self, solve):
+        y = np.ones(6)
+        y[2] = np.nan
+        with pytest.raises(ValueError, match="right-hand side contains non-finite"):
+            solve(np.arange(12.0).reshape(6, 2) ** 0.5, y)
 
 
 def near_dependent_system(eps, seed=9):
