@@ -7,87 +7,11 @@ globally or over overlapping patches.
 
 __version__ = "0.1.0"
 
-from .core import PatchGrid, aggregate, extract_patch, fold3, make_grid, unfold3
-from .forward import (
-    Pcg32,
-    add_noise,
-    average_response,
-    gen_mask,
-    response_from_spec,
-    simulate_cassi,
-    simulate_multiband,
-    single_band_response,
-)
-from .fusion import (
-    CoefficientEstimate,
-    FusionConfig,
-    PatchStats,
-    assemble_phi_rgb,
-    assemble_phi_w,
-    estimate_coefficients,
-    fuse,
-    pfuse,
-    solve_basis,
-)
-from .io import FormatError, ReportRow, read_cube, write_cube
-from .metrics import (
-    MetricReport,
-    evaluate,
-    m_psnr,
-    m_ssim,
-    mean_log_singular_spectrum,
-    msa,
-    singular_spectrum,
-)
-from .numeric import (
-    LstsqResult,
-    RankDeficiencyError,
-    SvdResult,
-    lstsq,
-    normal_lstsq,
-    truncated_svd,
-)
+from . import core, forward, fusion, io, metrics, numeric
 
-__all__ = [
-    "__version__",
-    "PatchGrid",
-    "aggregate",
-    "extract_patch",
-    "fold3",
-    "make_grid",
-    "unfold3",
-    "Pcg32",
-    "add_noise",
-    "average_response",
-    "gen_mask",
-    "response_from_spec",
-    "simulate_cassi",
-    "simulate_multiband",
-    "single_band_response",
-    "CoefficientEstimate",
-    "FusionConfig",
-    "PatchStats",
-    "assemble_phi_rgb",
-    "assemble_phi_w",
-    "estimate_coefficients",
-    "fuse",
-    "pfuse",
-    "solve_basis",
-    "FormatError",
-    "ReportRow",
-    "read_cube",
-    "write_cube",
-    "MetricReport",
-    "evaluate",
-    "m_psnr",
-    "m_ssim",
-    "mean_log_singular_spectrum",
-    "msa",
-    "singular_spectrum",
-    "LstsqResult",
-    "RankDeficiencyError",
-    "SvdResult",
-    "lstsq",
-    "normal_lstsq",
-    "truncated_svd",
-]
+# the package exports exactly what each module exports
+__all__ = ["__version__"]
+for _module in (core, forward, fusion, io, metrics, numeric):
+    globals().update((name, getattr(_module, name)) for name in _module.__all__)
+    __all__ += _module.__all__
+del _module

@@ -5,10 +5,13 @@ Commands: ``simulate`` (measure a ground-truth cube), ``reconstruct``
 ``sweep`` (simulate+reconstruct+eval over a varied parameter) and
 ``analyze`` (patch vs. global singular spectra).
 
-Every command writes a manifest of its configuration; rerunning with
+Each flag is defined once: ``sweep`` takes the measurement flags of
+``simulate`` and the fusion flags of ``reconstruct`` from the same helpers,
+and one command table gives every command ``--config``. Every command
+writes a manifest of its configuration; rerunning with
 ``--config <manifest>`` reproduces the outputs bit-exactly (explicit flags
 win over config values). Exit codes: 0 success, 2 usage or constraint
-error, 3 I/O or file-format error, 4 numerical failure.
+error (any ``ValueError``), 3 I/O or file-format error, 4 numerical failure.
 """
 
 import argparse
@@ -40,9 +43,8 @@ def _bool_word(text):
     raise ValueError(f"expected a boolean word, got {text!r}")
 
 
-def _build_simulate(sub):
-    p = sub.add_parser("simulate", help="simulate coded + multiband measurements of a cube")
-    p.add_argument("--in", dest="in_path", required=True, help="ground-truth cube (HSC1)")
+def _add_measurement_flags(p):
+    """The simulated-measurement flags, shared by ``simulate`` and ``sweep``."""
     p.add_argument("--mask-seed", type=int, default=0, help="seed for the coded mask")
     p.add_argument("--density", type=float, default=0.5, help="mask ones density in (0, 1]")
     p.add_argument(
@@ -52,33 +54,42 @@ def _build_simulate(sub):
     )
     p.add_argument("--noise-sigma", type=float, default=0.0, help="additive Gaussian noise std")
     p.add_argument("--noise-seed", type=int, default=1, help="seed for the noise stream")
-    p.add_argument("--out-dir", required=True, help="output directory")
-    p.add_argument("--config", help="key = value file providing flag defaults")
-    p.set_defaults(func=_run_simulate)
-    return p
 
 
-def _build_reconstruct(sub):
-    p = sub.add_parser("reconstruct", help="reconstruct a cube from measurements")
-    p.add_argument("--y", required=True, help="coded measurement (1-band HSC1)")
-    p.add_argument("--z", required=True, help="multiband measurement (HSC1)")
-    p.add_argument("--mask", required=True, help="mask cube (HSC1)")
+def _add_fusion_flags(p, response_file=False):
+    """The fusion flags, shared by ``reconstruct`` and ``sweep``.
+
+    ``reconstruct`` reads its response from a file, added before --threads so
+    that its manifests keep their key order.
+    """
     p.add_argument("--rank", type=int, default=3, help="spectral subspace rank")
     p.add_argument("--patch", default="100", help="patch size m or m,n")
     p.add_argument(
         "--stride", type=int, default=None, help="patch stride (default min(m,n)//2, at least 1)"
     )
     p.add_argument("--improved", action="store_true", help="joint coded+multiband basis solve")
-    p.add_argument("--response", default=None, help="response file (required with --improved)")
-    p.add_argument("--threads", type=int, default=None, help="patch workers (default: cpu count)")
+    if response_file:
+        p.add_argument("--response", help="response file (--improved only, and required there)")
+    p.add_argument(
+        "--threads", type=int, default=None, help="patch workers (default and cap: cpu count)"
+    )
+
+
+def _simulate_flags(p):
+    p.add_argument("--in", dest="in_path", required=True, help="ground-truth cube (HSC1)")
+    _add_measurement_flags(p)
+    p.add_argument("--out-dir", required=True, help="output directory")
+
+
+def _reconstruct_flags(p):
+    p.add_argument("--y", required=True, help="coded measurement (1-band HSC1)")
+    p.add_argument("--z", required=True, help="multiband measurement (HSC1)")
+    p.add_argument("--mask", required=True, help="mask cube (HSC1)")
+    _add_fusion_flags(p, response_file=True)
     p.add_argument("--out", required=True, help="output cube path")
-    p.add_argument("--config", help="key = value file providing flag defaults")
-    p.set_defaults(func=_run_reconstruct)
-    return p
 
 
-def _build_eval(sub):
-    p = sub.add_parser("eval", help="metrics of an estimate against a reference")
+def _eval_flags(p):
     p.add_argument("--ref", required=True, help="reference cube (HSC1)")
     p.add_argument("--est", required=True, help="estimated cube (HSC1)")
     p.add_argument("--out", required=True, help="output CSV path")
@@ -88,48 +99,28 @@ def _build_eval(sub):
     p.add_argument("--rank", type=int, default=0, help="rank label for the CSV row")
     p.add_argument("--patch", default="0", help="patch label for the CSV row")
     p.add_argument("--stride", type=int, default=0, help="stride label for the CSV row")
-    p.add_argument("--config", help="key = value file providing flag defaults")
-    p.set_defaults(func=_run_eval)
-    return p
 
 
-def _build_sweep(sub):
-    p = sub.add_parser("sweep", help="simulate+reconstruct+eval over a varied parameter")
+def _sweep_flags(p):
     p.add_argument("--in", dest="in_path", required=True, help="ground-truth cube (HSC1)")
-    p.add_argument("--vary", required=True, choices=("rank", "patch", "response"))
+    p.add_argument("--vary", required=True, choices=("rank", "patch", "response"),
+                   help="flag that --values varies")
     p.add_argument(
         "--values",
         required=True,
         help="comma-separated values (';'-separated for --vary response)",
     )
-    p.add_argument("--mask-seed", type=int, default=0)
-    p.add_argument("--density", type=float, default=0.5)
-    p.add_argument("--response", default="average")
-    p.add_argument("--noise-sigma", type=float, default=0.0)
-    p.add_argument("--noise-seed", type=int, default=1)
-    p.add_argument("--rank", type=int, default=3)
-    p.add_argument("--patch", default="100")
-    p.add_argument(
-        "--stride", type=int, default=None, help="patch stride (default min(m,n)//2, at least 1)"
-    )
-    p.add_argument("--improved", action="store_true")
-    p.add_argument("--threads", type=int, default=None)
+    _add_measurement_flags(p)
+    _add_fusion_flags(p)
     p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument("--config", help="key = value file providing flag defaults")
-    p.set_defaults(func=_run_sweep)
-    return p
 
 
-def _build_analyze(sub):
-    p = sub.add_parser("analyze", help="patch vs. global singular spectra of a cube")
+def _analyze_flags(p):
     p.add_argument("--in", dest="in_path", required=True, help="cube to analyse (HSC1)")
     p.add_argument("--patch", type=int, default=100, help="square patch size")
     p.add_argument("--samples", type=int, default=100, help="number of random patches")
     p.add_argument("--seed", type=int, default=0, help="seed for patch placement")
     p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument("--config", help="key = value file providing flag defaults")
-    p.set_defaults(func=_run_analyze)
-    return p
 
 
 _IGNORED_CONFIG_KEYS = {"command", "version"}
@@ -142,13 +133,22 @@ def _build_parser():
     )
     parser.add_argument("--version", action="version", version=f"hsfuse {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "simulate": _build_simulate(sub),
-        "reconstruct": _build_reconstruct(sub),
-        "eval": _build_eval(sub),
-        "sweep": _build_sweep(sub),
-        "analyze": _build_analyze(sub),
-    }
+    commands = {}
+    for name, text, add_flags, run in (
+        ("simulate", "simulate coded + multiband measurements of a cube",
+         _simulate_flags, _run_simulate),
+        ("reconstruct", "reconstruct a cube from measurements",
+         _reconstruct_flags, _run_reconstruct),
+        ("eval", "metrics of an estimate against a reference", _eval_flags, _run_eval),
+        ("sweep", "simulate+reconstruct+eval over a varied parameter",
+         _sweep_flags, _run_sweep),
+        ("analyze", "patch vs. global singular spectra of a cube",
+         _analyze_flags, _run_analyze),
+    ):
+        commands[name] = p = sub.add_parser(name, help=text)
+        add_flags(p)
+        p.add_argument("--config", help="key = value file providing flag defaults")
+        p.set_defaults(func=run)
     return parser, commands
 
 
@@ -166,21 +166,19 @@ def _config_defaults(config_path, command, subparser):
     coercers = _coercers(subparser)
     declared = entries.pop("command", None)
     if declared is not None and declared != command:
-        raise UsageError(
-            f"config {config_path} was written for '{declared}', not '{command}'"
-        )
+        raise ValueError(f"config {config_path} was written for '{declared}', not '{command}'")
     defaults = {}
     for key, value in entries.items():
         if key in _IGNORED_CONFIG_KEYS:
             continue
         if key not in coercers:
-            raise UsageError(f"config {config_path}: unknown key {key!r} for {command}")
+            raise ValueError(f"config {config_path}: unknown key {key!r} for {command}")
         if value == "":
             continue
         try:
             defaults[key] = coercers[key](value)
         except ValueError as err:
-            raise UsageError(f"config {config_path}: bad value for {key!r}: {err}") from err
+            raise ValueError(f"config {config_path}: bad value for {key!r}: {err}") from err
     return defaults
 
 
@@ -202,31 +200,29 @@ def _parse_args(argv):
     return parser.parse_args(argv)
 
 
-class UsageError(Exception):
-    """Invalid flag combination or violated constraint (exit code 2)."""
-
-
 def _parse_patch(text):
     parts = str(text).split(",")
     try:
         dims = [int(p) for p in parts]
     except ValueError as err:
-        raise UsageError(f"bad --patch value {text!r}: {err}") from err
+        raise ValueError(f"bad --patch value {text!r}: {err}") from err
     if len(dims) == 1:
         return dims[0], dims[0]
     if len(dims) == 2:
         return dims[0], dims[1]
-    raise UsageError(f"--patch takes m or m,n, got {text!r}")
+    raise ValueError(f"--patch takes m or m,n, got {text!r}")
 
 
-def _stride(args, m, n):
-    return args.stride if args.stride is not None else core.default_stride(m, n)
+def _fusion_config(args, rank, m, n):
+    """FusionConfig of the fusion flags, at this rank and patch size."""
+    stride = args.stride if args.stride is not None else core.default_stride(m, n)
+    return fusion.FusionConfig(rank, m, n, stride, args.improved)
 
 
 def _threads(args):
     if args.threads is not None:
         if args.threads < 1:
-            raise UsageError("--threads must be >= 1")
+            raise ValueError("--threads must be >= 1")
         return args.threads
     return os.cpu_count() or 1
 
@@ -248,7 +244,7 @@ def _write_manifest(path, args, **resolved):
 
 def _check_noise(args):
     if not 0 <= args.noise_sigma < float("inf"):
-        raise UsageError(f"--noise-sigma must be finite and nonnegative, got {args.noise_sigma}")
+        raise ValueError(f"--noise-sigma must be finite and nonnegative, got {args.noise_sigma}")
 
 
 def _coded(truth, args):
@@ -292,7 +288,7 @@ def _run_simulate(args):
 def _load_measurements(args):
     y3 = hio.read_cube(args.y)
     if y3.shape[2] != 1:
-        raise UsageError(f"coded measurement must have 1 band, got {y3.shape[2]}")
+        raise ValueError(f"coded measurement must have 1 band, got {y3.shape[2]}")
     z = hio.read_cube(args.z)
     mask = hio.read_cube(args.mask)
     return y3[:, :, 0], z, mask
@@ -300,22 +296,22 @@ def _load_measurements(args):
 
 def _run_reconstruct(args):
     if args.improved and not args.response:
-        raise UsageError("--improved requires --response (the base solve does not)")
+        raise ValueError("--improved requires --response (the base solve does not)")
+    if args.response and not args.improved:
+        raise ValueError("--response is used only by --improved (the base solve ignores it)")
     m, n = _parse_patch(args.patch)
-    stride = _stride(args, m, n)
+    config = _fusion_config(args, args.rank, m, n)
     threads = _threads(args)
     y, z, mask = _load_measurements(args)
     response = hio.load_response(args.response) if args.response else None
-    config = fusion.FusionConfig(
-        rank=args.rank, patch_rows=m, patch_cols=n, stride=stride, improved=args.improved
-    )
     start = time.perf_counter()
     xhat = fusion.pfuse(y, z, mask, config, workers=threads, response=response)
     wall = time.perf_counter() - start
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     hio.write_cube(xhat, out)
-    _write_manifest(f"{out}.manifest.txt", args, patch=f"{m},{n}", stride=stride, threads=threads)
+    _write_manifest(f"{out}.manifest.txt", args, patch=f"{m},{n}", stride=config.stride,
+                    threads=threads)
     print(f"wrote {out} ({wall:.2f} s)")
 
 
@@ -325,7 +321,7 @@ def _peak_value(text):
     try:
         return metrics.check_peak(text)
     except ValueError as err:
-        raise UsageError(f"bad --peak value {text!r}: {err}") from err
+        raise ValueError(f"bad --peak value {text!r}: {err}") from err
 
 
 def _run_eval(args):
@@ -339,17 +335,8 @@ def _run_eval(args):
     )
     wall = time.perf_counter() - start
     scene = args.scene if args.scene is not None else Path(args.ref).stem
-    row = hio.ReportRow(
-        scene=scene,
-        method=args.method,
-        rank=args.rank,
-        patch=m_label,
-        stride=args.stride,
-        m_psnr=report.m_psnr,
-        m_ssim=report.m_ssim,
-        msa=report.msa,
-        wall_seconds=wall,
-    )
+    row = hio.ReportRow(scene, args.method, args.rank, m_label, args.stride,
+                        report.m_psnr, report.m_ssim, report.msa, wall)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     hio.write_report([row], out)
@@ -367,7 +354,7 @@ def _positive_int(flag, text):
             return value
     except ValueError:
         pass
-    raise UsageError(f"bad {flag} value {text!r} in --values: expected an integer >= 1")
+    raise ValueError(f"bad {flag} value {text!r} in --values: expected an integer >= 1")
 
 
 def _sweep_plan(args, shape):
@@ -376,7 +363,7 @@ def _sweep_plan(args, shape):
     sep = ";" if args.vary == "response" else ","
     values = [v.strip() for v in args.values.split(sep) if v.strip()]
     if not values:
-        raise UsageError("--values is empty")
+        raise ValueError("--values is empty")
     base_m, base_n = _parse_patch(args.patch)
     plan = []
     for value in values:
@@ -390,10 +377,7 @@ def _sweep_plan(args, shape):
             m = n = _positive_int("patch", value)
         else:
             resp_spec = value
-        stride = _stride(args, m, n)
-        config = fusion.FusionConfig(
-            rank=rank, patch_rows=m, patch_cols=n, stride=stride, improved=args.improved
-        )
+        config = _fusion_config(args, rank, m, n)
         response = forward.response_from_spec(resp_spec, shape[2])
         config.grid(shape, response.shape[1])
         plan.append((value, config, resp_spec, response))
@@ -408,6 +392,7 @@ def _run_sweep(args):
     scene = Path(args.in_path).stem
     # the mask and coded image do not depend on any swept value
     y, mask = _coded(truth, args)
+    method = "pfusion-improved" if args.improved else "pfusion"
     report_rows = []
     z_spec = None
     for value, config, resp_spec, response in plan:
@@ -417,19 +402,9 @@ def _run_sweep(args):
         xhat = fusion.pfuse(y, z, mask, config, workers=threads, response=response)
         wall = time.perf_counter() - start
         report = metrics.evaluate(truth, xhat)
-        report_rows.append(
-            hio.ReportRow(
-                scene=scene,
-                method="pfusion-improved" if args.improved else "pfusion",
-                rank=config.rank,
-                patch=config.patch_rows,
-                stride=config.stride,
-                m_psnr=report.m_psnr,
-                m_ssim=report.m_ssim,
-                msa=report.msa,
-                wall_seconds=wall,
-            )
-        )
+        report_rows.append(hio.ReportRow(scene, method, config.rank, config.patch_rows,
+                                         config.stride, report.m_psnr, report.m_ssim,
+                                         report.msa, wall))
         print(f"{args.vary} = {value}: m_psnr = {report.m_psnr:.6g} dB")
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -442,17 +417,19 @@ def _run_analyze(args):
     rows, cols, _ = cube.shape
     m = args.patch
     if m < 1 or m > min(rows, cols):
-        raise UsageError(f"--patch must be in [1, {min(rows, cols)}]")
+        raise ValueError(f"--patch must be in [1, {min(rows, cols)}]")
     if args.samples < 1:
-        raise UsageError("--samples must be >= 1")
+        raise ValueError("--samples must be >= 1")
     rng = forward.Pcg32(args.seed)
-    u = rng.uniform(2 * args.samples)
-    patches = []
-    for t in range(args.samples):
-        i0 = int(u[2 * t] * (rows - m + 1))
-        j0 = int(u[2 * t + 1] * (cols - m + 1))
-        patches.append(core.extract_patch(cube, (i0, j0), m, m))
-    patch_log = metrics.mean_log_singular_spectrum(patches)
+
+    def patches():
+        # one placement at a time from the stream, so no two patches are held
+        for _ in range(args.samples):
+            u = rng.uniform(2)
+            origin = int(u[0] * (rows - m + 1)), int(u[1] * (cols - m + 1))
+            yield core.extract_patch(cube, origin, m, m)
+
+    patch_log = metrics.mean_log_singular_spectrum(patches())
     with np.errstate(divide="ignore"):
         global_log = np.log10(metrics.singular_spectrum(cube))
     length = min(patch_log.shape[0], global_log.shape[0])
@@ -477,9 +454,6 @@ def main(argv=None):
     except SystemExit as exc:  # argparse usage errors and --help/--version
         code = exc.code
         return code if isinstance(code, int) else EXIT_USAGE
-    except UsageError as exc:
-        print(f"hsfuse: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except RankDeficiencyError as exc:
         print(f"hsfuse: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -20,6 +20,7 @@ makes ``assemble_phi_w(C, W) @ vec(E)`` equal the pixel-major ravel of
 ``simulate_cassi(fold3(E @ W), C)`` for every E, W, C of matching shape.
 """
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -295,7 +296,7 @@ def pfuse(y, z, mask, config, workers=1, response=None, stats=None):
     """Patch-based fusion over an overlapping grid, averaged on overlaps.
 
     Every grid window is solved independently (with ``workers`` > 1, on a
-    thread pool of at most one thread per patch), and each patch cube is fed
+    thread pool of at most one thread per patch and per CPU), and each patch cube is fed
     to :func:`core.aggregate` on the main thread in grid order instead of
     being buffered, so the output is bit-identical for any worker count.
     Patches whose multiband data is numerically rank deficient are solved at
@@ -311,7 +312,7 @@ def pfuse(y, z, mask, config, workers=1, response=None, stats=None):
     m, n = config.patch_rows, config.patch_cols
     grid = config.grid(mask.shape, z.shape[2])
     response = _joint_response(response, mask.shape[2], z.shape[2]) if config.improved else None
-    workers = min(workers or 1, len(grid.origins))
+    workers = min(workers or 1, len(grid.origins), os.cpu_count() or 1)
 
     def solve(origin):
         i0, j0 = origin

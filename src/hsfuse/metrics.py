@@ -252,13 +252,14 @@ def singular_spectrum(cube):
 def mean_log_singular_spectrum(patches):
     """Element-wise mean of log10 singular values across same-size patches.
 
-    Exact zeros map to -inf, which propagates through the mean; realistic
-    data stays finite.
+    ``patches`` may be any iterable. A generator is consumed one patch at a
+    time and only the spectra (one value per band) are kept, so the patches
+    are never held together. Exact zeros map to -inf, which propagates
+    through the mean; realistic data stays finite.
     """
-    patches = list(patches)
-    if not patches:
-        raise ValueError("at least one patch is required")
     spectra = [singular_spectrum(p) for p in patches]
+    if not spectra:
+        raise ValueError("at least one patch is required")
     lengths = {s.shape[0] for s in spectra}
     if len(lengths) != 1:
         raise ValueError("patches have inconsistent singular spectrum lengths")

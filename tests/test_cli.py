@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 
 import hsfuse
 from helpers import dyadic_low_rank_cube, rel_err, smooth_spectra_cube, two_zone_cube
-from hsfuse import cli, forward, fusion, metrics
+from hsfuse import cli, core, forward, fusion, metrics
 from hsfuse import io as hio
 
 
@@ -218,6 +219,22 @@ class TestReconstruct:
         code = run("reconstruct", "--y", out_dir / "y.hsc", "--z", out_dir / "z.hsc",
                    "--mask", out_dir / "mask.hsc", "--improved", "--out", tmp_path / "x.hsc")
         assert code == cli.EXIT_USAGE
+
+    def test_response_without_improved_refused_before_reading(self, scene, tmp_path,
+                                                              monkeypatch, capsys):
+        # the base solve never reads a response, so the manifest must not name one
+        reads = []
+        read_cube = hio.read_cube
+        monkeypatch.setattr(hio, "read_cube", lambda path: reads.append(path) or read_cube(path))
+        cube, truth, out_dir = scene
+        out = tmp_path / "x.hsc"
+        code = run("reconstruct", "--y", out_dir / "y.hsc", "--z", out_dir / "z.hsc",
+                   "--mask", out_dir / "mask.hsc", "--response", out_dir / "response.txt",
+                   "--out", out)
+        assert code == cli.EXIT_USAGE
+        assert "--response is used only by --improved" in capsys.readouterr().err
+        assert reads == []
+        assert not out.exists()
 
     def test_missing_measurement_is_io_error(self, tmp_path):
         code = run("reconstruct", "--y", tmp_path / "nope.hsc", "--z", tmp_path / "z.hsc",
@@ -504,11 +521,61 @@ class TestAnalyze:
         assert run("analyze", "--in", path, "--patch", 8, "--samples", 10, "--out", b) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_holds_one_sampled_patch_at_a_time(self, tmp_path, monkeypatch):
+        cube = two_zone_cube(885, 30, 15, 0, 15, 6, rank=2)
+        path = tmp_path / "scene.hsc"
+        hio.write_cube(cube, path)
+        patches, held = [], []
+        extract_patch, singular_spectrum = core.extract_patch, metrics.singular_spectrum
+
+        def tracked_extract(*args):
+            patch = extract_patch(*args)
+            patches.append(weakref.ref(patch))
+            return patch
+
+        def counting_spectrum(matrix):
+            held.append(sum(ref() is not None for ref in patches))
+            return singular_spectrum(matrix)
+
+        monkeypatch.setattr(core, "extract_patch", tracked_extract)
+        monkeypatch.setattr(metrics, "singular_spectrum", counting_spectrum)
+        assert run("analyze", "--in", path, "--patch", 8, "--samples", 12,
+                   "--out", tmp_path / "a.csv") == 0
+        # one patch alive per patch spectrum, none left for the global one
+        assert held == [1] * 12 + [0]
+
     def test_patch_too_large(self, tmp_path):
         cube = two_zone_cube(883, 20, 10, 0, 10, 4, rank=2)
         path = tmp_path / "scene.hsc"
         hio.write_cube(cube, path)
         assert run("analyze", "--in", path, "--patch", 30, "--out", tmp_path / "a.csv") == 2
+
+
+class TestFlags:
+    MEASUREMENT = {"--mask-seed", "--density", "--response", "--noise-sigma", "--noise-seed"}
+    FUSION = {"--rank", "--patch", "--stride", "--improved", "--threads"}
+
+    @staticmethod
+    def flags(command):
+        _, commands = cli._build_parser()
+        return {a.option_strings[-1]: a for a in commands[command]._actions if a.option_strings}
+
+    @pytest.mark.parametrize("command", ["simulate", "reconstruct", "eval", "sweep", "analyze"])
+    def test_every_flag_has_help(self, command):
+        assert [f for f, a in self.flags(command).items() if not a.help] == []
+
+    @pytest.mark.parametrize("command,shared", [("simulate", MEASUREMENT), ("reconstruct", FUSION)],
+                             ids=["simulate", "reconstruct"])
+    def test_shared_flags_defined_once(self, command, shared):
+        # reconstruct's --response names a file and its --out a cube; sweep's
+        # are a response spec and a CSV
+        own = {"--response", "--out"} if command == "reconstruct" else set()
+        mine, sweep = self.flags(command), self.flags("sweep")
+        common = (mine.keys() & sweep.keys()) - own
+        assert shared | {"--config", "--help"} <= common
+        for flag in common:
+            a, b = mine[flag], sweep[flag]
+            assert (a.type, a.default, a.help) == (b.type, b.default, b.help), flag
 
 
 class TestConfigHandling:

@@ -1,5 +1,7 @@
 """Fusion pipeline tests: coefficients, structured systems, global and patch solves."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,40 @@ def random_instance(seed, rows=6, cols=5, bands=4, rank=2):
     coeff = rng.standard_normal((rank, rows * cols))
     mask = forward.gen_mask(rows, cols, bands, seed, 0.5)
     return basis, coeff, mask
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Sizes of the pools pfuse asks for; the stand-in pool maps on the calling
+    thread, so no thread is ever started."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(fusion, "ThreadPoolExecutor", RecordingPool)
+    return sizes
+
+
+@pytest.fixture
+def four_patches():
+    """(y, z, mask, config) of a 10x10x4 scene cut into four 5x5 patches."""
+    rng = np.random.default_rng(55)
+    cube, _, _ = low_rank_cube(55, 10, 10, 4, 2)
+    mask = forward.gen_mask(10, 10, 4, 56, 0.5)
+    y = forward.simulate_cassi(cube, mask)
+    z = forward.simulate_multiband(cube, rng.random((4, 2)))
+    return y, z, mask, FusionConfig(rank=2, patch_rows=5, patch_cols=5, stride=5)
 
 
 class TestEstimateCoefficients:
@@ -344,26 +380,24 @@ class TestPfuse:
         assert [s.solver for s in base] == ["cholesky", None, "cholesky", None]
         assert [s.solver for s in joint] == ["qr", None, "qr", None]
 
-    def test_workers_capped_at_patch_count(self, monkeypatch):
-        seen = []
-
-        class RecordingPool(fusion.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                seen.append(max_workers)
-                super().__init__(max_workers=max_workers)
-
-        monkeypatch.setattr(fusion, "ThreadPoolExecutor", RecordingPool)
-        rng = np.random.default_rng(55)
-        cube, _, _ = low_rank_cube(55, 10, 10, 4, 2)
-        mask = forward.gen_mask(10, 10, 4, 56, 0.5)
-        y = forward.simulate_cassi(cube, mask)
-        z = forward.simulate_multiband(cube, rng.random((4, 2)))
-        config = FusionConfig(rank=2, patch_rows=5, patch_cols=5, stride=5)
+    def test_workers_capped_at_patch_count(self, monkeypatch, pool_sizes, four_patches):
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        y, z, mask, config = four_patches
         assert np.array_equal(fusion.pfuse(y, z, mask, config, workers=64),
                               fusion.pfuse(y, z, mask, config, workers=1))
-        assert seen == [4]
+        assert pool_sizes == [4]
         fusion.fuse(y, z, mask, 2)  # one window: solved without a pool
-        assert seen == [4]
+        assert pool_sizes == [4]
+
+    @pytest.mark.parametrize("cpus,sizes", [(2, [2]), (1, []), (None, [])])
+    def test_workers_capped_at_cpu_count(self, monkeypatch, pool_sizes, four_patches,
+                                         cpus, sizes):
+        # --threads 4096 must not start a thread per patch
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        y, z, mask, config = four_patches
+        assert np.array_equal(fusion.pfuse(y, z, mask, config, workers=4096),
+                              fusion.pfuse(y, z, mask, config, workers=1))
+        assert pool_sizes == sizes
 
     def test_rank_deficient_patch_names_origin(self):
         # an all-zero mask makes every per-patch system rank deficient

@@ -272,3 +272,14 @@ class TestSingularSpectrum:
     def test_empty_patch_list_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
             metrics.mean_log_singular_spectrum([])
+        with pytest.raises(ValueError, match="at least one"):
+            metrics.mean_log_singular_spectrum(p for p in [])
+
+    def test_generator_matches_list(self):
+        cube = two_zone_cube(23, 40, 20, 0, 20, 10, rank=3)
+        grid = core.make_grid(40, 40, 10, 10, 10)
+        patches = [core.extract_patch(cube, o, 10, 10) for o in grid.origins]
+        expected = metrics.mean_log_singular_spectrum(patches)
+        got = metrics.mean_log_singular_spectrum(core.extract_patch(cube, o, 10, 10)
+                                                 for o in grid.origins)
+        assert np.array_equal(got, expected)
