@@ -57,22 +57,18 @@ def _add_measurement_flags(p):
 
 
 def _add_fusion_flags(p, response_file=False):
-    """The fusion flags, shared by ``reconstruct`` and ``sweep``.
-
-    ``reconstruct`` reads its response from a file, added before --threads so
-    that its manifests keep their key order.
-    """
+    """The fusion flags, shared by ``reconstruct`` and ``sweep``; ``reconstruct``'s
+    response file comes before --threads, so its manifests keep their key order."""
     p.add_argument("--rank", type=int, default=3, help="spectral subspace rank")
     p.add_argument("--patch", default="100", help="patch size m or m,n")
-    p.add_argument(
-        "--stride", type=int, default=None, help="patch stride (default min(m,n)//2, at least 1)"
-    )
+    p.add_argument("--stride", type=int, default=None,
+                   help="patch stride (default min(m,n)//2, at least 1)")
     p.add_argument("--improved", action="store_true", help="joint coded+multiband basis solve")
     if response_file:
         p.add_argument("--response", help="response file (--improved only, and required there)")
-    p.add_argument(
-        "--threads", type=int, default=None, help="patch workers (default and cap: cpu count)"
-    )
+    p.add_argument("--threads", type=int, default=None,
+                   help="workers for per-window solves: --improved windows, and base windows "
+                   "the cell-statistics guards decline (default and cap: cpu count)")
 
 
 def _simulate_flags(p):
@@ -105,11 +101,8 @@ def _sweep_flags(p):
     p.add_argument("--in", dest="in_path", required=True, help="ground-truth cube (HSC1)")
     p.add_argument("--vary", required=True, choices=("rank", "patch", "response"),
                    help="flag that --values varies")
-    p.add_argument(
-        "--values",
-        required=True,
-        help="comma-separated values (';'-separated for --vary response)",
-    )
+    p.add_argument("--values", required=True,
+                   help="comma-separated values (';'-separated for --vary response)")
     _add_measurement_flags(p)
     _add_fusion_flags(p)
     p.add_argument("--out", required=True, help="output CSV path")
@@ -266,9 +259,9 @@ def _multiband(truth, response, args):
 
 
 def _run_simulate(args):
+    _check_noise(args)
     truth = hio.read_cube(args.in_path)
     response = forward.response_from_spec(args.response, truth.shape[2])
-    _check_noise(args)
     y, mask = _coded(truth, args)
     z = _multiband(truth, response, args)
     out_dir = Path(args.out_dir)
@@ -385,10 +378,10 @@ def _sweep_plan(args, shape):
 
 
 def _run_sweep(args):
-    truth = hio.read_cube(args.in_path)
-    plan = _sweep_plan(args, truth.shape)
     threads = _threads(args)
     _check_noise(args)
+    truth = hio.read_cube(args.in_path)
+    plan = _sweep_plan(args, truth.shape)
     scene = Path(args.in_path).stem
     # the mask and coded image do not depend on any swept value
     y, mask = _coded(truth, args)
@@ -413,13 +406,13 @@ def _run_sweep(args):
 
 
 def _run_analyze(args):
+    if args.samples < 1:
+        raise ValueError("--samples must be >= 1")
     cube = hio.read_cube(args.in_path)
     rows, cols, _ = cube.shape
     m = args.patch
     if m < 1 or m > min(rows, cols):
         raise ValueError(f"--patch must be in [1, {min(rows, cols)}]")
-    if args.samples < 1:
-        raise ValueError("--samples must be >= 1")
     rng = forward.Pcg32(args.seed)
 
     def patches():

@@ -8,7 +8,9 @@ columns, B spectral bands. Pixels are linearised column-major over rows,
 and ``unfold3`` / ``fold3`` convert between the cube and its B x (M*N)
 band-by-pixel matrix under that ordering. Patch grids tile the image with
 overlapping m x n windows; windows that would run past the border are
-clamped so the last window ends exactly at the image edge.
+clamped so the last window ends exactly at the image edge. Cutting the
+image at every window origin and end gives cells, each covered by a fixed
+set of windows; ``aggregate`` averages the windows' spectral maps per cell.
 """
 
 from dataclasses import dataclass
@@ -87,6 +89,18 @@ class PatchGrid:
     stride: int
     origins: tuple
 
+    def cells(self):
+        """(row_edges, col_edges, spans): the image cut at every window origin and end.
+
+        Cell (a, b), rows row_edges[a]:row_edges[a + 1] by columns col_edges[b]:col_edges[b + 1],
+        is covered by a fixed set of windows; window w is cells a0:a1 by b0:b1 = spans[w]."""
+        m, n = self.patch_rows, self.patch_cols
+        row_edges = sorted({0, self.rows}.union(*((i, i + m) for i, _ in self.origins)))
+        col_edges = sorted({0, self.cols}.union(*((j, j + n) for _, j in self.origins)))
+        spans = tuple((row_edges.index(i), row_edges.index(i + m), col_edges.index(j),
+                       col_edges.index(j + n)) for i, j in self.origins)
+        return row_edges, col_edges, spans
+
 
 def _axis_origins(extent, patch, stride):
     xs = list(range(0, extent - patch + 1, stride))
@@ -125,31 +139,36 @@ def extract_patch(cube, origin, patch_rows, patch_cols):
     return cube[i0 : i0 + patch_rows, j0 : j0 + patch_cols, :].copy()
 
 
-def aggregate(patches, origins, rows, cols):
-    """Average overlapping patches back into a full (rows, cols, bands) cube.
+def aggregate(maps, grid, z):
+    """Average per-window spectral maps over ``grid`` and apply them to ``z``.
 
-    ``patches`` may be any iterable (a generator is consumed one patch at a
-    time, so the patches are never held together). Values are summed into an
-    accumulator together with a per-pixel coverage count, in the order the
-    patches are given, then divided once. The order is fixed, so the result
-    is bit-identical across runs and worker counts.
+    ``maps`` is any iterable of one (bands, channels) map per window, in the
+    order of ``grid.origins``. Each is added, in that order, to every cell of
+    its window with a coverage count; pixel p of the result is then
+    (summed maps / count) @ z[p]. The order is fixed, so the result is
+    bit-identical across runs and worker counts.
     """
-    acc = count = None
-    for patch, (i0, j0) in zip(patches, origins, strict=True):
-        patch = check_cube(patch, "patch")
-        if acc is None:
-            acc = np.zeros((rows, cols, patch.shape[2]))
-            count = np.zeros((rows, cols))
-        elif patch.shape[2] != acc.shape[2]:
-            raise ValueError("patches have inconsistent band counts")
-        pr, pc = patch.shape[:2]
-        if i0 < 0 or j0 < 0 or i0 + pr > rows or j0 + pc > cols:
-            raise ValueError(f"patch at ({i0}, {j0}) exceeds image bounds")
-        acc[i0 : i0 + pr, j0 : j0 + pc, :] += patch
-        count[i0 : i0 + pr, j0 : j0 + pc] += 1.0
-    if acc is None:
+    z = check_cube(z, "multiband measurement")
+    if z.shape[:2] != (grid.rows, grid.cols):
+        raise ValueError(f"multiband shape {z.shape} does not match grid {grid.rows}x{grid.cols}")
+    row_edges, col_edges, spans = grid.cells()
+    count = np.zeros((len(row_edges) - 1, len(col_edges) - 1))
+    total = None
+    for fmap, (a0, a1, b0, b1) in zip(maps, spans, strict=True):
+        if total is None:
+            total = np.zeros(count.shape + np.shape(fmap))
+        elif np.shape(fmap) != total.shape[2:]:
+            raise ValueError("maps have inconsistent shapes")
+        total[a0:a1, b0:b1] += fmap
+        count[a0:a1, b0:b1] += 1.0
+    if total is None:
         raise ValueError("no patches to aggregate")
     if (count == 0).any():
-        holes = int((count == 0).sum())
+        holes = int(np.outer(np.diff(row_edges), np.diff(col_edges))[count == 0].sum())
         raise ValueError(f"{holes} pixels have zero patch coverage")
-    return acc / count[:, :, None]
+    mean = total / count[:, :, None, None]
+    out = np.empty((grid.rows, grid.cols, total.shape[2]))
+    for a, (r0, r1) in enumerate(zip(row_edges[:-1], row_edges[1:])):
+        for b, (c0, c1) in enumerate(zip(col_edges[:-1], col_edges[1:])):
+            out[r0:r1, c0:c1] = z[r0:r1, c0:c1] @ mean[a, b].T
+    return out

@@ -2,13 +2,25 @@
 
 The scene is modelled as spectrally low rank: the band-by-pixel unfolding X
 factors as E @ W with a (bands x k) spectral basis E and (k x pixels)
-coefficients W. W is estimated from the multiband image (top right singular
-vectors of its unfolding, so its rows are orthonormal and all scale lives in
-E), and E is solved from the coded image through a structured sensing matrix
-whose row for pixel p is the Kronecker product of that pixel's coefficient
-and mask spectra. ``pfuse`` solves overlapping spatial windows independently
-(optionally in parallel) and averages the overlaps; ``fuse`` is ``pfuse``
-with a single window covering the whole image.
+coefficients W. W is estimated from the multiband image Z (top right
+singular vectors of its unfolding, W = S^-1 U.T Z, so its rows are
+orthonormal and all scale lives in E), and E is solved from the coded image
+through a structured sensing matrix whose row for pixel p is the Kronecker
+product of that pixel's coefficient and mask spectra. So each window fits
+one linear multiband-to-hyperspectral map F = E S^-1 U.T (bands x
+channels); ``pfuse`` solves overlapping windows independently and averages
+their maps per pixel, and ``fuse`` is ``pfuse`` with one window.
+
+Base windows are solved from sufficient statistics: with a_p = kron(z_p, c_p)
+and P = kron(S^-1 U.T, I) the normal equations are P H P.T e = P g, where
+H = sum a_p a_p.T and g = sum a_p y_p. H, g and the Gram Z Z.T are formed
+once per cell (the image cut at every window origin and end), each window
+adds up its cells, and U, S come from eigh of its Gram. As that squares the
+singular values and the system, a window keeps this answer only if its
+statistics are finite, its Gram is nonzero, its rank-th eigenvalue and the
+gap below it are at least ``numeric.CHOLESKY_RCOND_MIN`` times the largest,
+and the Cholesky solve passes that bound on rcond(G). Other windows, and all
+improved ones, take the per-window path: own SVD, sensing matrix and solve.
 
 The improved (joint) solve adds the multiband measurement's rows to that
 system. They all lie in the span of W's k row directions, so the
@@ -91,7 +103,7 @@ class FusionConfig:
 class CoefficientEstimate(NamedTuple):
     coefficients: np.ndarray  # (rank, pixels), orthonormal rows
     rank: int  # effective rank after shrinkage
-    singular_values: np.ndarray
+    mixing: np.ndarray  # (rank, channels) S^-1 U.T: coefficients = mixing @ unfold3(z)
 
 
 @dataclass
@@ -100,8 +112,9 @@ class PatchStats:
 
     ``coefficients``/``basis``/``solver`` are None for all-zero patches,
     which are reconstructed as zero without a solve. ``solver`` is
-    ``"cholesky"`` when the base solve kept its normal-equation answer and
-    ``"qr"`` when it fell back to pivoted QR (always, for the joint solve).
+    ``"cholesky"`` when the base solve kept its normal-equation answer (from
+    cell statistics or the patch's own system), ``"qr"`` when it fell back to
+    pivoted QR (always, for the joint solve).
     ``residual`` is the 2-norm residual of the patch's least-squares
     system: the coded rows, plus for the joint solve all channels*pixels
     multiband rows (not only the reduced rows that were factored).
@@ -118,7 +131,8 @@ class PatchStats:
 def estimate_coefficients(z, k):
     """Coefficients from the multiband image: top-k right singular vectors.
 
-    Returns W with orthonormal rows (W @ W.T = I), shaped (k_eff, pixels).
+    Returns W with orthonormal rows (W @ W.T = I), shaped (k_eff, pixels),
+    and the map S^-1 U.T from a pixel's multiband values to its coefficients.
     k_eff < k only when trailing singular values fall below
     RANK_TOL * sigma_1, i.e. the data genuinely has fewer spectral degrees
     of freedom; the shrunk rank is reported in the result.
@@ -134,7 +148,8 @@ def estimate_coefficients(z, k):
     if svd.s[0] == 0.0:
         raise ValueError("multiband measurement is identically zero (rank 0)")
     keep = int(np.count_nonzero(svd.s > RANK_TOL * svd.s[0]))
-    return CoefficientEstimate(svd.v[:, :keep].T.copy(), keep, svd.s[:keep].copy())
+    mixing = svd.u[:, :keep].T / svd.s[:keep, None]
+    return CoefficientEstimate(svd.v[:, :keep].T.copy(), keep, mixing)
 
 
 def assemble_phi_w(mask, w):
@@ -197,11 +212,12 @@ def _solve(y, mask, w, z, response):
     joint system is solved by pivoted QR on its exact multiband reduction:
     reordered with all channels of pixel 0 first, the multiband rows are
     kron(W.T, A.T), and with the thin QR W.T = Q R that is
-    kron(Q, I) @ kron(R, A.T), where kron(Q, I) has orthonormal columns. So the channels*pixels multiband rows can be
-    replaced by the k*channels rows kron(R, A.T) against vec(Z Q) (Z the
-    channels x pixels unfolding of z) without changing the Gram matrix,
-    the column norms or the least-squares answer; the part of Z outside
-    span(Q) is added back to the residual, which stays the stacked system's.
+    kron(Q, I) @ kron(R, A.T), where kron(Q, I) has orthonormal columns. So
+    the channels*pixels multiband rows can be replaced by the k*channels
+    rows kron(R, A.T) against vec(Z Q) (Z the channels x pixels unfolding
+    of z) without changing the Gram matrix, the column norms or the
+    least-squares answer; the part of Z outside span(Q) is added back to
+    the residual, which stays the stacked system's.
     """
     phi = assemble_phi_w(mask, w)
     rhs = y.ravel(order="F")
@@ -262,18 +278,81 @@ def _check_measurements(y, z, mask):
 
 
 def _fuse_block(y, z, mask, rank, response):
-    """Fusion of one window; returns (cube, (rank, residual, W, E, solver))."""
-    rows, cols, bands = mask.shape
+    """Fusion of one window by its own solve; returns (F, (rank, residual, W, E, solver)),
+    where the (bands, channels) map F = E @ S^-1 U.T turns multiband values into spectra."""
+    bands, channels = mask.shape[2], z.shape[2]
     if not z.any():
         if y.any():
             raise ValueError("multiband measurement is identically zero (rank 0)")
         # nothing was measured at all: the zero cube is the exact solution
-        return np.zeros((rows, cols, bands)), (0, 0.0, None, None, None)
+        return np.zeros((bands, channels)), (0, 0.0, None, None, None)
     est = estimate_coefficients(z, rank)
     sol = _solve(y, mask, est.coefficients, z, response)
     basis = sol.x.reshape(bands, est.rank, order="F")
-    cube = core.fold3(basis @ est.coefficients, rows, cols)
-    return cube, (est.rank, sol.residual, est.coefficients, basis, sol.solver)
+    return basis @ est.mixing, (est.rank, sol.residual, est.coefficients, basis, sol.solver)
+
+
+@np.errstate(invalid="ignore")  # inf * 0 from a non-finite input; the window guard rejects it
+def _cell_stats(y, z, mask, r0, r1, col_edges, out):
+    """Write H, g and the multiband Gram of each cell between rows r0 and r1 to ``out``."""
+    h, g, gram = out
+    for b, (c0, c1) in enumerate(zip(col_edges[:-1], col_edges[1:])):
+        zc = z[r0:r1, c0:c1].reshape(-1, z.shape[2])
+        yc = y[r0:r1, c0:c1].ravel()
+        a = (zc[:, :, None] * mask[r0:r1, c0:c1].reshape(len(yc), 1, -1)).reshape(len(yc), -1)
+        np.matmul(a.T, a, out=h[b])
+        np.matmul(a.T, yc, out=g[b])
+        np.matmul(zc.T, zc, out=gram[b])
+
+
+def _cell_solves(y, z, mask, grid, rank, keep_stats):
+    """Yield (index, F, PatchStats or None) for each window the cell statistics solve;
+    the cell rows the current row of windows needs are kept in a preallocated ring."""
+    channels, bands = z.shape[2], mask.shape[2]
+    bound = numeric.CHOLESKY_RCOND_MIN
+    row_edges, col_edges, spans = grid.cells()
+    ring = max(a1 - a0 for a0, a1, _, _ in spans)
+    shapes = ((channels * bands,) * 2, (channels * bands,), (channels, channels))
+    cells = [np.empty((ring, len(col_edges) - 1) + shape) for shape in shapes]
+    strip = [np.empty(part.shape[1:]) for part in cells]
+    done, current = 0, None
+    for index, (a0, a1, b0, b1) in enumerate(spans):
+        if (a0, a1) != current:
+            current = a0, a1
+            for a in range(max(done, a0), a1):
+                out = [part[a % ring] for part in cells]
+                _cell_stats(y, z, mask, *row_edges[a : a + 2], col_edges, out)
+            done = max(done, a1)
+            for total, part in zip(strip, cells):
+                total[...] = part[a0 % ring]
+                for a in range(a0 + 1, a1):
+                    total += part[a % ring]
+        h, g, gram = (part[b0:b1].sum(axis=0) for part in strip)
+        # a non-finite input value reaches H's diagonal (a_p), g (y_p) or the Gram (z_p)
+        if not all(np.isfinite(part).all() for part in (h, g, gram)):
+            continue
+        lam, u = np.linalg.eigh(gram)
+        lam, u = np.append(lam[::-1], 0.0), u[:, ::-1]  # lam[channels] = 0 ends the last gap
+        if not lam[0] > 0 or min(lam[rank - 1], lam[rank - 1] - lam[rank]) < bound * lam[0]:
+            continue
+        m = u[:, :rank].T / np.sqrt(lam[:rank])[:, None]  # S^-1 U.T
+        # P H P.T through the kron structure: contract H's two channel axes with m
+        t = (m @ h.reshape(channels, -1)).reshape(rank, bands, channels, bands)
+        gw = (m @ t.transpose(2, 0, 1, 3).reshape(channels, -1)).reshape(rank, rank, bands, bands)
+        gw = gw.transpose(1, 2, 0, 3).reshape(rank * bands, -1)
+        e = numeric.cholesky_solve(gw, (m @ g.reshape(channels, bands)).ravel())
+        if e is None:
+            continue
+        basis = e.reshape(bands, rank, order="F")
+        record = None
+        if keep_stats:
+            i0, j0 = origin = grid.origins[index]
+            window = np.s_[i0 : i0 + grid.patch_rows, j0 : j0 + grid.patch_cols]
+            w = m @ core.unfold3(z[window])
+            fit = assemble_phi_w(mask[window], w) @ e
+            residual = float(np.linalg.norm(y[window].ravel(order="F") - fit))
+            record = PatchStats(origin, rank, residual, w, basis, "cholesky")
+        yield index, basis @ m, record
 
 
 def fuse(y, z, mask, rank, improved=False, response=None):
@@ -295,47 +374,49 @@ def fuse(y, z, mask, rank, improved=False, response=None):
 def pfuse(y, z, mask, config, workers=1, response=None, stats=None):
     """Patch-based fusion over an overlapping grid, averaged on overlaps.
 
-    Every grid window is solved independently (with ``workers`` > 1, on a
-    thread pool of at most one thread per patch and per CPU), and each patch cube is fed
-    to :func:`core.aggregate` on the main thread in grid order instead of
-    being buffered, so the output is bit-identical for any worker count.
-    Patches whose multiband data is numerically rank deficient are solved at
-    their effective rank; all-zero patches reconstruct as zero. Pass a list
-    as ``stats`` to receive one :class:`PatchStats` per patch, in grid order.
+    Base windows are solved from cell statistics on the calling thread, the
+    rest by the per-window path (with ``workers`` > 1 on a pool of at most
+    one thread per such window and per CPU). :func:`core.aggregate` averages
+    the maps in grid order: the output is bit-identical for any worker count.
+    Rank-deficient multiband patches are solved at their effective rank;
+    all-zero patches reconstruct as zero. Pass a list as ``stats`` to
+    receive one :class:`PatchStats` per patch, in grid order.
 
     The patch area must exceed the number of basis unknowns
     (patch_rows*patch_cols > rank*bands), otherwise the per-patch systems
     cannot have full column rank.
     """
     y, z, mask = _check_measurements(y, z, mask)
-    rows, cols, _ = mask.shape
-    m, n = config.patch_rows, config.patch_cols
     grid = config.grid(mask.shape, z.shape[2])
     response = _joint_response(response, mask.shape[2], z.shape[2]) if config.improved else None
-    workers = min(workers or 1, len(grid.origins), os.cpu_count() or 1)
+    maps, records = [None] * len(grid.origins), [None] * len(grid.origins)
+    if not config.improved:
+        for index, fmap, record in _cell_solves(y, z, mask, grid, config.rank, stats is not None):
+            maps[index], records[index] = fmap, record
+    pending = [index for index, fmap in enumerate(maps) if fmap is None]
+    workers = min(workers or 1, len(pending), os.cpu_count() or 1)
 
-    def solve(origin):
-        i0, j0 = origin
-        yp = y[i0 : i0 + m, j0 : j0 + n]
-        zp = z[i0 : i0 + m, j0 : j0 + n, :]
-        cp = mask[i0 : i0 + m, j0 : j0 + n, :]
+    def solve(index):
+        i0, j0 = origin = grid.origins[index]
+        window = np.s_[i0 : i0 + grid.patch_rows, j0 : j0 + grid.patch_cols]
         try:
-            cube, fields = _fuse_block(yp, zp, cp, config.rank, response)
+            fmap, fields = _fuse_block(y[window], z[window], mask[window], config.rank, response)
         except numeric.RankDeficiencyError as err:
-            raise numeric.RankDeficiencyError(
-                f"patch at origin ({i0}, {j0}): {err}", column=err.column
-            ) from err
+            raise numeric.RankDeficiencyError(f"patch at origin {origin}: {err}",
+                                              column=err.column) from err
         except ValueError as err:
-            raise ValueError(f"patch at origin ({i0}, {j0}): {err}") from err
-        return cube, PatchStats(origin, *fields)
+            raise ValueError(f"patch at origin {origin}: {err}") from err
+        return fmap, PatchStats(origin, *fields)
 
-    def cubes(mapper):
-        for cube, record in mapper(solve, grid.origins):
-            if stats is not None:
-                stats.append(record)
-            yield cube
+    def fill(mapper):
+        for index, (fmap, record) in zip(pending, mapper(solve, pending)):
+            maps[index], records[index] = fmap, record
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return core.aggregate(cubes(pool.map), grid.origins, rows, cols)
-    return core.aggregate(cubes(map), grid.origins, rows, cols)
+            fill(pool.map)
+    else:
+        fill(map)
+    if stats is not None:
+        stats.extend(records)
+    return core.aggregate(maps, grid, z)

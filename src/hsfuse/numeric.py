@@ -6,12 +6,12 @@ the SVD returns descending singular triplets with orthonormal factors.
 factorisation (Q applied to the right-hand side, never formed), which
 equals the normal-equation solution on full-column-rank systems but does
 not square the condition number.
-``normal_lstsq`` solves the normal equations by Cholesky, several times
-faster on tall systems, and hands the system to ``lstsq`` whenever the
-Gram matrix's estimated condition number makes that squaring unsafe, so
-its answer stays within about 1e-10 relative of QR's.
+``normal_lstsq`` solves the normal equations by Cholesky (``cholesky_solve``),
+several times faster on tall systems, and hands the system to ``lstsq``
+whenever the Gram matrix's estimated condition makes that squaring unsafe,
+so its answer stays within about 1e-10 relative of QR's.
 
-scipy.linalg is imported by the two solves themselves, not by this module:
+scipy.linalg is imported by the solves themselves, not by this module:
 it takes longer to load than numpy, and only reconstruction needs it.
 """
 
@@ -27,6 +27,7 @@ __all__ = [
     "LstsqResult",
     "truncated_svd",
     "lstsq",
+    "cholesky_solve",
     "normal_lstsq",
 ]
 
@@ -35,7 +36,7 @@ __all__ = [
 RANK_RTOL = 1e-10
 
 # Smallest reciprocal condition number of G = phi.T @ phi for which
-# normal_lstsq trusts its Cholesky solution. The normal equations lose
+# cholesky_solve trusts its solution. The normal equations lose
 # accuracy in proportion to cond(G) = cond(phi)**2: their relative error is
 # about eps * cond(G) (eps = 1.1e-16), against QR's eps * cond(phi). With
 # rcond(G) >= 1e-6 that is at most ~1e-10, i.e. cond(phi) <= 1e3. dpocon
@@ -135,26 +136,31 @@ def lstsq(phi, y):
     return LstsqResult(x, residual, "qr")
 
 
-def normal_lstsq(phi, y):
-    """:func:`lstsq` through the normal equations, when they are safe.
-
-    Forms G = phi.T @ phi and phi.T @ y, factors G by Cholesky and keeps
-    that solution only if the factorisation succeeds and the estimated
-    reciprocal condition number of G is at least CHOLESKY_RCOND_MIN.
-    Otherwise (including every rank-deficient system) it returns
-    ``lstsq(phi, y)`` itself, with the same errors. The residual is
-    measured on phi, not derived from G.
-    """
+def cholesky_solve(gram, rhs):
+    """Solution of the normal equations gram @ x = rhs by Cholesky, or None (solve by
+    pivoted QR instead) unless G is finite, factors and has rcond(G) >= CHOLESKY_RCOND_MIN."""
     from scipy.linalg import lapack
 
+    if not np.isfinite(gram).all():
+        return None
+    factor, info = lapack.dpotrf(gram)
+    if info != 0:
+        return None
+    # dpocon needs the 1-norm of G itself, not of its factor
+    rcond, _ = lapack.dpocon(factor, np.abs(gram).sum(axis=0).max())
+    if not rcond >= CHOLESKY_RCOND_MIN:
+        return None
+    return lapack.dpotrs(factor, rhs)[0]
+
+
+def normal_lstsq(phi, y):
+    """:func:`lstsq` through the normal equations, when :func:`cholesky_solve` accepts them.
+
+    Otherwise it returns ``lstsq(phi, y)`` itself, with the same errors. The
+    residual is measured on phi, not derived from G.
+    """
     phi, y = _check_system(phi, y)
-    gram = phi.T @ phi
-    if np.isfinite(gram).all():
-        factor, info = lapack.dpotrf(gram)
-        if info == 0:
-            # dpocon needs the 1-norm of G itself, not of its factor
-            rcond, _ = lapack.dpocon(factor, np.abs(gram).sum(axis=0).max())
-            if rcond >= CHOLESKY_RCOND_MIN:
-                x, _ = lapack.dpotrs(factor, phi.T @ y)
-                return LstsqResult(x, float(np.linalg.norm(y - phi @ x)), "cholesky")
-    return lstsq(phi, y)
+    x = cholesky_solve(phi.T @ phi, phi.T @ y)
+    if x is None:
+        return lstsq(phi, y)
+    return LstsqResult(x, float(np.linalg.norm(y - phi @ x)), "cholesky")

@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 import subprocess
 import sys
 import weakref
@@ -576,6 +577,58 @@ class TestFlags:
         for flag in common:
             a, b = mine[flag], sweep[flag]
             assert (a.type, a.default, a.help) == (b.type, b.default, b.help), flag
+
+
+class TestMalformedCubes:
+    @pytest.mark.parametrize(
+        "payload,message",
+        [
+            (hio.MAGIC + bytes(5), "truncated header"),
+            (hio.MAGIC + struct.pack("<III", 24, 24, 13) + bytes(4 * 24 * 24 * 12),
+             "expected 29968 bytes, found 27664"),
+        ],
+        ids=["short-header", "dimensions-mismatch-payload"],
+    )
+    @pytest.mark.parametrize("command", ["reconstruct", "eval"])
+    def test_exit_3_names_the_file(self, scene, tmp_path, capsys, payload, message, command):
+        cube, truth, out_dir = scene
+        bad = tmp_path / "bad.hsc"
+        bad.write_bytes(payload)
+        out = tmp_path / "out"
+        if command == "reconstruct":
+            code = run("reconstruct", "--y", out_dir / "y.hsc", "--z", out_dir / "z.hsc",
+                       "--mask", bad, "--out", out)
+        else:
+            code = run("eval", "--ref", truth, "--est", bad, "--out", out)
+        assert code == cli.EXIT_IO
+        assert f"{bad}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestEarlyRejection:
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("sweep", "--vary", "rank", "--values", "1", "--threads", 0), "--threads must be >= 1"),
+            (("simulate", "--noise-sigma", -1), "--noise-sigma must be finite"),
+            (("analyze", "--samples", 0), "--samples must be >= 1"),
+        ],
+        ids=["sweep-threads", "simulate-noise", "analyze-samples"],
+    )
+    def test_cube_independent_flag_rejected_before_reading(self, scene, tmp_path, monkeypatch,
+                                                          capsys, argv, message):
+        reads = []
+        read_cube = hio.read_cube
+        monkeypatch.setattr(hio, "read_cube", lambda path: reads.append(path) or read_cube(path))
+        _, truth, _ = scene
+        out = tmp_path / "out"
+        command, *flags = argv
+        code = run(command, "--in", truth, *flags, "--out-dir" if command == "simulate" else "--out",
+                   out)
+        assert code == cli.EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert reads == []
+        assert not out.exists()
 
 
 class TestConfigHandling:

@@ -131,55 +131,99 @@ class TestMakeGrid:
             core.make_grid(8, 8, 4, 4, 0)
 
 
+def brute_force_maps(grid, maps, z):
+    """The averaged-map cube computed pixel by pixel, straight from the windows."""
+    rows, cols, _ = z.shape
+    out = np.zeros((rows, cols, maps[0].shape[0]))
+    for i in range(rows):
+        for j in range(cols):
+            covering = [f for f, (i0, j0) in zip(maps, grid.origins)
+                        if i0 <= i < i0 + grid.patch_rows and j0 <= j < j0 + grid.patch_cols]
+            out[i, j] = np.mean(covering, axis=0) @ z[i, j]
+    return out
+
+
+class TestCells:
+    @pytest.mark.parametrize("rows,cols,m,n,s", [(17, 23, 5, 7, 3), (9, 9, 4, 4, 1),
+                                                 (30, 11, 30, 4, 2), (256, 256, 40, 40, 10)])
+    def test_cells_partition_windows(self, rows, cols, m, n, s):
+        grid = core.make_grid(rows, cols, m, n, s)
+        row_edges, col_edges, spans = grid.cells()
+        assert row_edges[0] == 0 and row_edges[-1] == rows
+        assert col_edges[0] == 0 and col_edges[-1] == cols
+        assert len(spans) == len(grid.origins)
+        for (i0, j0), (a0, a1, b0, b1) in zip(grid.origins, spans):
+            assert (row_edges[a0], row_edges[a1]) == (i0, i0 + m)
+            assert (col_edges[b0], col_edges[b1]) == (j0, j0 + n)
+        # every pixel of a cell is covered by the same windows
+        cover = brute_force_coverage(grid)
+        for r0, r1 in zip(row_edges[:-1], row_edges[1:]):
+            for c0, c1 in zip(col_edges[:-1], col_edges[1:]):
+                assert (cover[r0:r1, c0:c1] == cover[r0, c0]).all()
+
+
 class TestExtractAggregate:
     def test_exact_tiling_identity(self):
+        # identity maps on an exact tiling give back the multiband cube
         rng = np.random.default_rng(11)
         cube = rng.random((6, 8, 3))
         grid = core.make_grid(6, 8, 3, 4, 3)
-        patches = [core.extract_patch(cube, o, 3, 4) for o in grid.origins]
-        out = core.aggregate(patches, grid.origins, 6, 8)
+        out = core.aggregate([np.eye(3) for _ in grid.origins], grid, cube)
         assert np.array_equal(out, cube)
 
     def test_mean_of_two_identical_patches(self):
         rng = np.random.default_rng(12)
-        patch = rng.random((3, 3, 2))
-        out = core.aggregate([patch, patch], [(0, 0), (0, 0)], 3, 3)
-        assert np.array_equal(out, patch)
+        fmap, z = rng.random((4, 2)), rng.random((3, 3, 2))
+        grid = core.PatchGrid(3, 3, 3, 3, 3, ((0, 0), (0, 0)))
+        out = core.aggregate([fmap, fmap], grid, z)
+        assert np.array_equal(out, core.aggregate([fmap], core.make_grid(3, 3, 3, 3, 3), z))
+        np.testing.assert_allclose(out, z @ fmap.T, rtol=1e-14, atol=0)
 
     def test_overlapping_grid_reconstructs_source(self):
         rng = np.random.default_rng(13)
-        cube = rng.random((10, 13, 4))
+        z = rng.random((10, 13, 3))
         grid = core.make_grid(10, 13, 4, 5, 2)
-        patches = [core.extract_patch(cube, o, 4, 5) for o in grid.origins]
-        out = core.aggregate(patches, grid.origins, 10, 13)
-        np.testing.assert_allclose(out, cube, rtol=1e-14, atol=0)
+        maps = [rng.random((4, 3)) for _ in grid.origins]
+        out = core.aggregate(maps, grid, z)
+        np.testing.assert_allclose(out, brute_force_maps(grid, maps, z), rtol=1e-13, atol=0)
 
     def test_extract_out_of_bounds(self):
         with pytest.raises(ValueError, match="exceeds cube bounds"):
             core.extract_patch(np.zeros((4, 4, 2)), (2, 2), 3, 3)
 
     def test_zero_coverage_detected(self):
-        patch = np.ones((2, 2, 1))
-        with pytest.raises(ValueError, match="zero patch coverage"):
-            core.aggregate([patch], [(0, 0)], 4, 4)
+        grid = core.PatchGrid(4, 4, 2, 2, 2, ((0, 0),))
+        with pytest.raises(ValueError, match="12 pixels have zero patch coverage"):
+            core.aggregate([np.ones((1, 1))], grid, np.ones((4, 4, 1)))
 
     def test_band_mismatch_detected(self):
-        with pytest.raises(ValueError, match="band counts"):
-            core.aggregate([np.ones((2, 2, 1)), np.ones((2, 2, 2))], [(0, 0), (0, 0)], 2, 2)
+        grid = core.PatchGrid(2, 2, 2, 2, 2, ((0, 0), (0, 0)))
+        with pytest.raises(ValueError, match="inconsistent shapes"):
+            core.aggregate([np.ones((1, 1)), np.ones((2, 1))], grid, np.ones((2, 2, 1)))
 
     def test_generator_equals_list(self):
         rng = np.random.default_rng(14)
         grid = core.make_grid(10, 13, 4, 5, 2)
-        patches = [rng.random((4, 5, 3)) for _ in grid.origins]
-        streamed = core.aggregate((p for p in patches), grid.origins, 10, 13)
-        assert np.array_equal(streamed, core.aggregate(patches, grid.origins, 10, 13))
+        z = rng.random((10, 13, 3))
+        maps = [rng.random((5, 3)) for _ in grid.origins]
+        streamed = core.aggregate((f for f in maps), grid, z)
+        assert np.array_equal(streamed, core.aggregate(maps, grid, z))
+
+    def test_maps_summed_in_the_given_order(self):
+        # 1e16 + 1 rounds to 1e16: summed in order the maps cancel to 0, reordered to 1/3
+        grid = core.PatchGrid(2, 2, 2, 2, 2, ((0, 0),) * 3)
+        maps = [np.full((1, 1), v) for v in (1e16, 1.0, -1e16)]
+        z = np.ones((2, 2, 1))
+        assert not core.aggregate(maps, grid, z).any()
+        assert (core.aggregate([maps[0], maps[2], maps[1]], grid, z) == 1.0 / 3.0).all()
 
     @pytest.mark.parametrize("count", [1, 3])
     def test_length_mismatch_detected(self, count):
-        patches = (np.ones((2, 2, 1)) for _ in range(count))
+        maps = (np.ones((1, 1)) for _ in range(count))
+        grid = core.PatchGrid(2, 2, 2, 2, 2, ((0, 0), (0, 0)))
         with pytest.raises(ValueError, match="zip"):
-            core.aggregate(patches, [(0, 0), (0, 0)], 2, 2)
+            core.aggregate(maps, grid, np.ones((2, 2, 1)))
 
     def test_no_patches(self):
         with pytest.raises(ValueError, match="no patches"):
-            core.aggregate(iter(()), (), 2, 2)
+            core.aggregate(iter(()), core.PatchGrid(2, 2, 2, 2, 2, ()), np.ones((2, 2, 1)))

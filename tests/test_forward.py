@@ -47,6 +47,14 @@ class TestPcg32:
         ref_tail = pcg32_reference(7, count)[-5:]
         assert list(got[-5:]) == ref_tail
 
+    @pytest.mark.parametrize("count", [(1 << 15) - 1, 1 << 15, (1 << 15) + 1])
+    def test_full_sequence_at_chunk_size(self, count):
+        # the chunked closed form against the sequential recurrence, every value,
+        # and the state it leaves behind for the next draw
+        gen = forward.Pcg32(11)
+        got = np.concatenate([gen.next_u32(count), gen.next_u32(3)])
+        assert got.tolist() == pcg32_reference(11, count + 3)
+
     def test_incremental_draws_match_bulk(self):
         gen = forward.Pcg32(9)
         parts = np.concatenate([gen.next_u32(10), gen.next_u32(300), gen.next_u32(1)])

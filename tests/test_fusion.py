@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from helpers import low_rank_cube, rel_err, two_zone_cube
+from helpers import low_rank_cube, rel_err, smooth_spectra_cube, two_zone_cube
 from hsfuse import core, forward, fusion, metrics, numeric
 from hsfuse.fusion import FusionConfig
 from hsfuse.numeric import RankDeficiencyError
@@ -44,13 +44,16 @@ def pool_sizes(monkeypatch):
 
 @pytest.fixture
 def four_patches():
-    """(y, z, mask, config) of a 10x10x4 scene cut into four 5x5 patches."""
+    """(y, z, mask, config, response) of a 10x10x4 scene cut into four 5x5 patches,
+    with the improved solve: every patch is solved by the per-window path."""
     rng = np.random.default_rng(55)
     cube, _, _ = low_rank_cube(55, 10, 10, 4, 2)
     mask = forward.gen_mask(10, 10, 4, 56, 0.5)
+    response = rng.random((4, 2))
     y = forward.simulate_cassi(cube, mask)
-    z = forward.simulate_multiband(cube, rng.random((4, 2)))
-    return y, z, mask, FusionConfig(rank=2, patch_rows=5, patch_cols=5, stride=5)
+    z = forward.simulate_multiband(cube, response)
+    config = FusionConfig(rank=2, patch_rows=5, patch_cols=5, stride=5, improved=True)
+    return y, z, mask, config, response
 
 
 class TestEstimateCoefficients:
@@ -382,21 +385,33 @@ class TestPfuse:
 
     def test_workers_capped_at_patch_count(self, monkeypatch, pool_sizes, four_patches):
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
-        y, z, mask, config = four_patches
-        assert np.array_equal(fusion.pfuse(y, z, mask, config, workers=64),
-                              fusion.pfuse(y, z, mask, config, workers=1))
+        y, z, mask, config, response = four_patches
+        assert np.array_equal(fusion.pfuse(y, z, mask, config, workers=64, response=response),
+                              fusion.pfuse(y, z, mask, config, workers=1, response=response))
         assert pool_sizes == [4]
-        fusion.fuse(y, z, mask, 2)  # one window: solved without a pool
+        # one window: solved without a pool
+        fusion.fuse(y, z, mask, 2, improved=True, response=response)
         assert pool_sizes == [4]
+
+    def test_cell_path_starts_no_pool(self, monkeypatch, pool_sizes, four_patches):
+        # base windows are solved on the calling thread; the pool serves only
+        # the windows left to the per-window path, and here there are none
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        y, z, mask, config, _ = four_patches
+        config = FusionConfig(rank=2, patch_rows=5, patch_cols=5, stride=5)
+        stats = []
+        fusion.pfuse(y, z, mask, config, workers=64, stats=stats)
+        assert [s.solver for s in stats] == ["cholesky"] * 4
+        assert pool_sizes == []
 
     @pytest.mark.parametrize("cpus,sizes", [(2, [2]), (1, []), (None, [])])
     def test_workers_capped_at_cpu_count(self, monkeypatch, pool_sizes, four_patches,
                                          cpus, sizes):
         # --threads 4096 must not start a thread per patch
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        y, z, mask, config = four_patches
-        assert np.array_equal(fusion.pfuse(y, z, mask, config, workers=4096),
-                              fusion.pfuse(y, z, mask, config, workers=1))
+        y, z, mask, config, response = four_patches
+        assert np.array_equal(fusion.pfuse(y, z, mask, config, workers=4096, response=response),
+                              fusion.pfuse(y, z, mask, config, workers=1, response=response))
         assert pool_sizes == sizes
 
     def test_rank_deficient_patch_names_origin(self):
@@ -429,12 +444,20 @@ class TestFusionConfig:
             FusionConfig(rank_tol=1e-3)
 
 
-def qr_reference(monkeypatch, *args, **kwargs):
-    """pfuse output and stats with the base solve forced onto pivoted QR."""
+def per_window_reference(monkeypatch, *args, qr=False, **kwargs):
+    """pfuse output and stats with every window solved by the per-window path
+    (its own SVD, phi and solve), and with ``qr`` that solve forced onto pivoted QR."""
     stats = []
     with monkeypatch.context() as patched:
-        patched.setattr(fusion.numeric, "normal_lstsq", fusion.numeric.lstsq)
+        patched.setattr(fusion, "_cell_solves", lambda *_args: ())
+        if qr:
+            patched.setattr(fusion.numeric, "normal_lstsq", fusion.numeric.lstsq)
         return fusion.pfuse(*args, **kwargs, stats=stats), stats
+
+
+def qr_reference(monkeypatch, *args, **kwargs):
+    """pfuse output and stats with the base solve forced onto pivoted QR."""
+    return per_window_reference(monkeypatch, *args, qr=True, **kwargs)
 
 
 class TestBaseSolver:
@@ -493,6 +516,177 @@ class TestBaseSolver:
         ref, _ = qr_reference(monkeypatch, y, z, mask, config)
         assert [s.solver for s in stats] == ["qr"]
         assert np.array_equal(xhat, ref)
+
+
+@pytest.fixture
+def per_window_calls(monkeypatch):
+    """Mask windows handed to the per-window path, in call order."""
+    masks = []
+    fuse_block = fusion._fuse_block
+
+    def recording(y, z, mask, rank, response):
+        masks.append(np.array(mask))
+        return fuse_block(y, z, mask, rank, response)
+
+    monkeypatch.setattr(fusion, "_fuse_block", recording)
+    return masks
+
+
+def origins_of(calls, mask, config):
+    """Grid origins of the recorded mask windows (each must match exactly one)."""
+    m, n = config.patch_rows, config.patch_cols
+    grid = core.make_grid(*mask.shape[:2], m, n, config.stride)
+    found = []
+    for call in calls:
+        (origin,) = [(i0, j0) for i0, j0 in grid.origins
+                     if np.array_equal(mask[i0 : i0 + m, j0 : j0 + n], call)]
+        found.append(origin)
+    return found
+
+
+def noisy_instance(seed, rows, cols, bands=6, rank=3, channels=3):
+    """Noisy coded and multiband measurements of a smooth full-rank scene."""
+    cube = smooth_spectra_cube(seed, rows, cols, bands)
+    mask = forward.gen_mask(rows, cols, bands, seed + 1, 0.5)
+    response = forward.average_response(bands, channels)
+    y = forward.add_noise(forward.simulate_cassi(cube, mask), 0.01, seed + 2)
+    z = forward.add_noise(forward.simulate_multiband(cube, response), 0.01, seed + 3)
+    return y, z, mask
+
+
+class TestCellPath:
+    """Base windows solved from cell statistics against the per-window path."""
+
+    @pytest.mark.parametrize(
+        "shape,rank,config",
+        [
+            ((18, 14), 3, FusionConfig(3, 9, 7, 4)),  # rectangular; stride divides neither side
+            ((23, 19), 3, FusionConfig(3, 8, 8, 5)),  # clamped border windows on both axes
+            ((20, 20), 2, FusionConfig(2, 8, 8, 3)),  # rank 2 of 3 noisy channels
+        ],
+        ids=["rectangular", "clamped", "rank-below-channels"],
+    )
+    def test_matches_per_window_reference(self, monkeypatch, per_window_calls, shape, rank,
+                                          config):
+        y, z, mask = noisy_instance(90, *shape)
+        stats = []
+        fast = fusion.pfuse(y, z, mask, config, stats=stats)
+        assert per_window_calls == []
+        ref, ref_stats = per_window_reference(monkeypatch, y, z, mask, config)
+        assert np.abs(fast - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert [s.origin for s in stats] == [s.origin for s in ref_stats]
+        for s, r in zip(stats, ref_stats):
+            assert (s.rank, s.solver) == (rank, "cholesky") == (r.rank, r.solver)
+            assert abs(s.residual - r.residual) <= 1e-12 * r.residual
+            fit, ref_fit = s.basis @ s.coefficients, r.basis @ r.coefficients
+            assert np.abs(fit - ref_fit).max() <= 1e-12 * np.abs(ref_fit).max()
+
+    def test_flat_scene_uses_per_window_path(self, per_window_calls):
+        # rank 1 data at rank 3: every window fails the eigenvalue guard
+        cube = np.full((16, 16, 6), 0.3)
+        mask = forward.gen_mask(16, 16, 6, 92, 0.5)
+        y = forward.simulate_cassi(cube, mask)
+        z = forward.simulate_multiband(cube, forward.average_response(6, 3))
+        config = FusionConfig(rank=3, patch_rows=8, patch_cols=8, stride=4)
+        stats = []
+        fusion.pfuse(y, z, mask, config, stats=stats)
+        assert origins_of(per_window_calls, mask, config) == [s.origin for s in stats]
+        assert all(s.rank == 1 for s in stats)
+
+    def test_zero_windows_use_per_window_path(self, per_window_calls):
+        cube = two_zone_cube(93, 24, 8, 8, 8, 6, rank=2)
+        mask = forward.gen_mask(24, 24, 6, 94, 0.5)
+        response = forward.average_response(6, 2)
+        y = forward.simulate_cassi(cube, mask)
+        z = forward.simulate_multiband(cube, response)
+        config = FusionConfig(rank=2, patch_rows=8, patch_cols=8, stride=4)
+        stats = []
+        xhat = fusion.pfuse(y, z, mask, config, stats=stats)
+        zero = [s.origin for s in stats if not z[s.origin[0] : s.origin[0] + 8,
+                                                s.origin[1] : s.origin[1] + 8].any()]
+        assert zero and origins_of(per_window_calls, mask, config) == zero
+        assert [s.origin for s in stats if s.rank == 0] == zero
+        assert rel_err(xhat, cube) < 1e-8
+
+    @pytest.mark.parametrize(
+        "sigmas,rank,per_window",
+        [
+            ((3.0, 1.0, 1.0), 2, True),  # tied 2nd and 3rd: no gap below the rank
+            ((3.0, 1.0 + 1e-7, 1.0), 2, True),  # gap 2e-7 < 1e-6 * 9
+            ((1.0, 1.0, 1e-4), 3, True),  # lambda_3 = 1e-8 < 1e-6 * lambda_1
+            ((3.0, 1.0, 0.5), 2, False),
+            ((1.0, 1.0, 2e-3), 3, False),  # lambda_3 = 4e-6
+        ],
+    )
+    def test_eigenvalue_guards(self, monkeypatch, per_window_calls, sigmas, rank, per_window):
+        # one 12x12 window whose multiband unfolding has the given singular values
+        rng = np.random.default_rng(99)
+        q = np.linalg.qr(rng.standard_normal((144, 3)))[0]
+        z = core.fold3((q * np.array(sigmas)).T, 12, 12)
+        mask = forward.gen_mask(12, 12, 6, 100, 0.5)
+        y = rng.random((12, 12))
+        config = FusionConfig(rank, 12, 12, 12)
+        stats = []
+        xhat = fusion.pfuse(y, z, mask, config, stats=stats)
+        assert origins_of(per_window_calls, mask, config) == ([(0, 0)] if per_window else [])
+        assert stats[0].rank == rank
+        ref, _ = per_window_reference(monkeypatch, y, z, mask, config)
+        if not per_window:
+            assert np.abs(xhat - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_zero_mask_window_raises_as_per_window_path(self, monkeypatch, per_window_calls):
+        # the last window sees no mask at all: its system is zero
+        y, z, mask = noisy_instance(95, 16, 16)
+        mask = mask.copy()
+        mask[8:, 8:] = 0.0
+        config = FusionConfig(rank=3, patch_rows=8, patch_cols=8, stride=4)
+        with pytest.raises(RankDeficiencyError) as fast:
+            fusion.pfuse(y, z, mask, config)
+        assert origins_of(per_window_calls, mask, config) == [(8, 8)]
+        with pytest.raises(RankDeficiencyError) as ref:
+            per_window_reference(monkeypatch, y, z, mask, config)
+        assert str(fast.value) == str(ref.value)
+        assert str(fast.value).startswith("patch at origin (8, 8): ")
+        assert fast.value.column == ref.value.column
+
+    def test_near_dependent_mask_uses_per_window_path(self, monkeypatch, per_window_calls):
+        # in the last window mask band 3 is band 2 up to 1e-5: rcond(G) fails the bound
+        y, z, mask = noisy_instance(96, 16, 16)
+        mask = mask.copy()
+        rng = np.random.default_rng(97)
+        mask[8:, 8:, 3] = mask[8:, 8:, 2] + 1e-5 * rng.standard_normal((8, 8))
+        config = FusionConfig(rank=3, patch_rows=8, patch_cols=8, stride=4)
+        stats = []
+        xhat = fusion.pfuse(y, z, mask, config, stats=stats)
+        assert origins_of(per_window_calls, mask, config) == [(8, 8)]
+        assert [s.origin for s in stats if s.solver == "qr"] == [(8, 8)]
+        ref, _ = per_window_reference(monkeypatch, y, z, mask, config)
+        assert np.abs(xhat - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize(
+        "name,value,dead,message",
+        [("z", np.nan, False, "matrix contains non-finite entries"),
+         ("z", np.inf, True, "matrix contains non-finite entries"),
+         ("y", np.nan, False, "right-hand side contains non-finite entries"),
+         ("y", np.nan, True, "right-hand side contains non-finite entries"),
+         ("mask", np.nan, False, "system matrix contains non-finite entries")],
+        ids=["z-nan", "z-inf-dead-pixel", "y-nan", "y-nan-dead-pixel", "mask-nan"],
+    )
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_non_finite_input_names_first_origin(self, monkeypatch, name, value, dead, message,
+                                                 workers):
+        # pixel (10, 5) lies in windows (4, 0), (4, 4), (8, 0) and (8, 4); (4, 0) comes first;
+        # a dead pixel has an all-zero mask spectrum, so its value is multiplied by zeros
+        data = {key: v.copy() for key, v in zip(("y", "z", "mask"), noisy_instance(98, 16, 16))}
+        if dead:
+            data["mask"][10, 5] = 0.0
+        data[name][10, 5] = value
+        config = FusionConfig(rank=3, patch_rows=8, patch_cols=8, stride=4)
+        with pytest.raises(ValueError) as fast:
+            fusion.pfuse(data["y"], data["z"], data["mask"], config, workers=workers)
+        with pytest.raises(ValueError) as ref:
+            per_window_reference(monkeypatch, data["y"], data["z"], data["mask"], config)
+        assert str(fast.value) == str(ref.value) == f"patch at origin (4, 0): {message}"
 
 
 def stacked_reference(y, mask, w, z, response):
