@@ -295,8 +295,9 @@ def _run_reconstruct(args):
     m, n = _parse_patch(args.patch)
     config = _fusion_config(args, args.rank, m, n)
     threads = _threads(args)
-    y, z, mask = _load_measurements(args)
+    # a bad response file fails before the cubes are read; pfuse checks its bands
     response = hio.load_response(args.response) if args.response else None
+    y, z, mask = _load_measurements(args)
     start = time.perf_counter()
     xhat = fusion.pfuse(y, z, mask, config, workers=threads, response=response)
     wall = time.perf_counter() - start

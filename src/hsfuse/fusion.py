@@ -24,8 +24,9 @@ improved ones, take the per-window path: own SVD, sensing matrix and solve.
 
 The improved (joint) solve adds the multiband measurement's rows to that
 system. They all lie in the span of W's k row directions, so the
-channels*pixels multiband rows reduce exactly to k*channels rows before the
-pivoted-QR solve, and its cost stays close to the base solve's.
+channels*pixels multiband rows reduce exactly to k*channels rows, and the
+reduced system is solved like a base window's own: by the guarded
+normal equations, falling back to pivoted QR.
 
 The layout of vec(E) is defined operationally: stacking E column by column
 makes ``assemble_phi_w(C, W) @ vec(E)`` equal the pixel-major ravel of
@@ -112,9 +113,9 @@ class PatchStats:
 
     ``coefficients``/``basis``/``solver`` are None for all-zero patches,
     which are reconstructed as zero without a solve. ``solver`` is
-    ``"cholesky"`` when the base solve kept its normal-equation answer (from
-    cell statistics or the patch's own system), ``"qr"`` when it fell back to
-    pivoted QR (always, for the joint solve).
+    ``"cholesky"`` when the solve kept its normal-equation answer (from cell
+    statistics or the patch's own base or joint system), ``"qr"`` when it
+    fell back to pivoted QR.
     ``residual`` is the 2-norm residual of the patch's least-squares
     system: the coded rows, plus for the joint solve all channels*pixels
     multiband rows (not only the reduced rows that were factored).
@@ -206,31 +207,32 @@ def _joint_response(response, bands, channels):
 def _solve(y, mask, w, z, response):
     """Least-squares basis solve as a :class:`numeric.LstsqResult`.
 
-    Without ``response`` this is the base system, solved through the normal
-    equations with their pivoted-QR fallback. With it (already checked by
-    :func:`_joint_response`) the multiband rows join the system, and the
-    joint system is solved by pivoted QR on its exact multiband reduction:
-    reordered with all channels of pixel 0 first, the multiband rows are
+    Without ``response`` this is the base system. With it (already checked
+    by :func:`_joint_response`) the multiband rows join the system in their
+    exact reduction: reordered with all channels of pixel 0 first, they are
     kron(W.T, A.T), and with the thin QR W.T = Q R that is
     kron(Q, I) @ kron(R, A.T), where kron(Q, I) has orthonormal columns. So
     the channels*pixels multiband rows can be replaced by the k*channels
     rows kron(R, A.T) against vec(Z Q) (Z the channels x pixels unfolding
     of z) without changing the Gram matrix, the column norms or the
     least-squares answer; the part of Z outside span(Q) is added back to
-    the residual, which stays the stacked system's.
+    the residual, which stays the stacked system's. Either system is solved
+    by :func:`numeric.normal_lstsq`: Cholesky on the normal equations, or
+    pivoted QR when its rcond guard declines them. The joint Gram is the
+    base Gram plus a positive semidefinite term, which never lowers its
+    smallest eigenvalue.
     """
     phi = assemble_phi_w(mask, w)
     rhs = y.ravel(order="F")
-    if response is None:
-        return numeric.normal_lstsq(phi, rhs)
-    q, r = np.linalg.qr(w.T)
-    zmat = core.unfold3(z)
-    zq = zmat @ q
-    sol = numeric.lstsq(
-        np.vstack((phi, np.kron(r, response.T))),
-        np.concatenate((rhs, zq.ravel(order="F"))),
-    )
-    outside = np.linalg.norm(zmat - zq @ q.T)
+    outside = 0.0
+    if response is not None:
+        q, r = np.linalg.qr(w.T)
+        zmat = core.unfold3(z)
+        zq = zmat @ q
+        phi = np.vstack((phi, np.kron(r, response.T)))
+        rhs = np.concatenate((rhs, zq.ravel(order="F")))
+        outside = np.linalg.norm(zmat - zq @ q.T)
+    sol = numeric.normal_lstsq(phi, rhs)
     return sol._replace(residual=float(np.hypot(sol.residual, outside)))
 
 
@@ -242,10 +244,9 @@ def solve_basis(y, mask, w, improved=False, z=None, response=None):
     phi_W is well conditioned, by pivoted QR otherwise
     (:func:`numeric.normal_lstsq`). With ``improved=True`` the multiband
     measurement joins the system through its own structured matrix
-    (:func:`assemble_phi_rgb`), and the joint least-squares problem is
-    solved by pivoted QR on an exact reduction of the multiband rows to
-    k*channels rows; W need not have orthonormal rows. On consistent data
-    both paths give the same E @ W.
+    (:func:`assemble_phi_rgb`), reduced exactly to k*channels rows, and the
+    joint least-squares problem is solved the same way; W need not have
+    orthonormal rows. On consistent data both paths give the same E @ W.
     """
     y = np.asarray(y, dtype=np.float64)
     mask = core.check_cube(mask, "mask")

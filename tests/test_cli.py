@@ -198,6 +198,48 @@ class TestReconstruct:
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1] == blobs[2]
 
+    def test_improved_threads_and_manifest_rerun_reproduce_bytes(self, scene, tmp_path):
+        # the joint path solves its windows on the worker pool; noise keeps each solve inexact
+        cube, truth, _ = scene
+        sim = tmp_path / "noisy"
+        assert run("simulate", "--in", truth, "--mask-seed", 5, "--noise-sigma", 0.01,
+                   "--out-dir", sim) == 0
+        blobs = []
+        for threads in (1, 2, 8):
+            out = tmp_path / f"x{threads}.hsc"
+            assert run("reconstruct", "--y", sim / "y.hsc", "--z", sim / "z.hsc",
+                       "--mask", sim / "mask.hsc", "--patch", 12, "--stride", 6, "--improved",
+                       "--response", sim / "response.txt", "--threads", threads,
+                       "--out", out) == 0
+            blobs.append(out.read_bytes())
+        assert blobs[0] == blobs[1] == blobs[2]
+        entries = hio.read_manifest(tmp_path / "x1.hsc.manifest.txt")
+        assert (entries["improved"], entries["response"]) == ("true", str(sim / "response.txt"))
+        rerun = tmp_path / "rerun.hsc"
+        assert run("reconstruct", "--config", tmp_path / "x1.hsc.manifest.txt", "--threads", 8,
+                   "--out", rerun) == 0
+        assert rerun.read_bytes() == blobs[0]
+
+    @pytest.mark.parametrize("improved", [False, True], ids=["base", "improved"])
+    def test_m_psnr_non_increasing_in_noise_sigma(self, tmp_path, improved):
+        # one mask seed and one noise seed: each sigma scales the same noise draw
+        truth = tmp_path / "truth.hsc"
+        hio.write_cube(smooth_spectra_cube(5, 24, 24, 12), truth)
+        psnrs = []
+        for sigma in (0, 0.005, 0.01, 0.02):
+            sim = tmp_path / f"sim{sigma}"
+            assert run("simulate", "--in", truth, "--mask-seed", 3, "--noise-seed", 4,
+                       "--noise-sigma", sigma, "--out-dir", sim) == 0
+            joint = ("--improved", "--response", sim / "response.txt") if improved else ()
+            assert run("reconstruct", "--y", sim / "y.hsc", "--z", sim / "z.hsc",
+                       "--mask", sim / "mask.hsc", "--patch", 12, "--stride", 6, *joint,
+                       "--out", sim / "xhat.hsc") == 0
+            assert run("eval", "--ref", truth, "--est", sim / "xhat.hsc",
+                       "--out", sim / "eval.csv") == 0
+            psnrs.append(float(read_csv(sim / "eval.csv")[0]["m_psnr"]))
+        assert psnrs == sorted(psnrs, reverse=True)
+        assert psnrs[0] > psnrs[-1] + 5.0
+
     def test_manifest_rerun_reproduces_bytes(self, scene, tmp_path):
         cube, truth, out_dir = scene
         out = tmp_path / "xhat.hsc"
@@ -627,6 +669,26 @@ class TestEarlyRejection:
                    out)
         assert code == cli.EXIT_USAGE
         assert message in capsys.readouterr().err
+        assert reads == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("payload", [None, "31 3\n0.1 0.2 0.3\n"],
+                             ids=["missing", "malformed"])
+    def test_bad_response_file_rejected_before_reading(self, scene, tmp_path, monkeypatch,
+                                                       capsys, payload):
+        reads = []
+        read_cube = hio.read_cube
+        monkeypatch.setattr(hio, "read_cube", lambda path: reads.append(path) or read_cube(path))
+        _, _, out_dir = scene
+        resp = tmp_path / "resp.txt"
+        if payload is not None:
+            resp.write_text(payload)
+        out = tmp_path / "out.hsc"
+        code = run("reconstruct", "--y", out_dir / "y.hsc", "--z", out_dir / "z.hsc",
+                   "--mask", out_dir / "mask.hsc", "--patch", 12, "--improved",
+                   "--response", resp, "--out", out)
+        assert code == cli.EXIT_IO
+        assert str(resp) in capsys.readouterr().err
         assert reads == []
         assert not out.exists()
 

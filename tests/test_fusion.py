@@ -381,7 +381,7 @@ class TestPfuse:
                      response=response, stats=joint)
         # right-hand patches are all zero and skip the solve
         assert [s.solver for s in base] == ["cholesky", None, "cholesky", None]
-        assert [s.solver for s in joint] == ["qr", None, "qr", None]
+        assert [s.solver for s in joint] == ["cholesky", None, "cholesky", None]
 
     def test_workers_capped_at_patch_count(self, monkeypatch, pool_sizes, four_patches):
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
@@ -707,30 +707,35 @@ def noisy_joint_instance(seed, rows=12, cols=10, bands=6, rank=2, channels=3):
 
 
 class TestJointSolver:
-    """The reduced joint solve against the stacked pivoted-QR system it replaces."""
+    """The reduced joint solve, by the normal equations, against the stacked pivoted-QR
+    system it replaces and against its own reduction solved by pivoted QR."""
 
-    def check_against_reference(self, y, z, mask, response, w):
+    def check_against_reference(self, monkeypatch, y, z, mask, response, w):
         ref = stacked_reference(y, mask, w, z, response)
         x = fusion.solve_basis(y, mask, w, improved=True, z=z, response=response)
+        with monkeypatch.context() as patched:
+            patched.setattr(fusion.numeric, "normal_lstsq", fusion.numeric.lstsq)
+            x_qr = fusion.solve_basis(y, mask, w, improved=True, z=z, response=response)
+        assert np.abs(x - x_qr).max() <= 1e-12 * np.abs(x_qr).max()
         x = x.reshape(-1, order="F")
         assert np.linalg.norm(x - ref.x) <= 1e-12 * np.linalg.norm(ref.x)
         phi = np.vstack((fusion.assemble_phi_w(mask, w), fusion.assemble_phi_rgb(response, w)))
         rhs = np.concatenate((y.ravel(order="F"), z.ravel(order="F")))
         assert abs(np.linalg.norm(rhs - phi @ x) - ref.residual) <= 1e-12 * ref.residual
 
-    def test_orthonormal_coefficients(self):
+    def test_orthonormal_coefficients(self, monkeypatch):
         y, z, mask, response = noisy_joint_instance(70, rank=3)
         w = fusion.estimate_coefficients(z, 3).coefficients
-        self.check_against_reference(y, z, mask, response, w)
+        self.check_against_reference(monkeypatch, y, z, mask, response, w)
 
-    def test_general_coefficients(self):
+    def test_general_coefficients(self, monkeypatch):
         # rows neither orthonormal nor of equal scale: the R factor carries them
         y, z, mask, response = noisy_joint_instance(71)
         rng = np.random.default_rng(72)
         w = rng.standard_normal((2, 120)) * np.array([[5.0], [0.2]])
-        self.check_against_reference(y, z, mask, response, w)
+        self.check_against_reference(monkeypatch, y, z, mask, response, w)
 
-    def test_rank_shrunk_coefficients(self):
+    def test_rank_shrunk_coefficients(self, monkeypatch):
         rng = np.random.default_rng(73)
         cube, _, _ = low_rank_cube(73, 12, 10, 6, 1)
         mask = forward.gen_mask(12, 10, 6, 74, 0.5)
@@ -739,12 +744,12 @@ class TestJointSolver:
         z = forward.simulate_multiband(cube, response)
         est = fusion.estimate_coefficients(z, 3)
         assert est.rank == 1
-        self.check_against_reference(y, z, mask, response, est.coefficients)
+        self.check_against_reference(monkeypatch, y, z, mask, response, est.coefficients)
 
-    def test_one_channel_response(self):
+    def test_one_channel_response(self, monkeypatch):
         y, z, mask, response = noisy_joint_instance(76, rank=1, channels=1)
         w = fusion.estimate_coefficients(z, 1).coefficients
-        self.check_against_reference(y, z, mask, response, w)
+        self.check_against_reference(monkeypatch, y, z, mask, response, w)
 
     def test_patch_stats_report_stacked_residual(self):
         # rank 2 of 3 noisy channels: part of z lies outside the coefficients' span
@@ -757,12 +762,69 @@ class TestJointSolver:
             i0, j0 = s.origin
             window = (slice(i0, i0 + 8), slice(j0, j0 + 8))
             ref = stacked_reference(y[window], mask[window], s.coefficients, z[window], response)
-            assert s.solver == "qr"
+            assert s.solver == "cholesky"
             assert abs(s.residual - ref.residual) <= 1e-12 * ref.residual
             assert np.linalg.norm(s.basis.reshape(-1, order="F") - ref.x) <= (
                 1e-12 * np.linalg.norm(ref.x))
 
-    def test_zero_mask_still_rank_deficient(self):
+    @pytest.mark.parametrize("case", ["orthonormal", "general", "rank-shrunk", "one-channel"])
+    def test_pfuse_matches_qr_reference(self, monkeypatch, case):
+        # nine overlapping 8x8 windows of a 16x16 scene, each kept on Cholesky
+        if case == "orthonormal":  # noisy exact rank-3 scene at rank 3
+            y, z, mask, response = noisy_joint_instance(81, rows=16, cols=16, rank=3)
+            rank = 3
+        elif case == "general":  # noisy smooth full-rank scene at rank 2 of 3 channels
+            y, z, mask = noisy_instance(82, 16, 16)
+            response, rank = forward.average_response(6, 3), 2
+        elif case == "rank-shrunk":  # rank-1 scene at rank 3: every window shrinks to 1
+            rng = np.random.default_rng(83)
+            cube, _, _ = low_rank_cube(83, 16, 16, 6, 1)
+            mask = forward.gen_mask(16, 16, 6, 84, 0.5)
+            response = rng.random((6, 3))
+            y = forward.add_noise(forward.simulate_cassi(cube, mask), 0.05, 85)
+            z = forward.simulate_multiband(cube, response)
+            rank = 3
+        else:
+            y, z, mask, response = noisy_joint_instance(86, rows=16, cols=16, rank=1,
+                                                        channels=1)
+            rank = 1
+        config = FusionConfig(rank, 8, 8, 4, improved=True)
+        stats = []
+        fast = fusion.pfuse(y, z, mask, config, response=response, stats=stats)
+        ref, ref_stats = per_window_reference(monkeypatch, y, z, mask, config,
+                                              response=response, qr=True)
+        assert [s.solver for s in stats] == ["cholesky"] * 9
+        assert [s.solver for s in ref_stats] == ["qr"] * 9
+        assert [s.rank for s in stats] == [s.rank for s in ref_stats] == (
+            [1] * 9 if case == "rank-shrunk" else [rank] * 9)
+        assert np.abs(fast - ref).max() <= 1e-12 * np.abs(ref).max()
+        for s, r in zip(stats, ref_stats):
+            assert abs(s.residual - r.residual) <= 1e-12 * r.residual
+
+    def test_ill_conditioned_window_falls_back(self, monkeypatch):
+        # mask band 3 is band 2 up to 1e-5 and both bands share one response row, so
+        # neither camera separates them: rcond(G) fails the Cholesky bound
+        rng = np.random.default_rng(87)
+        cube, _, _ = low_rank_cube(87, 12, 12, 6, 2)
+        mask = forward.gen_mask(12, 12, 6, 88, 0.5).copy()
+        mask[:, :, 3] = mask[:, :, 2] + 1e-5 * rng.standard_normal((12, 12))
+        response = rng.random((6, 2))
+        y = forward.simulate_cassi(cube, mask)
+        config = FusionConfig(rank=2, patch_rows=12, patch_cols=12, stride=12, improved=True)
+        separated = []
+        fusion.pfuse(y, forward.simulate_multiband(cube, response), mask, config,
+                     response=response, stats=separated)
+        assert [s.solver for s in separated] == ["cholesky"]
+        response[3] = response[2]
+        z = forward.simulate_multiband(cube, response)
+        stats = []
+        xhat = fusion.pfuse(y, z, mask, config, response=response, stats=stats)
+        ref, _ = per_window_reference(monkeypatch, y, z, mask, config, response=response,
+                                      qr=True)
+        assert [s.solver for s in stats] == ["qr"]
+        assert np.array_equal(xhat, ref)
+
+    def test_zero_mask_still_rank_deficient(self, monkeypatch):
         # 3 channels cannot pin 4 bands: k*channels < k*bands rows without the mask
         rng = np.random.default_rng(78)
         z, y = rng.random((8, 8, 3)), rng.random((8, 8))
@@ -773,16 +835,20 @@ class TestJointSolver:
         with pytest.raises(RankDeficiencyError):
             fusion.solve_basis(y, mask, w, improved=True, z=z, response=response)
         config = FusionConfig(rank=2, patch_rows=8, patch_cols=8, stride=8, improved=True)
-        with pytest.raises(RankDeficiencyError, match="origin \\(0, 0\\)"):
+        with pytest.raises(RankDeficiencyError, match="origin \\(0, 0\\)") as fast:
             fusion.pfuse(y, z, mask, config, response=response)
+        with pytest.raises(RankDeficiencyError) as ref:
+            per_window_reference(monkeypatch, y, z, mask, config, response=response, qr=True)
+        assert str(fast.value) == str(ref.value)
+        assert fast.value.column == ref.value.column
 
-    def test_multiband_rows_fill_the_mask_gap(self):
+    def test_multiband_rows_fill_the_mask_gap(self, monkeypatch):
         # with as many channels as bands the multiband rows alone give full rank
         rng = np.random.default_rng(79)
         z, y = rng.random((8, 8, 4)), rng.random((8, 8))
         mask, response = np.zeros((8, 8, 4)), rng.random((4, 4)) + np.eye(4)
         w = fusion.estimate_coefficients(z, 2).coefficients
-        self.check_against_reference(y, z, mask, response, w)
+        self.check_against_reference(monkeypatch, y, z, mask, response, w)
 
     @pytest.mark.parametrize(
         "response,message",
