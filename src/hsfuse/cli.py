@@ -116,9 +116,6 @@ def _analyze_flags(p):
     p.add_argument("--out", required=True, help="output CSV path")
 
 
-_IGNORED_CONFIG_KEYS = {"command", "version"}
-
-
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="hsfuse",
@@ -162,7 +159,7 @@ def _config_defaults(config_path, command, subparser):
         raise ValueError(f"config {config_path} was written for '{declared}', not '{command}'")
     defaults = {}
     for key, value in entries.items():
-        if key in _IGNORED_CONFIG_KEYS:
+        if key == "version":  # recorded in every manifest, but not a flag
             continue
         if key not in coercers:
             raise ValueError(f"config {config_path}: unknown key {key!r} for {command}")
@@ -209,7 +206,7 @@ def _parse_patch(text):
 def _fusion_config(args, rank, m, n):
     """FusionConfig of the fusion flags, at this rank and patch size."""
     stride = args.stride if args.stride is not None else core.default_stride(m, n)
-    return fusion.FusionConfig(rank, m, n, stride, args.improved)
+    return fusion.FusionConfig(rank, m, n, stride)
 
 
 def _threads(args):
@@ -393,7 +390,8 @@ def _run_sweep(args):
         if resp_spec != z_spec:
             z, z_spec = _multiband(truth, response, args), resp_spec
         start = time.perf_counter()
-        xhat = fusion.pfuse(y, z, mask, config, workers=threads, response=response)
+        xhat = fusion.pfuse(y, z, mask, config, workers=threads,
+                            response=response if args.improved else None)
         wall = time.perf_counter() - start
         report = metrics.evaluate(truth, xhat)
         report_rows.append(hio.ReportRow(scene, method, config.rank, config.patch_rows,

@@ -7,7 +7,7 @@ from a self-contained PCG-XSH-RR 32 generator, so a given seed produces
 bit-identical output on every platform, independent of numpy's own RNG.
 """
 
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
@@ -32,19 +32,14 @@ _MASK64 = (1 << 64) - 1
 _CHUNK = 1 << 15
 
 
-@lru_cache(maxsize=2)
-def _chunk_tables(length):
-    # apow[t] = MULT^t mod 2^64, qsum[t] = sum_{u<t} MULT^u mod 2^64;
-    # the trailing pair advances a state by `length` steps in one go.
-    apow = np.empty(length, dtype=np.uint64)
-    qsum = np.empty(length, dtype=np.uint64)
-    a, q = 1, 0
-    for t in range(length):
-        apow[t] = a
-        qsum[t] = q
-        a = (a * _PCG_MULT) & _MASK64
-        q = (q * _PCG_MULT + 1) & _MASK64
-    return apow, qsum, a, q
+@cache
+def _chunk_tables():
+    # apow[t] = MULT^t mod 2^64, qsum[t] = sum_{u<t} MULT^u mod 2^64 for
+    # t <= _CHUNK (uint64 arithmetic wraps mod 2^64, so both are exact)
+    apow = np.full(_CHUNK + 1, _PCG_MULT, dtype=np.uint64)
+    apow[0] = 1
+    np.multiply.accumulate(apow, out=apow)
+    return apow, np.cumsum(apow) - apow
 
 
 def _pcg_output(states):
@@ -80,17 +75,14 @@ class Pcg32:
         """Return the next ``count`` raw 32-bit outputs as a uint32 array."""
         if count < 0:
             raise ValueError("count must be nonnegative")
-        apow, qsum, a_step, q_step = _chunk_tables(_CHUNK)
+        apow, qsum = _chunk_tables()
         out = np.empty(count, dtype=np.uint32)
         filled = 0
         while filled < count:
             n = min(_CHUNK, count - filled)
             states = apow[:n] * np.uint64(self._state) + qsum[:n] * np.uint64(self._inc)
             out[filled : filled + n] = _pcg_output(states)
-            if n == _CHUNK:
-                self._state = (a_step * self._state + q_step * self._inc) & _MASK64
-            else:
-                self._state = (int(apow[n]) * self._state + int(qsum[n]) * self._inc) & _MASK64
+            self._state = (int(apow[n]) * self._state + int(qsum[n]) * self._inc) & _MASK64
             filled += n
         return out
 

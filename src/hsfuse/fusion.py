@@ -20,13 +20,13 @@ singular values and the system, a window keeps this answer only if its
 statistics are finite, its Gram is nonzero, its rank-th eigenvalue and the
 gap below it are at least ``numeric.CHOLESKY_RCOND_MIN`` times the largest,
 and the Cholesky solve passes that bound on rcond(G). Other windows, and all
-improved ones, take the per-window path: own SVD, sensing matrix and solve.
+joint ones, take the per-window path: own SVD, sensing matrix and solve.
 
-The improved (joint) solve adds the multiband measurement's rows to that
-system. They all lie in the span of W's k row directions, so the
-channels*pixels multiband rows reduce exactly to k*channels rows, and the
-reduced system is solved like a base window's own: by the guarded
-normal equations, falling back to pivoted QR.
+The improved (joint) solve, selected by passing the multiband response,
+adds the multiband measurement's rows to that system. They all lie in the
+span of W's k row directions, so the channels*pixels multiband rows reduce
+exactly to k*channels rows, and the reduced system is solved like a base
+window's own: by the guarded normal equations, falling back to pivoted QR.
 
 The layout of vec(E) is defined operationally: stacking E column by column
 makes ``assemble_phi_w(C, W) @ vec(E)`` equal the pixel-major ravel of
@@ -64,16 +64,15 @@ class FusionConfig:
     """Settings for patch-based fusion.
 
     ``rank`` is the spectral subspace dimension (bounded by the multiband
-    channel count), ``patch_rows``/``patch_cols``/``stride`` drive the
-    overlapping grid, and ``improved`` switches the basis solve to the joint
-    coded+multiband system.
+    channel count) and ``patch_rows``/``patch_cols``/``stride`` drive the
+    overlapping grid. Which basis solve runs is not a setting: passing a
+    response to :func:`pfuse` selects the joint coded+multiband system.
     """
 
     rank: int = 3
     patch_rows: int = 100
     patch_cols: int = 100
     stride: int = 50
-    improved: bool = False
 
     def __post_init__(self):
         if self.rank < 1:
@@ -193,8 +192,6 @@ def assemble_phi_rgb(response, w):
 
 def _joint_response(response, bands, channels):
     """The multiband response, checked against the mask's bands and z's channels."""
-    if response is None:
-        raise ValueError("the improved solve requires the multiband response")
     response = validate_response(response, bands=bands)
     if response.shape[1] != channels:
         raise ValueError(
@@ -236,14 +233,14 @@ def _solve(y, mask, w, z, response):
     return sol._replace(residual=float(np.hypot(sol.residual, outside)))
 
 
-def solve_basis(y, mask, w, improved=False, z=None, response=None):
+def solve_basis(y, mask, w, z=None, response=None):
     """Spectral basis from the coded image given coefficients W.
 
     Solves min ||vec(Y) - phi_W @ e|| by least squares and reshapes e to
     (bands, k): through the Cholesky-factored normal equations when
     phi_W is well conditioned, by pivoted QR otherwise
-    (:func:`numeric.normal_lstsq`). With ``improved=True`` the multiband
-    measurement joins the system through its own structured matrix
+    (:func:`numeric.normal_lstsq`). Given ``response`` and ``z``, the
+    multiband measurement joins the system through its own structured matrix
     (:func:`assemble_phi_rgb`), reduced exactly to k*channels rows, and the
     joint least-squares problem is solved the same way; W need not have
     orthonormal rows. On consistent data both paths give the same E @ W.
@@ -253,13 +250,13 @@ def solve_basis(y, mask, w, improved=False, z=None, response=None):
     w = np.asarray(w, dtype=np.float64)
     if y.ndim != 2 or y.shape != mask.shape[:2]:
         raise ValueError(f"coded image shape {y.shape} does not match mask {mask.shape[:2]}")
-    if improved:
+    if response is not None:
         if z is None:
-            raise ValueError("the improved solve requires the multiband measurement")
+            raise ValueError("the joint solve requires the multiband measurement")
         z = core.check_cube(z, "multiband measurement")
         if z.shape[:2] != y.shape:
             raise ValueError(f"multiband shape {z.shape} does not match image {y.shape}")
-    response = _joint_response(response, mask.shape[2], z.shape[2]) if improved else None
+        response = _joint_response(response, mask.shape[2], z.shape[2])
     sol = _solve(y, mask, w, z, response)
     return sol.x.reshape(mask.shape[2], -1, order="F")
 
@@ -282,9 +279,7 @@ def _fuse_block(y, z, mask, rank, response):
     """Fusion of one window by its own solve; returns (F, (rank, residual, W, E, solver)),
     where the (bands, channels) map F = E @ S^-1 U.T turns multiband values into spectra."""
     bands, channels = mask.shape[2], z.shape[2]
-    if not z.any():
-        if y.any():
-            raise ValueError("multiband measurement is identically zero (rank 0)")
+    if not (z.any() or y.any()):
         # nothing was measured at all: the zero cube is the exact solution
         return np.zeros((bands, channels)), (0, 0.0, None, None, None)
     est = estimate_coefficients(z, rank)
@@ -356,29 +351,30 @@ def _cell_solves(y, z, mask, grid, rank, keep_stats):
         yield index, basis @ m, record
 
 
-def fuse(y, z, mask, rank, improved=False, response=None):
+def fuse(y, z, mask, rank, response=None):
     """Global fusion of one coded and one multiband measurement.
 
     Coefficients come from the multiband image, the spectral basis from the
-    coded image; the reconstruction is fold3(E @ W). This is :func:`pfuse`
-    with one window covering the whole image, so it requires more pixels
-    than basis unknowns (rows*cols > rank*bands).
+    coded image, jointly with the multiband one if ``response`` is given.
+    This is :func:`pfuse` with one window covering the whole image, so it
+    requires more pixels than basis unknowns (rows*cols > rank*bands).
     """
     y, z, mask = _check_measurements(y, z, mask)
     rows, cols, bands = mask.shape
     if rows * cols <= rank * bands:
         raise ValueError(f"image area {rows * cols} must exceed rank*bands = {rank * bands}")
-    config = FusionConfig(rank, rows, cols, min(rows, cols), improved)
+    config = FusionConfig(rank, rows, cols, min(rows, cols))
     return pfuse(y, z, mask, config, response=response)
 
 
 def pfuse(y, z, mask, config, workers=1, response=None, stats=None):
     """Patch-based fusion over an overlapping grid, averaged on overlaps.
 
-    Base windows are solved from cell statistics on the calling thread, the
-    rest by the per-window path (with ``workers`` > 1 on a pool of at most
-    one thread per such window and per CPU). :func:`core.aggregate` averages
-    the maps in grid order: the output is bit-identical for any worker count.
+    A ``response`` selects the joint solve. Base windows are solved from
+    cell statistics on the calling thread, the rest by the per-window path
+    (with ``workers`` > 1 on a pool of at most one thread per such window
+    and per CPU). :func:`core.aggregate` averages the maps in grid order:
+    the output is bit-identical for any worker count.
     Rank-deficient multiband patches are solved at their effective rank;
     all-zero patches reconstruct as zero. Pass a list as ``stats`` to
     receive one :class:`PatchStats` per patch, in grid order.
@@ -389,9 +385,9 @@ def pfuse(y, z, mask, config, workers=1, response=None, stats=None):
     """
     y, z, mask = _check_measurements(y, z, mask)
     grid = config.grid(mask.shape, z.shape[2])
-    response = _joint_response(response, mask.shape[2], z.shape[2]) if config.improved else None
+    response = None if response is None else _joint_response(response, mask.shape[2], z.shape[2])
     maps, records = [None] * len(grid.origins), [None] * len(grid.origins)
-    if not config.improved:
+    if response is None:
         for index, fmap, record in _cell_solves(y, z, mask, grid, config.rank, stats is not None):
             maps[index], records[index] = fmap, record
     pending = [index for index, fmap in enumerate(maps) if fmap is None]

@@ -52,14 +52,14 @@ def write_cube(cube, path):
     if not np.isfinite(cube).all():
         raise FormatError("cube contains non-finite values")
     with np.errstate(over="ignore"):
-        payload = cube.transpose(2, 0, 1).astype("<f4")
+        payload = cube.transpose(2, 0, 1).astype("<f4", order="C")
     if not np.isfinite(payload).all():
         raise FormatError("cube values overflow float32")
     rows, cols, bands = cube.shape
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<III", rows, cols, bands))
-        fh.write(payload.tobytes(order="C"))
+        fh.write(payload)
 
 
 def read_cube(path):

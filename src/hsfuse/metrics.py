@@ -85,8 +85,8 @@ def _check_pair(ref, est):
     return ref, est
 
 
-def band_psnr(ref, est, peak=1.0, cap_db=PSNR_CAP_DB):
-    """Per-band PSNR in dB, capped at ``cap_db``.
+def band_psnr(ref, est, peak=1.0):
+    """Per-band PSNR in dB, capped at ``PSNR_CAP_DB``, which zero-error bands take.
 
     Parameters
     ----------
@@ -95,9 +95,6 @@ def band_psnr(ref, est, peak=1.0, cap_db=PSNR_CAP_DB):
     peak : float or None
         Peak signal value (see :func:`check_peak`). ``None`` uses each
         band's reference maximum.
-    cap_db : float
-        Upper bound on the reported value; bands with zero error take the
-        cap exactly.
     """
     ref, est = _check_pair(ref, est)
     if peak is None:
@@ -111,20 +108,20 @@ def band_psnr(ref, est, peak=1.0, cap_db=PSNR_CAP_DB):
         peaks = np.full(ref.shape[2], check_peak(peak))
     diff = ref - est
     mse = np.mean(diff * diff, axis=(0, 1))
-    out = np.full(mse.shape, float(cap_db))
+    out = np.full(mse.shape, PSNR_CAP_DB)
     nz = mse > 0
-    out[nz] = np.minimum(10.0 * np.log10(peaks[nz] ** 2 / mse[nz]), cap_db)
+    out[nz] = np.minimum(10.0 * np.log10(peaks[nz] ** 2 / mse[nz]), PSNR_CAP_DB)
     return out
 
 
-def m_psnr(ref, est, peak=1.0, cap_db=PSNR_CAP_DB):
+def m_psnr(ref, est, peak=1.0):
     """Mean over bands of the per-band PSNR, in dB."""
-    return float(band_psnr(ref, est, peak, cap_db).mean())
+    return float(band_psnr(ref, est, peak).mean())
 
 
-def _gaussian_taps(size=_SSIM_WINDOW, sigma=_SSIM_SIGMA):
-    coords = np.arange(size) - (size - 1) / 2.0
-    g = np.exp(-(coords**2) / (2.0 * sigma**2))
+def _gaussian_taps():
+    coords = np.arange(_SSIM_WINDOW) - (_SSIM_WINDOW - 1) / 2.0
+    g = np.exp(-(coords**2) / (2.0 * _SSIM_SIGMA**2))
     return g / g.sum()
 
 

@@ -102,7 +102,7 @@ def test_criterion_3_least_squares_optimality():
         z_t = forward.add_noise(forward.simulate_multiband(scene, resp_t), 0.02, 2 * trial + 1)
         w_t = fusion.estimate_coefficients(z_t, k).coefficients
         base = fusion.solve_basis(y_t, mask_t, w_t)
-        joint = fusion.solve_basis(y_t, mask_t, w_t, improved=True, z=z_t, response=resp_t)
+        joint = fusion.solve_basis(y_t, mask_t, w_t, z=z_t, response=resp_t)
         phi = np.vstack(
             [fusion.assemble_phi_w(mask_t, w_t), fusion.assemble_phi_rgb(resp_t, w_t)]
         )
@@ -203,7 +203,7 @@ def test_criterion_7_runtime_envelope():
     xhat = fusion.pfuse(y, z, mask, config, workers=1)
     t_base = time.perf_counter() - start
     config_joint = FusionConfig(
-        rank=3, patch_rows=100, patch_cols=100, stride=50, improved=True
+        rank=3, patch_rows=100, patch_cols=100, stride=50
     )
     # stats only on the joint call: on the base call they add per-window residuals
     stats = []

@@ -294,6 +294,28 @@ class TestReconstruct:
                    "--out", tmp_path / "x.hsc")
         assert code == cli.EXIT_NUMERIC
 
+    @pytest.mark.parametrize(
+        "y_shape,flags,message",
+        [
+            (None, ("--patch", "1,2,3"), "--patch takes m or m,n, got '1,2,3'"),
+            ((24, 24, 2), (), "coded measurement must have 1 band, got 2"),
+            ((24, 20, 1), ("--patch", 12), "inconsistent spatial shapes"),
+        ],
+        ids=["three-part-patch", "two-band-y", "spatial-shapes"],
+    )
+    def test_bad_input_rejected(self, scene, tmp_path, capsys, y_shape, flags, message):
+        _, _, out_dir = scene
+        y = out_dir / "y.hsc"
+        if y_shape is not None:
+            y = tmp_path / "bad_y.hsc"
+            hio.write_cube(np.ones(y_shape), y)
+        out = tmp_path / "x.hsc"
+        code = run("reconstruct", "--y", y, "--z", out_dir / "z.hsc",
+                   "--mask", out_dir / "mask.hsc", *flags, "--out", out)
+        assert code == cli.EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEval:
     def test_self_evaluation(self, scene, tmp_path):
@@ -510,6 +532,7 @@ class TestSweep:
             ("patch", "12,0", "patch value '0'"),
             ("patch", "12,48", "patch 48x48 exceeds image 24x24"),
             ("response", "average:2;single:0", "rank 2 exceeds the channel count 1"),
+            ("rank", ",", "--values is empty"),
         ],
     )
     def test_bad_value_rejected_before_simulating(self, tmp_path, monkeypatch, capsys,
@@ -628,8 +651,9 @@ class TestMalformedCubes:
             (hio.MAGIC + bytes(5), "truncated header"),
             (hio.MAGIC + struct.pack("<III", 24, 24, 13) + bytes(4 * 24 * 24 * 12),
              "expected 29968 bytes, found 27664"),
+            (hio.MAGIC + struct.pack("<III", 24, 0, 12), "invalid dimensions 24x0x12"),
         ],
-        ids=["short-header", "dimensions-mismatch-payload"],
+        ids=["short-header", "dimensions-mismatch-payload", "zero-dimension"],
     )
     @pytest.mark.parametrize("command", ["reconstruct", "eval"])
     def test_exit_3_names_the_file(self, scene, tmp_path, capsys, payload, message, command):
@@ -756,6 +780,26 @@ class TestConfigHandling:
                    "--out", first) == 0
         assert run("analyze", "--config", f"{first}.manifest.txt", "--out", again) == 0
         assert first.read_bytes() == again.read_bytes()
+
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("bogus = 1", "unknown key 'bogus' for reconstruct"),
+            ("rank = x", "bad value for 'rank': invalid literal for int()"),
+            ("improved = maybe", "bad value for 'improved': expected a boolean word, got 'maybe'"),
+        ],
+        ids=["unknown-key", "rank", "improved"],
+    )
+    def test_bad_config_entry_rejected(self, scene, tmp_path, capsys, line, message):
+        _, _, out_dir = scene
+        config = tmp_path / "config.txt"
+        config.write_text(f"command = reconstruct\n{line}\n")
+        out = tmp_path / "x.hsc"
+        code = run("reconstruct", "--config", config, "--y", out_dir / "y.hsc",
+                   "--z", out_dir / "z.hsc", "--mask", out_dir / "mask.hsc", "--out", out)
+        assert code == cli.EXIT_USAGE
+        assert f"config {config}: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_no_command_is_usage_error(self):
         assert run() == cli.EXIT_USAGE

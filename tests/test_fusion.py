@@ -1,5 +1,6 @@
 """Fusion pipeline tests: coefficients, structured systems, global and patch solves."""
 
+import dataclasses
 import os
 
 import numpy as np
@@ -52,7 +53,7 @@ def four_patches():
     response = rng.random((4, 2))
     y = forward.simulate_cassi(cube, mask)
     z = forward.simulate_multiband(cube, response)
-    config = FusionConfig(rank=2, patch_rows=5, patch_cols=5, stride=5, improved=True)
+    config = FusionConfig(rank=2, patch_rows=5, patch_cols=5, stride=5)
     return y, z, mask, config, response
 
 
@@ -191,7 +192,7 @@ class TestSolveBasis:
         y = forward.simulate_cassi(cube, mask)
         z = forward.simulate_multiband(cube, response)
         base = fusion.solve_basis(y, mask, coeff)
-        joint = fusion.solve_basis(y, mask, coeff, improved=True, z=z, response=response)
+        joint = fusion.solve_basis(y, mask, coeff, z=z, response=response)
         lhs, rhs = joint @ coeff, base @ coeff
         assert np.linalg.norm(lhs - rhs) < 1e-8 * np.linalg.norm(rhs)
 
@@ -206,7 +207,7 @@ class TestSolveBasis:
         y = forward.add_noise(forward.simulate_cassi(cube, mask), 0.02, 1)
         z = forward.add_noise(forward.simulate_multiband(cube, response), 0.02, 2)
         base = fusion.solve_basis(y, mask, coeff)
-        joint = fusion.solve_basis(y, mask, coeff, improved=True, z=z, response=response)
+        joint = fusion.solve_basis(y, mask, coeff, z=z, response=response)
         phi = np.vstack(
             [fusion.assemble_phi_w(mask, coeff), fusion.assemble_phi_rgb(response, coeff)]
         )
@@ -216,10 +217,11 @@ class TestSolveBasis:
         assert res_joint <= res_base + 1e-12 * res_base
 
     def test_improved_requires_side_data(self):
+        # a response selects the joint solve, which needs the multiband measurement too
         basis, coeff, mask = random_instance(26)
         y = np.zeros((6, 5))
-        with pytest.raises(ValueError, match="improved"):
-            fusion.solve_basis(y, mask, coeff, improved=True)
+        with pytest.raises(ValueError, match="the joint solve requires the multiband measurement"):
+            fusion.solve_basis(y, mask, coeff, response=np.ones((4, 3)))
 
 
 class TestFuse:
@@ -377,7 +379,7 @@ class TestPfuse:
         config = FusionConfig(rank=2, patch_rows=8, patch_cols=8, stride=8)
         base, joint = [], []
         fusion.pfuse(y, z, mask, config, stats=base)
-        fusion.pfuse(y, z, mask, FusionConfig(2, 8, 8, 8, improved=True),
+        fusion.pfuse(y, z, mask, FusionConfig(2, 8, 8, 8),
                      response=response, stats=joint)
         # right-hand patches are all zero and skip the solve
         assert [s.solver for s in base] == ["cholesky", None, "cholesky", None]
@@ -390,7 +392,7 @@ class TestPfuse:
                               fusion.pfuse(y, z, mask, config, workers=1, response=response))
         assert pool_sizes == [4]
         # one window: solved without a pool
-        fusion.fuse(y, z, mask, 2, improved=True, response=response)
+        fusion.fuse(y, z, mask, 2, response=response)
         assert pool_sizes == [4]
 
     def test_cell_path_starts_no_pool(self, monkeypatch, pool_sizes, four_patches):
@@ -428,7 +430,8 @@ class TestFusionConfig:
     def test_defaults(self):
         config = FusionConfig()
         assert (config.rank, config.patch_rows, config.patch_cols, config.stride) == (3, 100, 100, 50)
-        assert config.improved is False
+        assert [f.name for f in dataclasses.fields(FusionConfig)] == [
+            "rank", "patch_rows", "patch_cols", "stride"]
 
     def test_stride_bounds(self):
         with pytest.raises(ValueError, match="stride"):
@@ -712,10 +715,10 @@ class TestJointSolver:
 
     def check_against_reference(self, monkeypatch, y, z, mask, response, w):
         ref = stacked_reference(y, mask, w, z, response)
-        x = fusion.solve_basis(y, mask, w, improved=True, z=z, response=response)
+        x = fusion.solve_basis(y, mask, w, z=z, response=response)
         with monkeypatch.context() as patched:
             patched.setattr(fusion.numeric, "normal_lstsq", fusion.numeric.lstsq)
-            x_qr = fusion.solve_basis(y, mask, w, improved=True, z=z, response=response)
+            x_qr = fusion.solve_basis(y, mask, w, z=z, response=response)
         assert np.abs(x - x_qr).max() <= 1e-12 * np.abs(x_qr).max()
         x = x.reshape(-1, order="F")
         assert np.linalg.norm(x - ref.x) <= 1e-12 * np.linalg.norm(ref.x)
@@ -754,7 +757,7 @@ class TestJointSolver:
     def test_patch_stats_report_stacked_residual(self):
         # rank 2 of 3 noisy channels: part of z lies outside the coefficients' span
         y, z, mask, response = noisy_joint_instance(77, rows=16, cols=16, rank=3)
-        config = FusionConfig(rank=2, patch_rows=8, patch_cols=8, stride=4, improved=True)
+        config = FusionConfig(rank=2, patch_rows=8, patch_cols=8, stride=4)
         stats = []
         fusion.pfuse(y, z, mask, config, response=response, stats=stats)
         assert len(stats) == 9
@@ -788,7 +791,7 @@ class TestJointSolver:
             y, z, mask, response = noisy_joint_instance(86, rows=16, cols=16, rank=1,
                                                         channels=1)
             rank = 1
-        config = FusionConfig(rank, 8, 8, 4, improved=True)
+        config = FusionConfig(rank, 8, 8, 4)
         stats = []
         fast = fusion.pfuse(y, z, mask, config, response=response, stats=stats)
         ref, ref_stats = per_window_reference(monkeypatch, y, z, mask, config,
@@ -810,7 +813,7 @@ class TestJointSolver:
         mask[:, :, 3] = mask[:, :, 2] + 1e-5 * rng.standard_normal((12, 12))
         response = rng.random((6, 2))
         y = forward.simulate_cassi(cube, mask)
-        config = FusionConfig(rank=2, patch_rows=12, patch_cols=12, stride=12, improved=True)
+        config = FusionConfig(rank=2, patch_rows=12, patch_cols=12, stride=12)
         separated = []
         fusion.pfuse(y, forward.simulate_multiband(cube, response), mask, config,
                      response=response, stats=separated)
@@ -824,6 +827,23 @@ class TestJointSolver:
         assert [s.solver for s in stats] == ["qr"]
         assert np.array_equal(xhat, ref)
 
+    def test_response_alone_selects_joint_solve(self):
+        # a default-built config has no solve switch: passing the response selects the
+        # joint solve in every window, and its records carry the stacked residual
+        y, z, mask, response = noisy_joint_instance(89, rows=100, cols=150, rank=3)
+        stats = []
+        xhat = fusion.pfuse(y, z, mask, FusionConfig(), response=response, stats=stats)
+        assert [s.origin for s in stats] == [(0, 0), (0, 50)]
+        for s in stats:
+            window = (slice(s.origin[0], s.origin[0] + 100), slice(s.origin[1], s.origin[1] + 100))
+            ref = stacked_reference(y[window], mask[window], s.coefficients, z[window], response)
+            assert s.solver == "cholesky"
+            assert abs(s.residual - ref.residual) <= 1e-12 * ref.residual
+            joint = fusion.solve_basis(y[window], mask[window], s.coefficients, z=z[window],
+                                       response=response)
+            assert np.array_equal(s.basis, joint)
+        assert not np.array_equal(xhat, fusion.pfuse(y, z, mask, FusionConfig()))
+
     def test_zero_mask_still_rank_deficient(self, monkeypatch):
         # 3 channels cannot pin 4 bands: k*channels < k*bands rows without the mask
         rng = np.random.default_rng(78)
@@ -833,8 +853,8 @@ class TestJointSolver:
         with pytest.raises(RankDeficiencyError):
             stacked_reference(y, mask, w, z, response)
         with pytest.raises(RankDeficiencyError):
-            fusion.solve_basis(y, mask, w, improved=True, z=z, response=response)
-        config = FusionConfig(rank=2, patch_rows=8, patch_cols=8, stride=8, improved=True)
+            fusion.solve_basis(y, mask, w, z=z, response=response)
+        config = FusionConfig(rank=2, patch_rows=8, patch_cols=8, stride=8)
         with pytest.raises(RankDeficiencyError, match="origin \\(0, 0\\)") as fast:
             fusion.pfuse(y, z, mask, config, response=response)
         with pytest.raises(RankDeficiencyError) as ref:
@@ -864,10 +884,10 @@ class TestJointSolver:
 
         monkeypatch.setattr(fusion, "_fuse_block", no_solve)
         y, z, mask, _ = noisy_joint_instance(80)
-        config = FusionConfig(rank=2, patch_rows=6, patch_cols=5, stride=5, improved=True)
+        config = FusionConfig(rank=2, patch_rows=6, patch_cols=5, stride=5)
         with pytest.raises(ValueError) as err:
             fusion.pfuse(y, z, mask, config, response=response)
         assert str(err.value) == message
         with pytest.raises(ValueError, match=message):
-            fusion.solve_basis(y, mask, np.ones((1, 120)), improved=True, z=z,
+            fusion.solve_basis(y, mask, np.ones((1, 120)), z=z,
                                response=response)
