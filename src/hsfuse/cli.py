@@ -15,7 +15,6 @@ error (any ``ValueError``), 3 I/O or file-format error, 4 numerical failure.
 """
 
 import argparse
-import os
 import sys
 import time
 from pathlib import Path
@@ -203,18 +202,10 @@ def _parse_patch(text):
     raise ValueError(f"--patch takes m or m,n, got {text!r}")
 
 
-def _fusion_config(args, rank, m, n):
-    """FusionConfig of the fusion flags, at this rank and patch size."""
-    stride = args.stride if args.stride is not None else core.default_stride(m, n)
-    return fusion.FusionConfig(rank, m, n, stride)
-
-
-def _threads(args):
-    if args.threads is not None:
-        if args.threads < 1:
-            raise ValueError("--threads must be >= 1")
-        return args.threads
-    return os.cpu_count() or 1
+def _check_threads(args):
+    # pfuse resolves an omitted --threads (None) to one worker per CPU
+    if args.threads is not None and args.threads < 1:
+        raise ValueError("--threads must be >= 1")
 
 
 def _manifest_value(value):
@@ -232,9 +223,10 @@ def _write_manifest(path, args, **resolved):
     hio.write_manifest(path, {k: _manifest_value(v) for k, v in entries.items()})
 
 
-def _check_noise(args):
+def _check_measurement_flags(args):
     if not 0 <= args.noise_sigma < float("inf"):
         raise ValueError(f"--noise-sigma must be finite and nonnegative, got {args.noise_sigma}")
+    forward.check_density(args.density)
 
 
 def _coded(truth, args):
@@ -256,7 +248,7 @@ def _multiband(truth, response, args):
 
 
 def _run_simulate(args):
-    _check_noise(args)
+    _check_measurement_flags(args)
     truth = hio.read_cube(args.in_path)
     response = forward.response_from_spec(args.response, truth.shape[2])
     y, mask = _coded(truth, args)
@@ -290,19 +282,18 @@ def _run_reconstruct(args):
     if args.response and not args.improved:
         raise ValueError("--response is used only by --improved (the base solve ignores it)")
     m, n = _parse_patch(args.patch)
-    config = _fusion_config(args, args.rank, m, n)
-    threads = _threads(args)
+    config = fusion.FusionConfig(args.rank, m, n, args.stride)
+    _check_threads(args)
     # a bad response file fails before the cubes are read; pfuse checks its bands
     response = hio.load_response(args.response) if args.response else None
     y, z, mask = _load_measurements(args)
     start = time.perf_counter()
-    xhat = fusion.pfuse(y, z, mask, config, workers=threads, response=response)
+    xhat = fusion.pfuse(y, z, mask, config, workers=args.threads, response=response)
     wall = time.perf_counter() - start
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     hio.write_cube(xhat, out)
-    _write_manifest(f"{out}.manifest.txt", args, patch=f"{m},{n}", stride=config.stride,
-                    threads=threads)
+    _write_manifest(f"{out}.manifest.txt", args, patch=f"{m},{n}", stride=config.stride)
     print(f"wrote {out} ({wall:.2f} s)")
 
 
@@ -318,6 +309,10 @@ def _peak_value(text):
 def _run_eval(args):
     peak = _peak_value(args.peak)
     m_label, _ = _parse_patch(args.patch)
+    hio.check_identifier(args.method, "--method value")
+    scene = args.scene if args.scene is not None else Path(args.ref).stem
+    hio.check_identifier(scene, "--scene value" if args.scene is not None
+                         else f"--ref value {args.ref!r}: stem")
     ref = hio.read_cube(args.ref)
     est = hio.read_cube(args.est)
     start = time.perf_counter()
@@ -325,7 +320,6 @@ def _run_eval(args):
         ref, est, peak=1.0 if peak is None else peak, per_band_peak=peak is None
     )
     wall = time.perf_counter() - start
-    scene = args.scene if args.scene is not None else Path(args.ref).stem
     row = hio.ReportRow(scene, args.method, args.rank, m_label, args.stride,
                         report.m_psnr, report.m_ssim, report.msa, wall)
     out = Path(args.out)
@@ -348,17 +342,15 @@ def _positive_int(flag, text):
     raise ValueError(f"bad {flag} value {text!r} in --values: expected an integer >= 1")
 
 
-def _sweep_plan(args, shape):
-    """(value, FusionConfig, response spec, response) per swept value, all validated
-    against a truth cube of ``shape`` before anything is simulated."""
+def _sweep_plan(args):
+    """(value, FusionConfig, response spec) per swept value, checked before any cube is read."""
     sep = ";" if args.vary == "response" else ","
     values = [v.strip() for v in args.values.split(sep) if v.strip()]
     if not values:
         raise ValueError("--values is empty")
-    base_m, base_n = _parse_patch(args.patch)
     plan = []
     for value in values:
-        rank, (m, n), resp_spec = args.rank, (base_m, base_n), args.response
+        rank, (m, n), resp_spec = args.rank, _parse_patch(args.patch), args.response
         if args.vary == "rank":
             rank = _positive_int("rank", value)
             if resp_spec.partition(":")[0] == "average":
@@ -368,29 +360,30 @@ def _sweep_plan(args, shape):
             m = n = _positive_int("patch", value)
         else:
             resp_spec = value
-        config = _fusion_config(args, rank, m, n)
-        response = forward.response_from_spec(resp_spec, shape[2])
-        config.grid(shape, response.shape[1])
-        plan.append((value, config, resp_spec, response))
+        plan.append((value, fusion.FusionConfig(rank, m, n, args.stride), resp_spec))
     return plan
 
 
 def _run_sweep(args):
-    threads = _threads(args)
-    _check_noise(args)
+    _check_threads(args)
+    _check_measurement_flags(args)
+    plan = _sweep_plan(args)
     truth = hio.read_cube(args.in_path)
-    plan = _sweep_plan(args, truth.shape)
+    # responses and grids need the band count; all are checked before anything is simulated
+    responses = [forward.response_from_spec(spec, truth.shape[2]) for _, _, spec in plan]
+    for (_, config, _), response in zip(plan, responses):
+        config.grid(truth.shape, response.shape[1])
     scene = Path(args.in_path).stem
     # the mask and coded image do not depend on any swept value
     y, mask = _coded(truth, args)
     method = "pfusion-improved" if args.improved else "pfusion"
     report_rows = []
     z_spec = None
-    for value, config, resp_spec, response in plan:
+    for (value, config, resp_spec), response in zip(plan, responses):
         if resp_spec != z_spec:
             z, z_spec = _multiband(truth, response, args), resp_spec
         start = time.perf_counter()
-        xhat = fusion.pfuse(y, z, mask, config, workers=threads,
+        xhat = fusion.pfuse(y, z, mask, config, workers=args.threads,
                             response=response if args.improved else None)
         wall = time.perf_counter() - start
         report = metrics.evaluate(truth, xhat)
@@ -401,16 +394,18 @@ def _run_sweep(args):
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     hio.write_report(report_rows, out)
-    _write_manifest(f"{out}.manifest.txt", args, threads=threads)
+    _write_manifest(f"{out}.manifest.txt", args)
 
 
 def _run_analyze(args):
     if args.samples < 1:
         raise ValueError("--samples must be >= 1")
+    m = args.patch
+    if m < 1:
+        raise ValueError("--patch must be >= 1")
     cube = hio.read_cube(args.in_path)
     rows, cols, _ = cube.shape
-    m = args.patch
-    if m < 1 or m > min(rows, cols):
+    if m > min(rows, cols):
         raise ValueError(f"--patch must be in [1, {min(rows, cols)}]")
     rng = forward.Pcg32(args.seed)
 

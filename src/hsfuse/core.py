@@ -24,7 +24,6 @@ __all__ = [
     "pixel_coords",
     "unfold3",
     "fold3",
-    "default_stride",
     "make_grid",
     "extract_patch",
     "aggregate",
@@ -107,11 +106,6 @@ def _axis_origins(extent, patch, stride):
     if xs[-1] != extent - patch:
         xs.append(extent - patch)
     return xs
-
-
-def default_stride(patch_rows, patch_cols):
-    """Half the shorter patch side (at least 1): valid for every patch shape."""
-    return max(1, min(patch_rows, patch_cols) // 2)
 
 
 def make_grid(rows, cols, patch_rows, patch_cols, stride):

@@ -15,6 +15,7 @@ from .core import check_cube
 
 __all__ = [
     "Pcg32",
+    "check_density",
     "gen_mask",
     "zero_spectrum_pixels",
     "average_response",
@@ -108,6 +109,12 @@ class Pcg32:
         return z[:count]
 
 
+def check_density(density):
+    """Raise ValueError unless the mask density is in (0, 1]."""
+    if not 0.0 < density <= 1.0:
+        raise ValueError(f"density must be in (0, 1], got {density}")
+
+
 def gen_mask(rows, cols, bands, seed, density=0.5):
     """Seeded Bernoulli {0, 1} mask cube of shape (rows, cols, bands).
 
@@ -117,8 +124,7 @@ def gen_mask(rows, cols, bands, seed, density=0.5):
     """
     if min(rows, cols, bands) < 1:
         raise ValueError("mask dimensions must be positive")
-    if not 0.0 < density <= 1.0:
-        raise ValueError(f"density must be in (0, 1], got {density}")
+    check_density(density)
     u = Pcg32(seed).uniform(rows * cols * bands)
     return (u < density).astype(np.float64).reshape(rows, cols, bands)
 
@@ -233,8 +239,8 @@ def add_noise(meas, sigma, seed):
     (seed, shape, sigma). ``sigma = 0`` returns an unmodified copy.
     """
     meas = np.asarray(meas, dtype=np.float64)
-    if sigma < 0:
-        raise ValueError(f"sigma must be nonnegative, got {sigma}")
+    if not 0 <= sigma < float("inf"):
+        raise ValueError(f"sigma must be finite and nonnegative, got {sigma}")
     if sigma == 0:
         return meas.copy()
     noise = Pcg32(seed).normal(meas.size).reshape(meas.shape)

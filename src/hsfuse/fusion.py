@@ -65,20 +65,22 @@ class FusionConfig:
 
     ``rank`` is the spectral subspace dimension (bounded by the multiband
     channel count) and ``patch_rows``/``patch_cols``/``stride`` drive the
-    overlapping grid. Which basis solve runs is not a setting: passing a
-    response to :func:`pfuse` selects the joint coded+multiband system.
+    overlapping grid; the stride defaults to half the shorter patch side, at
+    least 1. Passing a response to :func:`pfuse` selects the joint solve.
     """
 
     rank: int = 3
     patch_rows: int = 100
     patch_cols: int = 100
-    stride: int = 50
+    stride: Optional[int] = None
 
     def __post_init__(self):
         if self.rank < 1:
             raise ValueError(f"rank must be >= 1, got {self.rank}")
         if self.patch_rows < 1 or self.patch_cols < 1:
             raise ValueError("patch dimensions must be positive")
+        if self.stride is None:
+            object.__setattr__(self, "stride", max(1, min(self.patch_rows, self.patch_cols) // 2))
         if self.stride < 1 or self.stride > min(self.patch_rows, self.patch_cols):
             raise ValueError("stride must satisfy 1 <= stride <= min(patch dims)")
 
@@ -239,7 +241,7 @@ def solve_basis(y, mask, w, z=None, response=None):
     Solves min ||vec(Y) - phi_W @ e|| by least squares and reshapes e to
     (bands, k): through the Cholesky-factored normal equations when
     phi_W is well conditioned, by pivoted QR otherwise
-    (:func:`numeric.normal_lstsq`). Given ``response`` and ``z``, the
+    (:func:`numeric.normal_lstsq`). Given both ``response`` and ``z``, the
     multiband measurement joins the system through its own structured matrix
     (:func:`assemble_phi_rgb`), reduced exactly to k*channels rows, and the
     joint least-squares problem is solved the same way; W need not have
@@ -250,9 +252,9 @@ def solve_basis(y, mask, w, z=None, response=None):
     w = np.asarray(w, dtype=np.float64)
     if y.ndim != 2 or y.shape != mask.shape[:2]:
         raise ValueError(f"coded image shape {y.shape} does not match mask {mask.shape[:2]}")
+    if (z is None) != (response is None):
+        raise ValueError("the joint solve requires the multiband measurement and the response")
     if response is not None:
-        if z is None:
-            raise ValueError("the joint solve requires the multiband measurement")
         z = core.check_cube(z, "multiband measurement")
         if z.shape[:2] != y.shape:
             raise ValueError(f"multiband shape {z.shape} does not match image {y.shape}")
@@ -363,18 +365,17 @@ def fuse(y, z, mask, rank, response=None):
     rows, cols, bands = mask.shape
     if rows * cols <= rank * bands:
         raise ValueError(f"image area {rows * cols} must exceed rank*bands = {rank * bands}")
-    config = FusionConfig(rank, rows, cols, min(rows, cols))
-    return pfuse(y, z, mask, config, response=response)
+    return pfuse(y, z, mask, FusionConfig(rank, rows, cols), response=response)
 
 
 def pfuse(y, z, mask, config, workers=1, response=None, stats=None):
     """Patch-based fusion over an overlapping grid, averaged on overlaps.
 
     A ``response`` selects the joint solve. Base windows are solved from
-    cell statistics on the calling thread, the rest by the per-window path
-    (with ``workers`` > 1 on a pool of at most one thread per such window
-    and per CPU). :func:`core.aggregate` averages the maps in grid order:
-    the output is bit-identical for any worker count.
+    cell statistics on the calling thread, the rest by the per-window path,
+    with ``workers`` > 1 (None: one per CPU) on a pool of at most one thread
+    per such window and per CPU. :func:`core.aggregate` averages the maps in
+    grid order: the output is bit-identical for any worker count.
     Rank-deficient multiband patches are solved at their effective rank;
     all-zero patches reconstruct as zero. Pass a list as ``stats`` to
     receive one :class:`PatchStats` per patch, in grid order.
@@ -391,7 +392,8 @@ def pfuse(y, z, mask, config, workers=1, response=None, stats=None):
         for index, fmap, record in _cell_solves(y, z, mask, grid, config.rank, stats is not None):
             maps[index], records[index] = fmap, record
     pending = [index for index, fmap in enumerate(maps) if fmap is None]
-    workers = min(workers or 1, len(pending), os.cpu_count() or 1)
+    cpus = os.cpu_count() or 1
+    workers = min(cpus if workers is None else workers, len(pending), cpus)
 
     def solve(index):
         i0, j0 = origin = grid.origins[index]

@@ -27,6 +27,7 @@ __all__ = [
     "MAGIC",
     "FormatError",
     "ReportRow",
+    "check_identifier",
     "read_cube",
     "write_cube",
     "load_response",
@@ -130,7 +131,8 @@ def _fmt(value):
     return str(value)
 
 
-def _check_identifier(value, what):
+def check_identifier(value, what):
+    """``value`` as a string, or ValueError if it would break a CSV field or line."""
     value = str(value)
     if "," in value or "\n" in value:
         raise ValueError(f"{what} {value!r} must not contain commas or newlines")
@@ -151,8 +153,8 @@ def write_report(rows, path):
     for row in rows:
         table.append(
             (
-                _check_identifier(row.scene, "scene"),
-                _check_identifier(row.method, "method"),
+                check_identifier(row.scene, "scene"),
+                check_identifier(row.method, "method"),
                 row.rank,
                 row.patch,
                 row.stride,

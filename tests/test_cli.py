@@ -240,6 +240,32 @@ class TestReconstruct:
         assert psnrs == sorted(psnrs, reverse=True)
         assert psnrs[0] > psnrs[-1] + 5.0
 
+    def test_omitted_threads_recorded_empty(self, scene, tmp_path):
+        # pfuse, not the CLI, resolves an omitted --threads to one worker per CPU
+        cube, truth, out_dir = scene
+        out = tmp_path / "xhat.hsc"
+        assert run("reconstruct", "--y", out_dir / "y.hsc", "--z", out_dir / "z.hsc",
+                   "--mask", out_dir / "mask.hsc", "--patch", 12, "--out", out) == 0
+        assert hio.read_manifest(f"{out}.manifest.txt")["threads"] == ""
+        rerun = tmp_path / "rerun.hsc"
+        assert run("reconstruct", "--config", f"{out}.manifest.txt", "--out", rerun) == 0
+        assert out.read_bytes() == rerun.read_bytes()
+        assert hio.read_manifest(f"{rerun}.manifest.txt")["threads"] == ""
+        assert not hasattr(cli, "os") and not hasattr(cli, "_threads")
+
+    def test_large_patch_stride_is_fusion_config_default(self, tmp_path):
+        # the manifest records the stride that FusionConfig derives, 100 for 200x200
+        truth = tmp_path / "truth.hsc"
+        hio.write_cube(smooth_spectra_cube(9, 200, 200, 4), truth)
+        sim = tmp_path / "sim"
+        assert run("simulate", "--in", truth, "--response", "average:2", "--out-dir", sim) == 0
+        out = tmp_path / "xhat.hsc"
+        assert run("reconstruct", "--y", sim / "y.hsc", "--z", sim / "z.hsc",
+                   "--mask", sim / "mask.hsc", "--rank", 2, "--patch", 200, "--out", out) == 0
+        stride = hio.read_manifest(f"{out}.manifest.txt")["stride"]
+        assert int(stride) == fusion.FusionConfig(patch_rows=200, patch_cols=200).stride == 100
+        assert not hasattr(cli, "_fusion_config")
+
     def test_manifest_rerun_reproduces_bytes(self, scene, tmp_path):
         cube, truth, out_dir = scene
         out = tmp_path / "xhat.hsc"
@@ -351,7 +377,7 @@ class TestEval:
     @pytest.mark.parametrize(
         "flag,value",
         [("--patch", "x"), ("--peak", "nan"), ("--peak", "inf"), ("--peak", "1e-300"),
-         ("--peak", "-1")],
+         ("--peak", "-1"), ("--method", "a,b"), ("--scene", "a,b"), ("--ref", "a,b.hsc")],
     )
     def test_bad_flag_rejected_before_reading(self, scene, tmp_path, monkeypatch, capsys,
                                               flag, value):
@@ -678,8 +704,16 @@ class TestEarlyRejection:
             (("sweep", "--vary", "rank", "--values", "1", "--threads", 0), "--threads must be >= 1"),
             (("simulate", "--noise-sigma", -1), "--noise-sigma must be finite"),
             (("analyze", "--samples", 0), "--samples must be >= 1"),
+            (("simulate", "--density", 5), "density must be in (0, 1], got 5.0"),
+            (("sweep", "--vary", "rank", "--values", "1", "--density", 5),
+             "density must be in (0, 1], got 5.0"),
+            (("analyze", "--patch", 0), "--patch must be >= 1"),
+            (("sweep", "--vary", "patch", "--values", "8", "--stride", 0),
+             "stride must satisfy 1 <= stride <= min(patch dims)"),
+            (("sweep", "--vary", "rank", "--values", "x"), "rank value 'x'"),
         ],
-        ids=["sweep-threads", "simulate-noise", "analyze-samples"],
+        ids=["sweep-threads", "simulate-noise", "analyze-samples", "simulate-density",
+             "sweep-density", "analyze-patch", "sweep-stride", "sweep-rank-value"],
     )
     def test_cube_independent_flag_rejected_before_reading(self, scene, tmp_path, monkeypatch,
                                                           capsys, argv, message):

@@ -92,7 +92,7 @@ class TestGenMask:
         ).reshape(rows, cols, bands)
         assert np.array_equal(mask, expected)
 
-    @pytest.mark.parametrize("density", [0.0, -0.1, 1.00001])
+    @pytest.mark.parametrize("density", [0.0, -0.1, 1.00001, float("nan")])
     def test_bad_density(self, density):
         with pytest.raises(ValueError, match="density"):
             forward.gen_mask(4, 4, 2, 0, density)
@@ -281,3 +281,9 @@ class TestAddNoise:
     def test_negative_sigma(self):
         with pytest.raises(ValueError, match="nonnegative"):
             forward.add_noise(np.zeros((2, 2)), -0.1, 0)
+
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+    def test_non_finite_sigma(self, sigma):
+        # nan used to give an all-NaN array and inf an array of +-inf
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            forward.add_noise(np.zeros((2, 2)), sigma, 0)

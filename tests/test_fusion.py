@@ -223,6 +223,14 @@ class TestSolveBasis:
         with pytest.raises(ValueError, match="the joint solve requires the multiband measurement"):
             fusion.solve_basis(y, mask, coeff, response=np.ones((4, 3)))
 
+    def test_multiband_without_response_refused(self):
+        # z without a response used to run the base solve and ignore z
+        basis, coeff, mask = random_instance(27)
+        z = forward.simulate_multiband(core.fold3(basis @ coeff, 6, 5), np.ones((4, 3)))
+        y = forward.simulate_cassi(core.fold3(basis @ coeff, 6, 5), mask)
+        with pytest.raises(ValueError, match="measurement and the response"):
+            fusion.solve_basis(y, mask, coeff, z=z)
+
 
 class TestFuse:
     def exact_instance(self, seed, rows=16, cols=16, bands=8, rank=3):
@@ -416,6 +424,15 @@ class TestPfuse:
                               fusion.pfuse(y, z, mask, config, workers=1, response=response))
         assert pool_sizes == sizes
 
+    @pytest.mark.parametrize("cpus,sizes", [(64, [4]), (2, [2]), (1, []), (None, [])])
+    def test_workers_none_is_one_per_cpu(self, monkeypatch, pool_sizes, four_patches,
+                                         cpus, sizes):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        y, z, mask, config, response = four_patches
+        assert np.array_equal(fusion.pfuse(y, z, mask, config, workers=None, response=response),
+                              fusion.pfuse(y, z, mask, config, response=response))
+        assert pool_sizes == sizes
+
     def test_rank_deficient_patch_names_origin(self):
         # an all-zero mask makes every per-patch system rank deficient
         rng = np.random.default_rng(52)
@@ -432,6 +449,16 @@ class TestFusionConfig:
         assert (config.rank, config.patch_rows, config.patch_cols, config.stride) == (3, 100, 100, 50)
         assert [f.name for f in dataclasses.fields(FusionConfig)] == [
             "rank", "patch_rows", "patch_cols", "stride"]
+
+    @pytest.mark.parametrize(
+        "args,kwargs,stride",
+        [((), {}, 50), ((), {"patch_rows": 40, "patch_cols": 40}, 20), ((3, 24, 6), {}, 3),
+         ((), {"patch_rows": 200, "patch_cols": 200}, 100), ((1, 1, 1), {}, 1),
+         ((3, 9, 7), {}, 3)],
+    )
+    def test_stride_defaults_to_half_the_shorter_side(self, args, kwargs, stride):
+        assert FusionConfig(*args, **kwargs).stride == stride
+        assert not hasattr(core, "default_stride")
 
     def test_stride_bounds(self):
         with pytest.raises(ValueError, match="stride"):

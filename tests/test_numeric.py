@@ -8,6 +8,7 @@ from hsfuse import forward, fusion
 from hsfuse.numeric import (
     CHOLESKY_RCOND_MIN,
     RankDeficiencyError,
+    cholesky_solve,
     lstsq,
     normal_lstsq,
     truncated_svd,
@@ -175,6 +176,32 @@ def near_dependent_system(eps, seed=9):
 
 def rel_diff(a, b):
     return float(np.linalg.norm(a - b) / np.linalg.norm(b))
+
+
+class TestCholeskySolve:
+    @pytest.mark.parametrize(
+        "gram",
+        [np.array([[1.0, np.nan], [np.nan, 1.0]]), np.array([[1.0, 0.0], [0.0, np.inf]]),
+         np.array([[1.0, 2.0], [2.0, 1.0]]), np.diag([1.0, -1.0]), np.diag([1.0, 1e-7])],
+        ids=["nan", "inf", "indefinite", "negative-diagonal", "rcond-below-bound"],
+    )
+    def test_declines(self, gram):
+        assert cholesky_solve(gram, np.ones(2)) is None
+
+    def test_declines_by_factorisation_and_by_rcond(self):
+        # the indefinite G fails dpotrf itself (info > 0); diag(1, 1e-7) factors but its
+        # rcond is below the bound, which diag(1, 1e-5) clears
+        assert scipy.linalg.lapack.dpotrf(np.array([[1.0, 2.0], [2.0, 1.0]]))[1] > 0
+        assert scipy.linalg.lapack.dpotrf(np.diag([1.0, 1e-7]))[1] == 0
+        assert np.allclose(cholesky_solve(np.diag([1.0, 1e-5]), np.ones(2)), [1.0, 1e5])
+
+    @pytest.mark.parametrize("seed,shape", [(14, (30, 5)), (15, (400, 93))])
+    def test_matches_dense_solve_on_spd_systems(self, seed, shape):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal(shape)
+        gram, rhs = a.T @ a, rng.standard_normal(shape[1])
+        x = cholesky_solve(gram, rhs)
+        assert rel_diff(x, np.linalg.solve(gram, rhs)) <= 1e-12
 
 
 class TestNormalLstsq:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from hsfuse import core
+from hsfuse.fusion import FusionConfig
 
 dims = st.integers(min_value=1, max_value=7)
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
@@ -47,7 +48,7 @@ def test_pixel_index_roundtrip(rows, cols, data):
 def test_grid_covers_every_pixel(spec):
     rows, cols, m, n, stride = spec
     if stride is None:
-        stride = core.default_stride(m, n)
+        stride = FusionConfig(patch_rows=m, patch_cols=n).stride
         assert 1 <= stride <= min(m, n)
     grid = core.make_grid(rows, cols, m, n, stride)
     count = np.zeros((rows, cols), dtype=int)
