@@ -55,16 +55,13 @@ def _add_measurement_flags(p):
     p.add_argument("--noise-seed", type=int, default=1, help="seed for the noise stream")
 
 
-def _add_fusion_flags(p, response_file=False):
-    """The fusion flags, shared by ``reconstruct`` and ``sweep``; ``reconstruct``'s
-    response file comes before --threads, so its manifests keep their key order."""
+def _add_fusion_flags(p):
+    """The fusion flags, shared by ``reconstruct`` and ``sweep``."""
     p.add_argument("--rank", type=int, default=3, help="spectral subspace rank")
     p.add_argument("--patch", default="100", help="patch size m or m,n")
     p.add_argument("--stride", type=int, default=None,
                    help="patch stride (default min(m,n)//2, at least 1)")
     p.add_argument("--improved", action="store_true", help="joint coded+multiband basis solve")
-    if response_file:
-        p.add_argument("--response", help="response file (--improved only, and required there)")
     p.add_argument("--threads", type=int, default=None,
                    help="workers for per-window solves: --improved windows, and base windows "
                    "the cell-statistics guards decline (default and cap: cpu count)")
@@ -80,7 +77,8 @@ def _reconstruct_flags(p):
     p.add_argument("--y", required=True, help="coded measurement (1-band HSC1)")
     p.add_argument("--z", required=True, help="multiband measurement (HSC1)")
     p.add_argument("--mask", required=True, help="mask cube (HSC1)")
-    _add_fusion_flags(p, response_file=True)
+    _add_fusion_flags(p)
+    p.add_argument("--response", help="response file (--improved only, and required there)")
     p.add_argument("--out", required=True, help="output cube path")
 
 
@@ -368,12 +366,12 @@ def _run_sweep(args):
     _check_threads(args)
     _check_measurement_flags(args)
     plan = _sweep_plan(args)
+    scene = hio.check_identifier(Path(args.in_path).stem, f"--in value {args.in_path!r}: stem")
     truth = hio.read_cube(args.in_path)
     # responses and grids need the band count; all are checked before anything is simulated
     responses = [forward.response_from_spec(spec, truth.shape[2]) for _, _, spec in plan]
     for (_, config, _), response in zip(plan, responses):
         config.grid(truth.shape, response.shape[1])
-    scene = Path(args.in_path).stem
     # the mask and coded image do not depend on any swept value
     y, mask = _coded(truth, args)
     method = "pfusion-improved" if args.improved else "pfusion"

@@ -1,4 +1,4 @@
-"""Hyperspectral cube conventions and overlapping patch machinery.
+"""Hyperspectral cube and spectral response conventions; overlapping patches.
 
 A cube is a float64 ndarray of shape (M, N, B): M spatial rows, N spatial
 columns, B spectral bands. Pixels are linearised column-major over rows,
@@ -11,6 +11,10 @@ overlapping m x n windows; windows that would run past the border are
 clamped so the last window ends exactly at the image edge. Cutting the
 image at every window origin and end gives cells, each covered by a fixed
 set of windows; ``aggregate`` averages the windows' spectral maps per cell.
+
+A spectral response is a (bands, channels) matrix A; the multiband camera
+reads A^T x at a pixel with spectrum x. ``validate_response`` owns its rules,
+and the simulator, the response file format and the joint solve apply them.
 """
 
 from dataclasses import dataclass
@@ -20,8 +24,7 @@ import numpy as np
 __all__ = [
     "PatchGrid",
     "check_cube",
-    "pixel_index",
-    "pixel_coords",
+    "validate_response",
     "unfold3",
     "fold3",
     "make_grid",
@@ -40,14 +43,21 @@ def check_cube(cube, name="cube"):
     return arr
 
 
-def pixel_index(i, j, rows):
-    """Linear index of pixel (i, j): p = i + j*rows."""
-    return i + j * rows
-
-
-def pixel_coords(p, rows):
-    """Inverse of :func:`pixel_index`, returning (i, j)."""
-    return p % rows, p // rows
+def validate_response(a, bands=None):
+    """Validate a spectral response matrix and return it as float64."""
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 2 or min(a.shape) < 1:
+        raise ValueError(f"response must be a (bands, channels) matrix, got shape {a.shape}")
+    if bands is not None and a.shape[0] != bands:
+        raise ValueError(f"response has {a.shape[0]} rows, expected {bands} bands")
+    if not np.isfinite(a).all():
+        raise ValueError("response contains non-finite entries")
+    if (a < 0).any():
+        raise ValueError("response entries must be nonnegative")
+    dead = np.flatnonzero(~a.any(axis=0))
+    if dead.size:
+        raise ValueError(f"response channel {int(dead[0])} is all zero")
+    return a
 
 
 def unfold3(cube):

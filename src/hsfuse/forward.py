@@ -11,7 +11,8 @@ from functools import cache
 
 import numpy as np
 
-from .core import check_cube
+from . import io
+from .core import check_cube, validate_response
 
 __all__ = [
     "Pcg32",
@@ -20,7 +21,6 @@ __all__ = [
     "zero_spectrum_pixels",
     "average_response",
     "single_band_response",
-    "validate_response",
     "response_from_spec",
     "simulate_cassi",
     "simulate_multiband",
@@ -168,23 +168,6 @@ def single_band_response(bands, indices):
     return a
 
 
-def validate_response(a, bands=None):
-    """Validate a spectral response matrix and return it as float64."""
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or min(a.shape) < 1:
-        raise ValueError(f"response must be a (bands, channels) matrix, got shape {a.shape}")
-    if bands is not None and a.shape[0] != bands:
-        raise ValueError(f"response has {a.shape[0]} rows, expected {bands} bands")
-    if not np.isfinite(a).all():
-        raise ValueError("response contains non-finite entries")
-    if (a < 0).any():
-        raise ValueError("response entries must be nonnegative")
-    dead = np.flatnonzero(~a.any(axis=0))
-    if dead.size:
-        raise ValueError(f"response channel {int(dead[0])} is all zero")
-    return a
-
-
 def response_from_spec(spec, bands):
     """Build a response matrix from a spec string.
 
@@ -203,9 +186,7 @@ def response_from_spec(spec, bands):
     if kind == "file":
         if not detail:
             raise ValueError("file response needs a path, e.g. file:resp.txt")
-        from . import io as _io
-
-        return validate_response(_io.load_response(detail), bands)
+        return validate_response(io.load_response(detail), bands)
     raise ValueError(f"unknown response spec {spec!r}")
 
 
@@ -221,14 +202,7 @@ def simulate_cassi(cube, mask):
 def simulate_multiband(cube, response):
     """Multiband measurement: Z(i,j,:) = A^T X(i,j,:) at every pixel."""
     cube = check_cube(cube)
-    response = np.asarray(response, dtype=np.float64)
-    if response.ndim != 2:
-        raise ValueError(f"response must be 2-D, got shape {response.shape}")
-    if response.shape[0] != cube.shape[2]:
-        raise ValueError(
-            f"response has {response.shape[0]} rows, cube has {cube.shape[2]} bands"
-        )
-    return cube @ response
+    return cube @ validate_response(response, bands=cube.shape[2])
 
 
 def add_noise(meas, sigma, seed):

@@ -41,7 +41,6 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import core, numeric
-from .forward import validate_response
 
 __all__ = [
     "FusionConfig",
@@ -183,7 +182,7 @@ def assemble_phi_rgb(response, w):
     ``assemble_phi_rgb(A, W) @ vec(E)`` equals the pixel-major ravel of
     ``simulate_multiband(fold3(E @ W), A)``.
     """
-    response = validate_response(response)
+    response = core.validate_response(response)
     w = np.asarray(w, dtype=np.float64)
     if w.ndim != 2:
         raise ValueError(f"coefficients must be 2-D, got shape {w.shape}")
@@ -194,7 +193,7 @@ def assemble_phi_rgb(response, w):
 
 def _joint_response(response, bands, channels):
     """The multiband response, checked against the mask's bands and z's channels."""
-    response = validate_response(response, bands=bands)
+    response = core.validate_response(response, bands=bands)
     if response.shape[1] != channels:
         raise ValueError(
             f"response has {response.shape[1]} channels, "
@@ -384,6 +383,8 @@ def pfuse(y, z, mask, config, workers=1, response=None, stats=None):
     (patch_rows*patch_cols > rank*bands), otherwise the per-patch systems
     cannot have full column rank.
     """
+    if workers is not None and not (isinstance(workers, (int, np.integer)) and workers >= 1):
+        raise ValueError(f"workers must be None or an integer >= 1, got {workers!r}")
     y, z, mask = _check_measurements(y, z, mask)
     grid = config.grid(mask.shape, z.shape[2])
     response = None if response is None else _joint_response(response, mask.shape[2], z.shape[2])

@@ -15,13 +15,12 @@ the referenced input files reproduces a CLI run bit-exactly.
 """
 
 import struct
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import core
-from .forward import validate_response
 
 __all__ = [
     "MAGIC",
@@ -84,7 +83,7 @@ def read_cube(path):
 
 def save_response(response, path):
     """Write a spectral response matrix as text (round-trip exact)."""
-    response = validate_response(response)
+    response = core.validate_response(response)
     bands, channels = response.shape
     lines = [f"{bands} {channels}"]
     lines += [" ".join(repr(float(v)) for v in row) for row in response]
@@ -105,14 +104,14 @@ def load_response(path):
     if len(values) != bands or any(len(row) != channels for row in values):
         raise FormatError(f"{path}: expected {bands} lines of {channels} values")
     try:
-        return validate_response(np.array(values, dtype=np.float64))
+        return core.validate_response(np.array(values, dtype=np.float64))
     except ValueError as err:
         raise FormatError(f"{path}: {err}") from err
 
 
 @dataclass(frozen=True)
 class ReportRow:
-    """One evaluation row of the CSV report."""
+    """One evaluation row of the CSV report; its fields are REPORT_HEADER's columns."""
 
     scene: str
     method: str
@@ -123,6 +122,10 @@ class ReportRow:
     m_ssim: float
     msa: float
     wall_seconds: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "scene", check_identifier(self.scene, "scene"))
+        object.__setattr__(self, "method", check_identifier(self.method, "method"))
 
 
 def _fmt(value):
@@ -148,23 +151,8 @@ def write_table(path, header, rows):
 
 
 def write_report(rows, path):
-    """Write MetricReport rows as CSV with the fixed column order."""
-    table = []
-    for row in rows:
-        table.append(
-            (
-                check_identifier(row.scene, "scene"),
-                check_identifier(row.method, "method"),
-                row.rank,
-                row.patch,
-                row.stride,
-                float(row.m_psnr),
-                float(row.m_ssim),
-                float(row.msa),
-                float(row.wall_seconds),
-            )
-        )
-    write_table(path, REPORT_HEADER, table)
+    """Write ReportRow rows as CSV with the fixed column order."""
+    write_table(path, REPORT_HEADER, [astuple(row) for row in rows])
 
 
 def write_manifest(path, entries):

@@ -711,9 +711,13 @@ class TestEarlyRejection:
             (("sweep", "--vary", "patch", "--values", "8", "--stride", 0),
              "stride must satisfy 1 <= stride <= min(patch dims)"),
             (("sweep", "--vary", "rank", "--values", "x"), "rank value 'x'"),
+            # the --in stem is the CSV's scene field (the last --in wins)
+            (("sweep", "--vary", "rank", "--values", "1", "--in", "a,b.hsc"),
+             "stem 'a,b' must not contain commas"),
         ],
         ids=["sweep-threads", "simulate-noise", "analyze-samples", "simulate-density",
-             "sweep-density", "analyze-patch", "sweep-stride", "sweep-rank-value"],
+             "sweep-density", "analyze-patch", "sweep-stride", "sweep-rank-value",
+             "sweep-scene-label"],
     )
     def test_cube_independent_flag_rejected_before_reading(self, scene, tmp_path, monkeypatch,
                                                           capsys, argv, message):

@@ -72,23 +72,6 @@ class TestUnfoldFold:
             core.unfold3(np.zeros((4, 4)))
 
 
-class TestPixelIndex:
-    def test_matches_unfold_column(self):
-        rng = np.random.default_rng(3)
-        cube = rng.random((5, 4, 3))
-        mat = core.unfold3(cube)
-        for i in range(5):
-            for j in range(4):
-                p = core.pixel_index(i, j, 5)
-                assert np.array_equal(mat[:, p], cube[i, j])
-
-    def test_bijective_with_coords(self):
-        rows = 6
-        for p in range(rows * 7):
-            i, j = core.pixel_coords(p, rows)
-            assert core.pixel_index(i, j, rows) == p
-
-
 def brute_force_coverage(grid):
     cover = np.zeros((grid.rows, grid.cols), dtype=int)
     for i0, j0 in grid.origins:

@@ -145,11 +145,11 @@ class TestResponses:
         a = np.ones((4, 2))
         a[:, 1] = 0.0
         with pytest.raises(ValueError, match="all zero"):
-            forward.validate_response(a)
+            core.validate_response(a)
 
     def test_validate_rejects_negative(self):
         with pytest.raises(ValueError, match="nonnegative"):
-            forward.validate_response(np.array([[1.0], [-0.5]]))
+            core.validate_response(np.array([[1.0], [-0.5]]))
 
     def test_spec_parsing(self):
         assert forward.response_from_spec("average", 6).shape == (6, 3)
@@ -255,6 +255,21 @@ class TestSimulateMultiband:
     def test_band_mismatch(self):
         with pytest.raises(ValueError, match="bands"):
             forward.simulate_multiband(np.ones((2, 2, 3)), np.ones((4, 2)))
+
+    @pytest.mark.parametrize(
+        "response,message",
+        [
+            (np.ones(3), "must be a \\(bands, channels\\) matrix"),
+            (np.array([[1.0, np.nan], [1.0, 1.0], [1.0, 1.0]]), "non-finite"),
+            (np.array([[1.0, 1.0], [-0.5, 1.0], [1.0, 1.0]]), "nonnegative"),
+            (np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]]), "channel 1 is all zero"),
+        ],
+        ids=["not-2d", "nan", "negative", "zero-channel"],
+    )
+    def test_invalid_response_refused(self, response, message):
+        # a NaN response used to give a NaN z; validate_response now guards every consumer
+        with pytest.raises(ValueError, match=message):
+            forward.simulate_multiband(np.ones((2, 2, 3)), response)
 
 
 class TestAddNoise:

@@ -433,6 +433,14 @@ class TestPfuse:
                               fusion.pfuse(y, z, mask, config, response=response))
         assert pool_sizes == sizes
 
+    @pytest.mark.parametrize("workers", [0, -3, 2.5, "2"])
+    def test_bad_workers_refused(self, pool_sizes, four_patches, workers):
+        # 0 and -3 used to run serially, and 2.5 asked for a pool of 2
+        y, z, mask, config, response = four_patches
+        with pytest.raises(ValueError, match=f"got {workers!r}"):
+            fusion.pfuse(y, z, mask, config, workers=workers, response=response)
+        assert pool_sizes == []
+
     def test_rank_deficient_patch_names_origin(self):
         # an all-zero mask makes every per-patch system rank deficient
         rng = np.random.default_rng(52)

@@ -151,6 +151,11 @@ class TestReport:
         with pytest.raises(ValueError, match="commas"):
             hio.write_report([_row(scene="a,b")], tmp_path / "r.csv")
 
+    @pytest.mark.parametrize("label", ["scene", "method"])
+    def test_row_refuses_bad_label_when_built(self, label):
+        with pytest.raises(ValueError, match=f"{label} 'a\\\\nb' must not contain"):
+            _row(**{label: "a\nb"})
+
 
 class TestManifest:
     def test_roundtrip(self, tmp_path):

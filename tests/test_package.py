@@ -1,7 +1,10 @@
-"""Package exports: ``hsfuse`` re-exports every module's ``__all__``, once."""
+"""Package layout: ``hsfuse`` re-exports every module's ``__all__``, once, and
+its modules import each other without cycles."""
 
+import ast
 import pkgutil
 import re
+from graphlib import TopologicalSorter
 from importlib import import_module
 from pathlib import Path
 
@@ -33,3 +36,34 @@ def test_readme_imports_resolve():
         names += [n.strip() for n in (group or line).split(",") if n.strip()]
     assert "pfuse" in names
     assert [n for n in names if not hasattr(hsfuse, n)] == []
+
+
+def intra_package_imports():
+    """module -> set of package modules it imports ("__init__" for the package itself),
+    and the relative imports made anywhere but at module level."""
+    sources = {path.stem: path for path in Path(hsfuse.__file__).parent.glob("*.py")}
+    graph, nested = {}, []
+    for name, path in sources.items():
+        tree = ast.parse(path.read_text())
+        top = set(tree.body)
+        graph[name] = set()
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom) or node.level == 0:
+                continue
+            if node not in top:
+                nested.append(f"{name}:{node.lineno}")
+            if node.module:
+                graph[name].add(node.module.partition(".")[0])
+            else:
+                graph[name].update(a.name if a.name in sources else "__init__"
+                                   for a in node.names)
+    return graph, nested
+
+
+def test_import_graph_is_acyclic_and_module_level():
+    graph, nested = intra_package_imports()
+    assert {"core", "forward", "fusion", "io"} <= graph.keys()
+    list(TopologicalSorter(graph).static_order())  # raises CycleError on a cycle
+    assert nested == []
+    # the response rules live in core, so the file format and the solver need no simulator
+    assert "forward" not in graph["io"] | graph["fusion"]

@@ -34,16 +34,6 @@ def test_fold_unfold_roundtrip(cube):
 
 
 @settings(deadline=None)
-@given(st.integers(1, 50), st.integers(1, 50), st.data())
-def test_pixel_index_roundtrip(rows, cols, data):
-    i = data.draw(st.integers(0, rows - 1))
-    j = data.draw(st.integers(0, cols - 1))
-    p = core.pixel_index(i, j, rows)
-    assert 0 <= p < rows * cols
-    assert core.pixel_coords(p, rows) == (i, j)
-
-
-@settings(deadline=None)
 @given(grids())
 def test_grid_covers_every_pixel(spec):
     rows, cols, m, n, stride = spec
