@@ -314,9 +314,7 @@ def _run_eval(args):
     ref = hio.read_cube(args.ref)
     est = hio.read_cube(args.est)
     start = time.perf_counter()
-    report = metrics.evaluate(
-        ref, est, peak=1.0 if peak is None else peak, per_band_peak=peak is None
-    )
+    report = metrics.evaluate(ref, est, peak)
     wall = time.perf_counter() - start
     row = hio.ReportRow(scene, args.method, args.rank, m_label, args.stride,
                         report.m_psnr, report.m_ssim, report.msa, wall)

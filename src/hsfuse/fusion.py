@@ -58,6 +58,10 @@ __all__ = [
 RANK_TOL = 1e-10
 
 
+def _integer(value):
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class FusionConfig:
     """Settings for patch-based fusion.
@@ -74,14 +78,15 @@ class FusionConfig:
     stride: Optional[int] = None
 
     def __post_init__(self):
-        if self.rank < 1:
-            raise ValueError(f"rank must be >= 1, got {self.rank}")
-        if self.patch_rows < 1 or self.patch_cols < 1:
-            raise ValueError("patch dimensions must be positive")
+        for name in ("rank", "patch_rows", "patch_cols"):
+            value = getattr(self, name)
+            if not (_integer(value) and value >= 1):
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         if self.stride is None:
             object.__setattr__(self, "stride", max(1, min(self.patch_rows, self.patch_cols) // 2))
-        if self.stride < 1 or self.stride > min(self.patch_rows, self.patch_cols):
-            raise ValueError("stride must satisfy 1 <= stride <= min(patch dims)")
+        if not (_integer(self.stride) and 1 <= self.stride <= min(self.patch_rows, self.patch_cols)):
+            raise ValueError("stride must satisfy 1 <= stride <= min(patch dims) and be an "
+                             f"integer, got {self.stride!r}")
 
     def grid(self, shape, channels):
         """Patch grid over a (rows, cols, bands) scene measured in ``channels`` channels.
@@ -276,54 +281,53 @@ def _check_measurements(y, z, mask):
     return y, z, mask
 
 
-def _fuse_block(y, z, mask, rank, response):
-    """Fusion of one window by its own solve; returns (F, (rank, residual, W, E, solver)),
-    where the (bands, channels) map F = E @ S^-1 U.T turns multiband values into spectra."""
+def _fuse_block(y, z, mask, rank, response, origin):
+    """Fusion of the window at ``origin`` by its own solve; returns (F, PatchStats), where
+    the (bands, channels) map F = E @ S^-1 U.T turns multiband values into spectra."""
     bands, channels = mask.shape[2], z.shape[2]
     if not (z.any() or y.any()):
         # nothing was measured at all: the zero cube is the exact solution
-        return np.zeros((bands, channels)), (0, 0.0, None, None, None)
-    est = estimate_coefficients(z, rank)
-    sol = _solve(y, mask, est.coefficients, z, response)
+        return np.zeros((bands, channels)), PatchStats(origin, 0, 0.0, None, None, None)
+    try:
+        est = estimate_coefficients(z, rank)
+        sol = _solve(y, mask, est.coefficients, z, response)
+    except numeric.RankDeficiencyError as err:
+        raise numeric.RankDeficiencyError(f"patch at origin {origin}: {err}",
+                                          column=err.column) from err
+    except ValueError as err:
+        raise ValueError(f"patch at origin {origin}: {err}") from err
     basis = sol.x.reshape(bands, est.rank, order="F")
-    return basis @ est.mixing, (est.rank, sol.residual, est.coefficients, basis, sol.solver)
+    return basis @ est.mixing, PatchStats(origin, est.rank, sol.residual, est.coefficients,
+                                          basis, sol.solver)
 
 
 @np.errstate(invalid="ignore")  # inf * 0 from a non-finite input; the window guard rejects it
-def _cell_stats(y, z, mask, r0, r1, col_edges, out):
-    """Write H, g and the multiband Gram of each cell between rows r0 and r1 to ``out``."""
-    h, g, gram = out
-    for b, (c0, c1) in enumerate(zip(col_edges[:-1], col_edges[1:])):
+def _cell_stats(y, z, mask, r0, r1, col_edges):
+    """H, g and the multiband Gram of each cell between rows r0 and r1, stacked by cell."""
+    stats = []
+    for c0, c1 in zip(col_edges[:-1], col_edges[1:]):
         zc = z[r0:r1, c0:c1].reshape(-1, z.shape[2])
         yc = y[r0:r1, c0:c1].ravel()
         a = (zc[:, :, None] * mask[r0:r1, c0:c1].reshape(len(yc), 1, -1)).reshape(len(yc), -1)
-        np.matmul(a.T, a, out=h[b])
-        np.matmul(a.T, yc, out=g[b])
-        np.matmul(zc.T, zc, out=gram[b])
+        stats.append((a.T @ a, a.T @ yc, zc.T @ zc))
+    return [np.stack(part) for part in zip(*stats)]
 
 
 def _cell_solves(y, z, mask, grid, rank, keep_stats):
-    """Yield (index, F, PatchStats or None) for each window the cell statistics solve;
-    the cell rows the current row of windows needs are kept in a preallocated ring."""
+    """Yield (index, (F, PatchStats or None)) for each window the cell statistics solve;
+    only the cell rows of the current row of windows are kept."""
     channels, bands = z.shape[2], mask.shape[2]
     bound = numeric.CHOLESKY_RCOND_MIN
     row_edges, col_edges, spans = grid.cells()
-    ring = max(a1 - a0 for a0, a1, _, _ in spans)
-    shapes = ((channels * bands,) * 2, (channels * bands,), (channels, channels))
-    cells = [np.empty((ring, len(col_edges) - 1) + shape) for shape in shapes]
-    strip = [np.empty(part.shape[1:]) for part in cells]
-    done, current = 0, None
+    cells, current = {}, None
     for index, (a0, a1, b0, b1) in enumerate(spans):
         if (a0, a1) != current:
             current = a0, a1
-            for a in range(max(done, a0), a1):
-                out = [part[a % ring] for part in cells]
-                _cell_stats(y, z, mask, *row_edges[a : a + 2], col_edges, out)
-            done = max(done, a1)
-            for total, part in zip(strip, cells):
-                total[...] = part[a0 % ring]
-                for a in range(a0 + 1, a1):
-                    total += part[a % ring]
+            cells = {a: cells[a] if a in cells else
+                     _cell_stats(y, z, mask, *row_edges[a : a + 2], col_edges)
+                     for a in range(a0, a1)}
+            # each window row's cell rows summed in row order
+            strip = [sum(parts[1:], parts[0]) for parts in zip(*cells.values())]
         h, g, gram = (part[b0:b1].sum(axis=0) for part in strip)
         # a non-finite input value reaches H's diagonal (a_p), g (y_p) or the Gram (z_p)
         if not all(np.isfinite(part).all() for part in (h, g, gram)):
@@ -349,7 +353,7 @@ def _cell_solves(y, z, mask, grid, rank, keep_stats):
             fit = assemble_phi_w(mask[window], w) @ e
             residual = float(np.linalg.norm(y[window].ravel(order="F") - fit))
             record = PatchStats(origin, rank, residual, w, basis, "cholesky")
-        yield index, basis @ m, record
+        yield index, (basis @ m, record)
 
 
 def fuse(y, z, mask, rank, response=None):
@@ -383,40 +387,31 @@ def pfuse(y, z, mask, config, workers=1, response=None, stats=None):
     (patch_rows*patch_cols > rank*bands), otherwise the per-patch systems
     cannot have full column rank.
     """
-    if workers is not None and not (isinstance(workers, (int, np.integer)) and workers >= 1):
+    if workers is not None and not (_integer(workers) and workers >= 1):
         raise ValueError(f"workers must be None or an integer >= 1, got {workers!r}")
     y, z, mask = _check_measurements(y, z, mask)
     grid = config.grid(mask.shape, z.shape[2])
     response = None if response is None else _joint_response(response, mask.shape[2], z.shape[2])
-    maps, records = [None] * len(grid.origins), [None] * len(grid.origins)
+    results = [None] * len(grid.origins)  # (F, PatchStats or None) per window
     if response is None:
-        for index, fmap, record in _cell_solves(y, z, mask, grid, config.rank, stats is not None):
-            maps[index], records[index] = fmap, record
-    pending = [index for index, fmap in enumerate(maps) if fmap is None]
+        for index, result in _cell_solves(y, z, mask, grid, config.rank, stats is not None):
+            results[index] = result
+    pending = [index for index, result in enumerate(results) if result is None]
     cpus = os.cpu_count() or 1
     workers = min(cpus if workers is None else workers, len(pending), cpus)
 
     def solve(index):
         i0, j0 = origin = grid.origins[index]
         window = np.s_[i0 : i0 + grid.patch_rows, j0 : j0 + grid.patch_cols]
-        try:
-            fmap, fields = _fuse_block(y[window], z[window], mask[window], config.rank, response)
-        except numeric.RankDeficiencyError as err:
-            raise numeric.RankDeficiencyError(f"patch at origin {origin}: {err}",
-                                              column=err.column) from err
-        except ValueError as err:
-            raise ValueError(f"patch at origin {origin}: {err}") from err
-        return fmap, PatchStats(origin, *fields)
-
-    def fill(mapper):
-        for index, (fmap, record) in zip(pending, mapper(solve, pending)):
-            maps[index], records[index] = fmap, record
+        return _fuse_block(y[window], z[window], mask[window], config.rank, response, origin)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            fill(pool.map)
+            solved = list(pool.map(solve, pending))
     else:
-        fill(map)
+        solved = map(solve, pending)
+    for index, result in zip(pending, solved):
+        results[index] = result
     if stats is not None:
-        stats.extend(records)
-    return core.aggregate(maps, grid, z)
+        stats.extend(record for _, record in results)
+    return core.aggregate((fmap for fmap, _ in results), grid, z)

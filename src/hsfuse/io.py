@@ -137,8 +137,8 @@ def _fmt(value):
 def check_identifier(value, what):
     """``value`` as a string, or ValueError if it would break a CSV field or line."""
     value = str(value)
-    if "," in value or "\n" in value:
-        raise ValueError(f"{what} {value!r} must not contain commas or newlines")
+    if any(char in value for char in ',"\r\n'):
+        raise ValueError(f"{what} {value!r} must not contain commas, quotes or line breaks")
     return value
 
 

@@ -107,7 +107,8 @@ def band_psnr(ref, est, peak=1.0):
     else:
         peaks = np.full(ref.shape[2], check_peak(peak))
     diff = ref - est
-    mse = np.mean(diff * diff, axis=(0, 1))
+    diff *= diff
+    mse = np.mean(diff, axis=(0, 1))
     out = np.full(mse.shape, PSNR_CAP_DB)
     nz = mse > 0
     out[nz] = np.minimum(10.0 * np.log10(peaks[nz] ** 2 / mse[nz]), PSNR_CAP_DB)
@@ -193,11 +194,13 @@ def m_ssim(ref, est, peak=1.0):
 
 
 def _msa(ref, est):
-    rmat = core.unfold3(ref)
-    emat = core.unfold3(est)
-    dot = np.sum(rmat * emat, axis=0)
-    rr = np.sum(rmat * rmat, axis=0)
-    ee = np.sum(emat * emat, axis=0)
+    # per-pixel sums over bands, added in band order like a sum over unfold3's rows
+    r, e = ref[:, :, 0], est[:, :, 0]
+    dot, rr, ee = r * e, r * r, e * e
+    for b in range(1, ref.shape[2]):
+        r, e = ref[:, :, b], est[:, :, b]
+        dot, rr, ee = dot + r * e, rr + r * r, ee + e * e
+    dot, rr, ee = (a.ravel(order="F") for a in (dot, rr, ee))  # pixel p = i + j*rows
     valid = (rr > 0) & (ee > 0)
     skipped = int(valid.size - np.count_nonzero(valid))
     if not valid.any():
@@ -220,15 +223,15 @@ def msa(ref, est):
     return _msa(ref, est)[0]
 
 
-def evaluate(ref, est, peak=1.0, per_band_peak=False):
+def evaluate(ref, est, peak=1.0):
     """Compute the full :class:`MetricReport` for a reconstruction.
 
-    With ``per_band_peak`` the PSNR uses each band's reference maximum as
-    its peak; SSIM always uses the scalar ``peak`` as its dynamic range.
+    ``peak`` is the PSNR peak and SSIM dynamic range. ``None`` gives each
+    band's PSNR its reference maximum as peak, and SSIM a range of 1.0.
     """
     ref, est = _check_pair(ref, est)
-    psnr_bands = band_psnr(ref, est, None if per_band_peak else peak)
-    ssim_bands = band_ssim(ref, est, peak)
+    psnr_bands = band_psnr(ref, est, peak)
+    ssim_bands = band_ssim(ref, est, 1.0 if peak is None else peak)
     angle, skipped = _msa(ref, est)
     return MetricReport(
         m_psnr=float(psnr_bands.mean()),

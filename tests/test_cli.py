@@ -734,6 +734,20 @@ class TestEarlyRejection:
         assert reads == []
         assert not out.exists()
 
+    @pytest.mark.parametrize("label", ["a\rb", '"x"'], ids=["carriage-return", "quote"])
+    def test_eval_csv_label_rejected_before_reading(self, scene, tmp_path, monkeypatch, capsys,
+                                                    label):
+        reads = []
+        read_cube = hio.read_cube
+        monkeypatch.setattr(hio, "read_cube", lambda path: reads.append(path) or read_cube(path))
+        _, truth, _ = scene
+        out = tmp_path / "eval.csv"
+        code = run("eval", "--ref", truth, "--est", truth, "--method", label, "--out", out)
+        assert code == cli.EXIT_USAGE
+        assert "must not contain commas, quotes or line breaks" in capsys.readouterr().err
+        assert reads == []
+        assert not out.exists()
+
     @pytest.mark.parametrize("payload", [None, "31 3\n0.1 0.2 0.3\n"],
                              ids=["missing", "malformed"])
     def test_bad_response_file_rejected_before_reading(self, scene, tmp_path, monkeypatch,

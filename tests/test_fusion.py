@@ -433,7 +433,7 @@ class TestPfuse:
                               fusion.pfuse(y, z, mask, config, response=response))
         assert pool_sizes == sizes
 
-    @pytest.mark.parametrize("workers", [0, -3, 2.5, "2"])
+    @pytest.mark.parametrize("workers", [0, -3, 2.5, "2", True])
     def test_bad_workers_refused(self, pool_sizes, four_patches, workers):
         # 0 and -3 used to run serially, and 2.5 asked for a pool of 2
         y, z, mask, config, response = four_patches
@@ -475,6 +475,21 @@ class TestFusionConfig:
     def test_bad_rank(self):
         with pytest.raises(ValueError, match="rank"):
             FusionConfig(rank=0)
+
+    @pytest.mark.parametrize(
+        "name,value",
+        [("patch_rows", 8.0), ("rank", 2.5), ("rank", True), ("patch_cols", "8"),
+         ("stride", 4.0), ("stride", True)],
+    )
+    def test_non_integer_field_refused(self, name, value):
+        # 8.0 used to build and fail in range(), 2.5 to reach an IndexError
+        with pytest.raises(ValueError, match=f"^{name} must ") as err:
+            FusionConfig(**{name: value})
+        assert "integer" in str(err.value) and str(err.value).endswith(f"got {value!r}")
+
+    def test_numpy_integers_accepted(self):
+        config = FusionConfig(np.int64(2), np.int32(8), np.int16(6))
+        assert (config.rank, config.patch_rows, config.patch_cols, config.stride) == (2, 8, 6, 3)
 
     def test_rank_tol_is_a_constant(self):
         assert fusion.RANK_TOL == 1e-10
@@ -562,9 +577,9 @@ def per_window_calls(monkeypatch):
     masks = []
     fuse_block = fusion._fuse_block
 
-    def recording(y, z, mask, rank, response):
+    def recording(y, z, mask, rank, response, origin):
         masks.append(np.array(mask))
-        return fuse_block(y, z, mask, rank, response)
+        return fuse_block(y, z, mask, rank, response, origin)
 
     monkeypatch.setattr(fusion, "_fuse_block", recording)
     return masks

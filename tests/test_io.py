@@ -150,6 +150,10 @@ class TestReport:
     def test_comma_in_identifier_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="commas"):
             hio.write_report([_row(scene="a,b")], tmp_path / "r.csv")
+        # csv.reader would split a row at \r and read '"x"' back as 'x'
+        for label in ("a\rb", '"x"'):
+            with pytest.raises(ValueError, match="must not contain commas, quotes or line breaks"):
+                _row(method=label)
 
     @pytest.mark.parametrize("label", ["scene", "method"])
     def test_row_refuses_bad_label_when_built(self, label):

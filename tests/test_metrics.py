@@ -1,12 +1,14 @@
 """Metric tests against scalar-loop and direct-formula oracles."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from helpers import low_rank_cube, two_zone_cube
 from hsfuse import core, forward, metrics
+from hsfuse import io as hio
 
 
 def psnr_loop_oracle(ref, est, peak=1.0, cap=99.0):
@@ -61,6 +63,18 @@ def msa_loop_oracle(ref, est):
             cos = min(1.0, max(-1.0, float(a @ b) / (na * nb)))
             angles.append(np.degrees(np.arccos(cos)))
     return float(np.mean(angles))
+
+
+def msa_unfolded_oracle(ref, est):
+    """MSA from sums over the rows of the unfolded matrices, snapped as ``metrics.msa`` does."""
+    rmat, emat = core.unfold3(ref), core.unfold3(est)
+    dot = np.sum(rmat * emat, axis=0)
+    rr = np.sum(rmat * rmat, axis=0)
+    ee = np.sum(emat * emat, axis=0)
+    valid = (rr > 0) & (ee > 0)
+    num, den2 = dot[valid], rr[valid] * ee[valid]
+    cos = np.where(num * num >= den2, np.sign(num), np.clip(num / np.sqrt(den2), -1.0, 1.0))
+    return float(np.degrees(np.arccos(cos)).mean())
 
 
 class TestPsnr:
@@ -215,6 +229,20 @@ class TestMsa:
         assert report.msa_skipped == 2
         assert report.msa == 0.0
 
+    @pytest.mark.parametrize("layout", ["c-contiguous", "read-cube"])
+    def test_bit_identical_to_unfolded_oracle(self, tmp_path, layout):
+        # 31 bands: a pairwise or reordered band sum would change the last bits
+        rng = np.random.default_rng(19)
+        ref = rng.random((24, 20, 31))
+        est = ref + 0.05 * rng.standard_normal(ref.shape)
+        est[0, :3] = -ref[0, :3]
+        est[1, 1] = 0.0
+        if layout == "read-cube":  # band-major, as every CLI command reads its cubes
+            hio.write_cube(ref, tmp_path / "ref.hsc")
+            hio.write_cube(est, tmp_path / "est.hsc")
+            ref, est = hio.read_cube(tmp_path / "ref.hsc"), hio.read_cube(tmp_path / "est.hsc")
+        assert np.array_equal(metrics.msa(ref, est), msa_unfolded_oracle(ref, est))
+
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError, match="zero-norm"):
             metrics.msa(np.zeros((3, 3, 2)), np.zeros((3, 3, 2)))
@@ -229,8 +257,28 @@ class TestEvaluate:
         rng = np.random.default_rng(23)
         ref = 2.0 * rng.random((12, 12, 3)) + 0.5
         est = ref + 0.1
-        report = metrics.evaluate(ref, est, per_band_peak=True)
+        report = metrics.evaluate(ref, est, peak=None)
         np.testing.assert_allclose(report.band_psnr, metrics.band_psnr(ref, est, peak=None))
+
+    def test_no_peak_keeps_an_ssim_range_of_one(self):
+        rng = np.random.default_rng(25)
+        ref = 2.0 * rng.random((12, 12, 3)) + 0.5
+        est = ref + 0.1 * rng.standard_normal(ref.shape)
+        report = metrics.evaluate(ref, est, peak=None)
+        assert np.array_equal(report.band_ssim, metrics.band_ssim(ref, est, 1.0))
+
+    def test_allocates_at_most_one_and_a_half_cubes(self):
+        # beyond its inputs: PSNR's difference cube, then band-sized SSIM and MSA arrays
+        rng = np.random.default_rng(24)
+        ref = rng.random((64, 64, 31))
+        est = ref + 0.01 * rng.standard_normal(ref.shape)
+        tracemalloc.start()
+        try:
+            metrics.evaluate(ref, est)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * ref.nbytes
 
     def test_means_of_band_vectors(self):
         rng = np.random.default_rng(19)
