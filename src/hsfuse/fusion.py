@@ -40,7 +40,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import core, numeric
+from . import _blas, core, numeric
 
 __all__ = [
     "FusionConfig",
@@ -377,8 +377,9 @@ def pfuse(y, z, mask, config, workers=1, response=None, stats=None):
     A ``response`` selects the joint solve. Base windows are solved from
     cell statistics on the calling thread, the rest by the per-window path,
     with ``workers`` > 1 (None: one per CPU) on a pool of at most one thread
-    per such window and per CPU. :func:`core.aggregate` averages the maps in
-    grid order: the output is bit-identical for any worker count.
+    per such window and per CPU; while the pool runs, numpy's BLAS is held
+    to one thread. :func:`core.aggregate` averages the maps in grid order:
+    the output is bit-identical for any worker count.
     Rank-deficient multiband patches are solved at their effective rank;
     all-zero patches reconstruct as zero. Pass a list as ``stats`` to
     receive one :class:`PatchStats` per patch, in grid order.
@@ -406,7 +407,8 @@ def pfuse(y, z, mask, config, workers=1, response=None, stats=None):
         return _fuse_block(y[window], z[window], mask[window], config.rank, response, origin)
 
     if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        # the pool threads are the parallelism: BLAS threads of their own would oversubscribe
+        with _blas.one_thread(), ThreadPoolExecutor(max_workers=workers) as pool:
             solved = list(pool.map(solve, pending))
     else:
         solved = map(solve, pending)

@@ -106,9 +106,13 @@ def band_psnr(ref, est, peak=1.0):
             )
     else:
         peaks = np.full(ref.shape[2], check_peak(peak))
-    diff = ref - est
-    diff *= diff
-    mse = np.mean(diff, axis=(0, 1))
+    mse = np.empty(ref.shape[2])
+    for b in range(ref.shape[2]):
+        # each band's difference is a contiguous 2-D array whatever the cubes' layout, so
+        # its mean adds the same values in the same order for C- and band-major cubes
+        diff = ref[:, :, b] - est[:, :, b]
+        diff *= diff
+        mse[b] = diff.mean()
     out = np.full(mse.shape, PSNR_CAP_DB)
     nz = mse > 0
     out[nz] = np.minimum(10.0 * np.log10(peaks[nz] ** 2 / mse[nz]), PSNR_CAP_DB)

@@ -11,13 +11,17 @@ several times faster on tall systems, and hands the system to ``lstsq``
 whenever the Gram matrix's estimated condition makes that squaring unsafe,
 so its answer stays within about 1e-10 relative of QR's.
 
-scipy.linalg is imported by the solves themselves, not by this module:
-it takes longer to load than numpy, and only reconstruction needs it.
+``cholesky_solve`` calls LAPACK in numpy's own OpenBLAS (``_blas``), so a
+reconstruction whose windows all keep their Cholesky answer never imports
+scipy.linalg, which takes longer to load than numpy. Only the QR fallback
+imports it, and ``cholesky_solve`` too where numpy bundles no OpenBLAS.
 """
 
 from typing import NamedTuple
 
 import numpy as np
+
+from . import _blas
 
 __all__ = [
     "RANK_RTOL",
@@ -139,7 +143,9 @@ def lstsq(phi, y):
 def cholesky_solve(gram, rhs):
     """Solution of the normal equations gram @ x = rhs by Cholesky, or None (solve by
     pivoted QR instead) unless G is finite, factors and has rcond(G) >= CHOLESKY_RCOND_MIN."""
-    from scipy.linalg import lapack
+    lapack = _blas.openblas()
+    if lapack is None:
+        from scipy.linalg import lapack
 
     if not np.isfinite(gram).all():
         return None

@@ -202,13 +202,10 @@ def test_criterion_7_runtime_envelope():
     start = time.perf_counter()
     xhat = fusion.pfuse(y, z, mask, config, workers=1)
     t_base = time.perf_counter() - start
-    config_joint = FusionConfig(
-        rank=3, patch_rows=100, patch_cols=100, stride=50
-    )
     # stats only on the joint call: on the base call they add per-window residuals
     stats = []
     start = time.perf_counter()
-    fusion.pfuse(y, z, mask, config_joint, workers=1, response=response, stats=stats)
+    fusion.pfuse(y, z, mask, config, workers=1, response=response, stats=stats)
     t_joint = time.perf_counter() - start
     kept = sum(s.solver == "cholesky" for s in stats)
     fell_back = sum(s.solver == "qr" for s in stats)

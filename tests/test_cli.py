@@ -413,27 +413,46 @@ class TestEval:
 
 class TestStartup:
     def test_imports_only_what_runs(self):
-        # scipy.signal and scipy.linalg take ~1 s to import; every command
-        # would pay it before doing any work
+        # scipy.signal and scipy.linalg take ~1 s to import: no command pays it before
+        # working, and a solve loads scipy.linalg only when it falls back to pivoted QR
         code = (
             "import json, sys\n"
             "import numpy as np\n"
             "import hsfuse.cli\n"
-            "from hsfuse import numeric\n"
+            "from hsfuse import _blas, core, forward, fusion, numeric\n"
             "heavy = ('scipy.signal', 'scipy.linalg')\n"
             "before = [m for m in heavy if m in sys.modules]\n"
             "rng = np.random.default_rng(0)\n"
-            "numeric.normal_lstsq(rng.random((8, 3)), rng.random(8))\n"
-            "print(json.dumps([before, 'scipy.linalg' in sys.modules]))\n"
+            "solvers = [numeric.normal_lstsq(rng.random((8, 3)), rng.random(8)).solver]\n"
+            "cube = core.fold3(rng.random((12, 3)) @ rng.random((3, 24 * 24)), 24, 24)\n"
+            "mask = forward.gen_mask(24, 24, 12, 5, 0.5)\n"
+            "response = forward.average_response(12, 3)\n"
+            "y, z = forward.simulate_cassi(cube, mask), forward.simulate_multiband(cube, response)\n"
+            "config = fusion.FusionConfig(rank=3, patch_rows=12, patch_cols=12, stride=6)\n"
+            "for joint in (None, response):\n"
+            "    stats = []\n"
+            "    fusion.pfuse(y, z, mask, config, workers=2, response=joint, stats=stats)\n"
+            "    solvers += [s.solver for s in stats]\n"
+            "after_cholesky = 'scipy.linalg' in sys.modules\n"
+            "a = rng.random((40, 2))\n"
+            "declined = np.column_stack((a, a[:, 1] + 1e-6 * rng.random(40)))\n"
+            "solvers.append(numeric.normal_lstsq(declined, rng.random(40)).solver)\n"
+            "print(json.dumps([before, solvers, after_cholesky, 'scipy.linalg' in sys.modules,\n"
+            "                  _blas.openblas() is not None]))\n"
         )
         src = str(Path(hsfuse.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src)
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, timeout=120)
         assert done.returncode == 0, done.stderr
-        before, linalg_after_solve = json.loads(done.stdout)
+        before, solvers, after_cholesky, after_qr, bound = json.loads(done.stdout)
         assert before == []
-        assert linalg_after_solve
+        assert solvers == ["cholesky"] * (len(solvers) - 1) + ["qr"]
+        assert after_qr
+        if not bound:
+            pytest.skip("numpy bundles no scipy-openblas LAPACK symbols (numpy 1.x, MKL or "
+                        "Accelerate build), so every Cholesky solve goes through scipy.linalg")
+        assert not after_cholesky
 
 
 class TestSweep:

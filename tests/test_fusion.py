@@ -2,12 +2,13 @@
 
 import dataclasses
 import os
+import threading
 
 import numpy as np
 import pytest
 
 from helpers import low_rank_cube, rel_err, smooth_spectra_cube, two_zone_cube
-from hsfuse import core, forward, fusion, metrics, numeric
+from hsfuse import _blas, core, forward, fusion, metrics, numeric
 from hsfuse.fusion import FusionConfig
 from hsfuse.numeric import RankDeficiencyError
 
@@ -449,6 +450,80 @@ class TestPfuse:
         config = FusionConfig(rank=1, patch_rows=8, patch_cols=8, stride=8)
         with pytest.raises(RankDeficiencyError, match="origin \\(0, 0\\)"):
             fusion.pfuse(y, z, np.zeros((8, 8, 4)), config)
+
+
+@pytest.fixture
+def blas_at_two_threads():
+    """numpy's bundled OpenBLAS set to two threads; its own count is restored after."""
+    lib = _blas.openblas()
+    if lib is None:
+        pytest.skip("numpy bundles no scipy-openblas thread-count symbols")
+    before, set_threads = lib.get_threads(), lib.set_threads  # a test may replace the setter
+    set_threads(2)
+    try:
+        if lib.get_threads() != 2:
+            pytest.skip("this OpenBLAS cannot run two threads")
+        yield lib
+    finally:
+        set_threads(before)
+
+
+class TestBlasThreads:
+    """A pool of patch workers runs numpy's BLAS on one thread, and only while it runs."""
+
+    @pytest.fixture
+    def seen(self, monkeypatch, blas_at_two_threads):
+        """BLAS thread counts read inside each per-window solve."""
+        seen, solve = [], fusion._fuse_block
+
+        def reading(*args):
+            seen.append(blas_at_two_threads.get_threads())
+            return solve(*args)
+
+        monkeypatch.setattr(fusion, "_fuse_block", reading)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        return seen
+
+    def test_pool_pins_one_thread_and_restores(self, seen, blas_at_two_threads, four_patches):
+        y, z, mask, config, response = four_patches
+        fusion.pfuse(y, z, mask, config, workers=2, response=response)
+        assert seen == [1] * 4
+        assert blas_at_two_threads.get_threads() == 2
+
+    def test_restored_when_a_window_raises(self, seen, blas_at_two_threads, four_patches):
+        y, z, mask, config, response = four_patches
+        with pytest.raises(RankDeficiencyError):
+            fusion.pfuse(y, z, np.zeros_like(mask), config, workers=2, response=response)
+        assert seen and set(seen) == {1}
+        assert blas_at_two_threads.get_threads() == 2
+
+    def test_overlapping_pools_restore_once_all_end(self, blas_at_two_threads):
+        # two threads' pools overlap, and the first to start ends first
+        entered, release = threading.Event(), threading.Event()
+
+        def second():
+            with _blas.one_thread():
+                entered.set()
+                release.wait(timeout=30)
+
+        with _blas.one_thread():
+            thread = threading.Thread(target=second)
+            thread.start()
+            assert entered.wait(timeout=30)
+        assert blas_at_two_threads.get_threads() == 1
+        release.set()
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert blas_at_two_threads.get_threads() == 2
+
+    def test_one_worker_never_sets_the_count(self, monkeypatch, seen, blas_at_two_threads,
+                                             four_patches):
+        calls = []
+        monkeypatch.setattr(blas_at_two_threads, "set_threads", calls.append)
+        y, z, mask, config, response = four_patches
+        fusion.pfuse(y, z, mask, config, workers=1, response=response)
+        assert calls == []
+        assert seen == [2] * 4
 
 
 class TestFusionConfig:

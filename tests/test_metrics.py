@@ -96,6 +96,18 @@ class TestPsnr:
         est = rng.random((7, 5, 4))
         assert abs(metrics.m_psnr(ref, est) - psnr_loop_oracle(ref, est)) < 1e-10
 
+    @pytest.mark.parametrize("peak", [1.0, None])
+    def test_same_bits_in_either_layout(self, tmp_path, peak):
+        # read_cube returns band-major cubes; a C-contiguous copy of the same values
+        # must not sum each band in another order
+        rng = np.random.default_rng(7)
+        for name, cube in (("ref", rng.random((64, 48, 5))), ("est", rng.random((64, 48, 5)))):
+            hio.write_cube(cube, tmp_path / f"{name}.hsc")
+        ref, est = (hio.read_cube(tmp_path / f"{name}.hsc") for name in ("ref", "est"))
+        assert ref[:, :, 0].flags.c_contiguous and not ref.flags.c_contiguous
+        got = metrics.band_psnr(np.ascontiguousarray(ref), np.ascontiguousarray(est), peak)
+        assert np.array_equal(got, metrics.band_psnr(ref, est, peak))
+
     def test_per_band_peak_option(self):
         rng = np.random.default_rng(6)
         ref = 3.0 * rng.random((6, 6, 2)) + 0.5
@@ -268,7 +280,7 @@ class TestEvaluate:
         assert np.array_equal(report.band_ssim, metrics.band_ssim(ref, est, 1.0))
 
     def test_allocates_at_most_one_and_a_half_cubes(self):
-        # beyond its inputs: PSNR's difference cube, then band-sized SSIM and MSA arrays
+        # beyond its inputs only band-sized PSNR, SSIM and MSA arrays (0.66 cubes here)
         rng = np.random.default_rng(24)
         ref = rng.random((64, 64, 31))
         est = ref + 0.01 * rng.standard_normal(ref.shape)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from hsfuse import forward, fusion
+from hsfuse import _blas, forward, fusion
 from hsfuse.numeric import (
     CHOLESKY_RCOND_MIN,
     RankDeficiencyError,
@@ -178,15 +178,61 @@ def rel_diff(a, b):
     return float(np.linalg.norm(a - b) / np.linalg.norm(b))
 
 
+DECLINED_GRAMS = pytest.mark.parametrize(
+    "gram",
+    [np.array([[1.0, np.nan], [np.nan, 1.0]]), np.array([[1.0, 0.0], [0.0, np.inf]]),
+     np.array([[1.0, 2.0], [2.0, 1.0]]), np.diag([1.0, -1.0]), np.diag([1.0, 1e-7])],
+    ids=["nan", "inf", "indefinite", "negative-diagonal", "rcond-below-bound"],
+)
+
+
+@pytest.fixture(params=["openblas", "scipy"])
+def lapack_path(request, monkeypatch):
+    """Run on numpy's bundled OpenBLAS, then with its symbols reported missing."""
+    if request.param == "openblas" and _blas.openblas() is None:
+        pytest.skip("numpy bundles no scipy-openblas LAPACK symbols")
+    if request.param == "scipy":
+        monkeypatch.setattr(_blas, "openblas", lambda: None)
+    return request.param
+
+
 class TestCholeskySolve:
-    @pytest.mark.parametrize(
-        "gram",
-        [np.array([[1.0, np.nan], [np.nan, 1.0]]), np.array([[1.0, 0.0], [0.0, np.inf]]),
-         np.array([[1.0, 2.0], [2.0, 1.0]]), np.diag([1.0, -1.0]), np.diag([1.0, 1e-7])],
-        ids=["nan", "inf", "indefinite", "negative-diagonal", "rcond-below-bound"],
-    )
+    @DECLINED_GRAMS
     def test_declines(self, gram):
         assert cholesky_solve(gram, np.ones(2)) is None
+
+    @DECLINED_GRAMS
+    def test_declines_without_the_binding(self, monkeypatch, gram):
+        monkeypatch.setattr(_blas, "openblas", lambda: None)
+        assert cholesky_solve(gram, np.ones(2)) is None
+
+    @pytest.mark.parametrize("n", [2, 30, 93])
+    def test_bits_equal_scipy_lapack(self, lapack_path, n):
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            a = rng.standard_normal((n + 7, n))
+            gram, rhs = a.T @ a, rng.standard_normal(n)
+            factor, info = scipy.linalg.lapack.dpotrf(gram)
+            assert info == 0
+            assert np.array_equal(cholesky_solve(gram, rhs),
+                                  scipy.linalg.lapack.dpotrs(factor, rhs)[0])
+
+    def test_binding_refuses_bad_shapes(self):
+        lib = _blas.openblas()
+        if lib is None:
+            pytest.skip("numpy bundles no scipy-openblas LAPACK symbols")
+        with pytest.raises(ValueError, match="square"):
+            lib.dpotrf(np.ones((2, 3)))
+        with pytest.raises(ValueError, match="does not match order 2"):
+            lib.dpotrs(np.eye(2), np.ones(3))
+
+    def test_missing_symbols_use_scipy(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(_blas, "openblas", lambda: calls.append(1))
+        monkeypatch.setattr(scipy.linalg.lapack, "dpotrs",
+                            lambda *args: calls.append(2) or (np.zeros(2), 0))
+        assert np.array_equal(cholesky_solve(np.eye(2), np.ones(2)), np.zeros(2))
+        assert calls == [1, 2]
 
     def test_declines_by_factorisation_and_by_rcond(self):
         # the indefinite G fails dpotrf itself (info > 0); diag(1, 1e-7) factors but its
