@@ -15,6 +15,7 @@ error (any ``ValueError``), 3 I/O or file-format error, 4 numerical failure.
 """
 
 import argparse
+import contextlib
 import sys
 import time
 from pathlib import Path
@@ -265,15 +266,6 @@ def _run_simulate(args):
     print(f"wrote y.hsc, z.hsc, mask.hsc, response.txt, manifest.txt to {out_dir}")
 
 
-def _load_measurements(args):
-    y3 = hio.read_cube(args.y)
-    if y3.shape[2] != 1:
-        raise ValueError(f"coded measurement must have 1 band, got {y3.shape[2]}")
-    z = hio.read_cube(args.z)
-    mask = hio.read_cube(args.mask)
-    return y3[:, :, 0], z, mask
-
-
 def _run_reconstruct(args):
     if args.improved and not args.response:
         raise ValueError("--improved requires --response (the base solve does not)")
@@ -282,15 +274,19 @@ def _run_reconstruct(args):
     m, n = _parse_patch(args.patch)
     config = fusion.FusionConfig(args.rank, m, n, args.stride)
     _check_threads(args)
-    # a bad response file fails before the cubes are read; pfuse checks its bands
+    # a bad response file fails before the cubes are read; pfuse_rows checks its bands
     response = hio.load_response(args.response) if args.response else None
-    y, z, mask = _load_measurements(args)
-    start = time.perf_counter()
-    xhat = fusion.pfuse(y, z, mask, config, workers=args.threads, response=response)
-    wall = time.perf_counter() - start
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    hio.write_cube(xhat, out)
+    with hio.CubeReader(args.y) as y, hio.CubeReader(args.z) as z, \
+            hio.CubeReader(args.mask) as mask:
+        start = time.perf_counter()
+        rows = fusion.pfuse_rows(y, z, mask, config, workers=args.threads, response=response)
+        out.parent.mkdir(parents=True, exist_ok=True)
+        # closing the rows first stops the pool and restores BLAS threads if a write fails
+        with hio.CubeWriter(out, mask.shape) as writer, contextlib.closing(rows):
+            for r0, block in rows:
+                writer.write(r0, block)
+        wall = time.perf_counter() - start
     _write_manifest(f"{out}.manifest.txt", args, patch=f"{m},{n}", stride=config.stride)
     print(f"wrote {out} ({wall:.2f} s)")
 

@@ -17,6 +17,7 @@ reads A^T x at a pixel with spectrum x. ``validate_response`` owns its rules,
 and the simulator, the response file format and the joint solve apply them.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,7 @@ __all__ = [
     "fold3",
     "make_grid",
     "extract_patch",
+    "aggregate_rows",
     "aggregate",
 ]
 
@@ -143,36 +145,60 @@ def extract_patch(cube, origin, patch_rows, patch_cols):
     return cube[i0 : i0 + patch_rows, j0 : j0 + patch_cols, :].copy()
 
 
-def aggregate(maps, grid, z):
-    """Average per-window spectral maps over ``grid`` and apply them to ``z``.
+def aggregate_rows(maps, grid, z_rows):
+    """Average per-window spectral maps over ``grid``, yielding the result by cell rows.
 
     ``maps`` is any iterable of one (bands, channels) map per window, in the
     order of ``grid.origins``. Each is added, in that order, to every cell of
-    its window with a coverage count; pixel p of the result is then
-    (summed maps / count) @ z[p]. The order is fixed, so the result is
-    bit-identical across runs and worker counts.
+    its window, and a cell's mean map is that sum over its coverage count.
+    Once no later window covers a row of cells, this yields ``(r0, rows)``:
+    rows r0:r1 of the result, pixel p being mean map @ z[p], where
+    ``z_rows(r0, r1)`` returns z's rows r0:r1 as a (r1 - r0, cols, channels)
+    array. Only the sums of cell rows that a window still to come covers are
+    held. The order is fixed, so the result is bit-identical across runs and
+    worker counts.
     """
-    z = check_cube(z, "multiband measurement")
-    if z.shape[:2] != (grid.rows, grid.cols):
-        raise ValueError(f"multiband shape {z.shape} does not match grid {grid.rows}x{grid.cols}")
     row_edges, col_edges, spans = grid.cells()
-    count = np.zeros((len(row_edges) - 1, len(col_edges) - 1))
-    total = None
-    for fmap, (a0, a1, b0, b1) in zip(maps, spans, strict=True):
-        if total is None:
-            total = np.zeros(count.shape + np.shape(fmap))
-        elif np.shape(fmap) != total.shape[2:]:
-            raise ValueError("maps have inconsistent shapes")
-        total[a0:a1, b0:b1] += fmap
-        count[a0:a1, b0:b1] += 1.0
-    if total is None:
+    if not spans:
         raise ValueError("no patches to aggregate")
+    count = np.zeros((len(row_edges) - 1, len(col_edges) - 1))
+    for a0, a1, b0, b1 in spans:
+        count[a0:a1, b0:b1] += 1.0
     if (count == 0).any():
         holes = int(np.outer(np.diff(row_edges), np.diff(col_edges))[count == 0].sum())
         raise ValueError(f"{holes} pixels have zero patch coverage")
-    mean = total / count[:, :, None, None]
-    out = np.empty((grid.rows, grid.cols, total.shape[2]))
-    for a, (r0, r1) in enumerate(zip(row_edges[:-1], row_edges[1:])):
-        for b, (c0, c1) in enumerate(zip(col_edges[:-1], col_edges[1:])):
-            out[r0:r1, c0:c1] = z[r0:r1, c0:c1] @ mean[a, b].T
+    # done[w]: the cell rows below it are covered by no window after window w
+    done = [*itertools.accumulate((a0 for a0, *_ in spans[:0:-1]), min,
+                                  initial=len(row_edges) - 1)][::-1]
+    totals, shape, ready = {}, None, 0
+    for fmap, (a0, a1, b0, b1), end in zip(maps, spans, done, strict=True):
+        if shape is None:
+            shape = np.shape(fmap)
+        elif np.shape(fmap) != shape:
+            raise ValueError("maps have inconsistent shapes")
+        for a in range(a0, a1):
+            if a not in totals:
+                totals[a] = np.zeros(count.shape[1:] + shape)
+            totals[a][b0:b1] += fmap
+        for a in range(ready, end):
+            r0, r1 = row_edges[a : a + 2]
+            mean = totals.pop(a) / count[a, :, None, None]
+            z = z_rows(r0, r1)
+            out = np.empty((r1 - r0, grid.cols, shape[0]))
+            for b, (c0, c1) in enumerate(zip(col_edges[:-1], col_edges[1:])):
+                out[:, c0:c1] = z[:, c0:c1] @ mean[b].T
+            yield r0, out
+        ready = max(ready, end)
+
+
+def aggregate(maps, grid, z):
+    """:func:`aggregate_rows` of ``maps`` over the multiband cube ``z``, as one array."""
+    z = check_cube(z, "multiband measurement")
+    if z.shape[:2] != (grid.rows, grid.cols):
+        raise ValueError(f"multiband shape {z.shape} does not match grid {grid.rows}x{grid.cols}")
+    out = None
+    for r0, rows in aggregate_rows(maps, grid, lambda r0, r1: z[r0:r1]):
+        if out is None:
+            out = np.empty((grid.rows, grid.cols, rows.shape[2]))
+        out[r0 : r0 + len(rows)] = rows
     return out

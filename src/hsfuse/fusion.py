@@ -33,6 +33,8 @@ makes ``assemble_phi_w(C, W) @ vec(E)`` equal the pixel-major ravel of
 ``simulate_cassi(fold3(E @ W), C)`` for every E, W, C of matching shape.
 """
 
+import contextlib
+import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -52,6 +54,7 @@ __all__ = [
     "solve_basis",
     "fuse",
     "pfuse",
+    "pfuse_rows",
 ]
 
 # relative singular-value threshold below which a patch's rank is shrunk
@@ -267,17 +270,20 @@ def solve_basis(y, mask, w, z=None, response=None):
     return sol.x.reshape(mask.shape[2], -1, order="F")
 
 
+def _check_shapes(coded, z, mask):
+    if coded != mask[:2] or z[:2] != mask[:2]:
+        raise ValueError(
+            f"inconsistent spatial shapes: coded {coded}, multiband {z[:2]}, mask {mask[:2]}"
+        )
+
+
 def _check_measurements(y, z, mask):
     y = np.asarray(y, dtype=np.float64)
     z = core.check_cube(z, "multiband measurement")
     mask = core.check_cube(mask, "mask")
     if y.ndim != 2:
         raise ValueError(f"coded image must be 2-D, got shape {y.shape}")
-    if y.shape != mask.shape[:2] or z.shape[:2] != mask.shape[:2]:
-        raise ValueError(
-            f"inconsistent spatial shapes: coded {y.shape}, multiband {z.shape[:2]}, "
-            f"mask {mask.shape[:2]}"
-        )
+    _check_shapes(y.shape, z.shape, mask.shape)
     return y, z, mask
 
 
@@ -302,58 +308,50 @@ def _fuse_block(y, z, mask, rank, response, origin):
 
 
 @np.errstate(invalid="ignore")  # inf * 0 from a non-finite input; the window guard rejects it
-def _cell_stats(y, z, mask, r0, r1, col_edges):
-    """H, g and the multiband Gram of each cell between rows r0 and r1, stacked by cell."""
-    stats = []
-    for c0, c1 in zip(col_edges[:-1], col_edges[1:]):
-        zc = z[r0:r1, c0:c1].reshape(-1, z.shape[2])
-        yc = y[r0:r1, c0:c1].ravel()
-        a = (zc[:, :, None] * mask[r0:r1, c0:c1].reshape(len(yc), 1, -1)).reshape(len(yc), -1)
-        stats.append((a.T @ a, a.T @ yc, zc.T @ zc))
-    return [np.stack(part) for part in zip(*stats)]
+def _cell_stats(y, z, mask, col_edges, out=None):
+    """H, g and the multiband Gram of each cell of one row of cells, stacked by cell,
+    written into ``out`` (the arrays of a row no longer needed) when given."""
+    channels, bands, cells = z.shape[2], mask.shape[2], len(col_edges) - 1
+    if out is None:
+        out = (np.empty((cells, channels * bands, channels * bands)),
+               np.empty((cells, channels * bands)), np.empty((cells, channels, channels)))
+    for b, (c0, c1) in enumerate(zip(col_edges[:-1], col_edges[1:])):
+        zc = z[:, c0:c1].reshape(-1, channels)
+        yc = y[:, c0:c1].ravel()
+        a = (zc[:, :, None] * mask[:, c0:c1].reshape(len(yc), 1, -1)).reshape(len(yc), -1)
+        np.matmul(a.T, a, out=out[0][b])
+        np.matmul(a.T, yc, out=out[1][b])
+        np.matmul(zc.T, zc, out=out[2][b])
+    return out
 
 
-def _cell_solves(y, z, mask, grid, rank, keep_stats):
-    """Yield (index, (F, PatchStats or None)) for each window the cell statistics solve;
-    only the cell rows of the current row of windows are kept."""
-    channels, bands = z.shape[2], mask.shape[2]
+def _cell_solve(h, g, gram, rank):
+    """(vec(E), S^-1 U.T) of a window from its summed cell statistics, or None where a
+    guard declines them."""
+    channels, bands = len(gram), len(g) // len(gram)
+    # a non-finite input value reaches H's diagonal (a_p), g (y_p) or the Gram (z_p)
+    if not all(np.isfinite(part).all() for part in (h, g, gram)):
+        return None
+    lam, u = np.linalg.eigh(gram)
+    lam, u = np.append(lam[::-1], 0.0), u[:, ::-1]  # lam[channels] = 0 ends the last gap
     bound = numeric.CHOLESKY_RCOND_MIN
-    row_edges, col_edges, spans = grid.cells()
-    cells, current = {}, None
-    for index, (a0, a1, b0, b1) in enumerate(spans):
-        if (a0, a1) != current:
-            current = a0, a1
-            cells = {a: cells[a] if a in cells else
-                     _cell_stats(y, z, mask, *row_edges[a : a + 2], col_edges)
-                     for a in range(a0, a1)}
-            # each window row's cell rows summed in row order
-            strip = [sum(parts[1:], parts[0]) for parts in zip(*cells.values())]
-        h, g, gram = (part[b0:b1].sum(axis=0) for part in strip)
-        # a non-finite input value reaches H's diagonal (a_p), g (y_p) or the Gram (z_p)
-        if not all(np.isfinite(part).all() for part in (h, g, gram)):
-            continue
-        lam, u = np.linalg.eigh(gram)
-        lam, u = np.append(lam[::-1], 0.0), u[:, ::-1]  # lam[channels] = 0 ends the last gap
-        if not lam[0] > 0 or min(lam[rank - 1], lam[rank - 1] - lam[rank]) < bound * lam[0]:
-            continue
-        m = u[:, :rank].T / np.sqrt(lam[:rank])[:, None]  # S^-1 U.T
-        # P H P.T through the kron structure: contract H's two channel axes with m
-        t = (m @ h.reshape(channels, -1)).reshape(rank, bands, channels, bands)
-        gw = (m @ t.transpose(2, 0, 1, 3).reshape(channels, -1)).reshape(rank, rank, bands, bands)
-        gw = gw.transpose(1, 2, 0, 3).reshape(rank * bands, -1)
-        e = numeric.cholesky_solve(gw, (m @ g.reshape(channels, bands)).ravel())
-        if e is None:
-            continue
-        basis = e.reshape(bands, rank, order="F")
-        record = None
-        if keep_stats:
-            i0, j0 = origin = grid.origins[index]
-            window = np.s_[i0 : i0 + grid.patch_rows, j0 : j0 + grid.patch_cols]
-            w = m @ core.unfold3(z[window])
-            fit = assemble_phi_w(mask[window], w) @ e
-            residual = float(np.linalg.norm(y[window].ravel(order="F") - fit))
-            record = PatchStats(origin, rank, residual, w, basis, "cholesky")
-        yield index, (basis @ m, record)
+    if not lam[0] > 0 or min(lam[rank - 1], lam[rank - 1] - lam[rank]) < bound * lam[0]:
+        return None
+    m = u[:, :rank].T / np.sqrt(lam[:rank])[:, None]  # S^-1 U.T
+    # P H P.T through the kron structure: contract H's two channel axes with m
+    t = (m @ h.reshape(channels, -1)).reshape(rank, bands, channels, bands)
+    gw = (m @ t.transpose(2, 0, 1, 3).reshape(channels, -1)).reshape(rank, rank, bands, bands)
+    gw = gw.transpose(1, 2, 0, 3).reshape(rank * bands, -1)
+    e = numeric.cholesky_solve(gw, (m @ g.reshape(channels, bands)).ravel())
+    return None if e is None else (e, m)
+
+
+def _cell_record(y, z, mask, e, m, origin):
+    """PatchStats of a window solved from its cells, with the residual of its own system."""
+    w = m @ core.unfold3(z)
+    residual = float(np.linalg.norm(y.ravel(order="F") - assemble_phi_w(mask, w) @ e))
+    return PatchStats(origin, len(m), residual, w, e.reshape(mask.shape[2], -1, order="F"),
+                      "cholesky")
 
 
 def fuse(y, z, mask, rank, response=None):
@@ -371,49 +369,154 @@ def fuse(y, z, mask, rank, response=None):
     return pfuse(y, z, mask, FusionConfig(rank, rows, cols), response=response)
 
 
+class _Rows(NamedTuple):
+    """An array as a row source: the ``shape`` and ``read`` of :class:`io.CubeReader`."""
+
+    array: np.ndarray
+
+    @property
+    def shape(self):
+        return self.array.shape
+
+    def read(self, r0, r1):
+        return self.array[r0:r1]
+
+
 def pfuse(y, z, mask, config, workers=1, response=None, stats=None):
     """Patch-based fusion over an overlapping grid, averaged on overlaps.
 
-    A ``response`` selects the joint solve. Base windows are solved from
-    cell statistics on the calling thread, the rest by the per-window path,
-    with ``workers`` > 1 (None: one per CPU) on a pool of at most one thread
-    per such window and per CPU; while the pool runs, numpy's BLAS is held
-    to one thread. :func:`core.aggregate` averages the maps in grid order:
-    the output is bit-identical for any worker count.
-    Rank-deficient multiband patches are solved at their effective rank;
-    all-zero patches reconstruct as zero. Pass a list as ``stats`` to
-    receive one :class:`PatchStats` per patch, in grid order.
+    This is :func:`pfuse_rows` over slices of the arrays, collected into one
+    (rows, cols, bands) array. A ``response`` selects the joint solve. Base
+    windows are solved from cell statistics on the calling thread, the rest
+    by the per-window path, with ``workers`` > 1 (None: one per CPU) on a
+    pool started at the first such window, with at most one thread per CPU
+    and per window from there on; while the pool runs, numpy's BLAS is held
+    to one thread. :func:`core.aggregate_rows`
+    averages the maps in grid order: the output is bit-identical for any
+    worker count. Rank-deficient multiband patches are solved at their
+    effective rank; all-zero patches reconstruct as zero. Pass a list as
+    ``stats`` to receive one :class:`PatchStats` per patch, in grid order.
 
     The patch area must exceed the number of basis unknowns
     (patch_rows*patch_cols > rank*bands), otherwise the per-patch systems
     cannot have full column rank.
     """
+    y, z, mask = _check_measurements(y, z, mask)
+    out = np.empty(mask.shape)
+    for r0, rows in pfuse_rows(_Rows(y[:, :, None]), _Rows(z), _Rows(mask), config,
+                               workers=workers, response=response, stats=stats):
+        out[r0 : r0 + len(rows)] = rows
+    return out
+
+
+def pfuse_rows(y, z, mask, config, workers=1, response=None, stats=None):
+    """:func:`pfuse` of row sources, yielding the reconstruction by rows.
+
+    ``y`` (one band), ``z`` and ``mask`` each have a ``shape`` (rows, cols,
+    bands) and a ``read(r0, r1)`` returning rows r0:r1 as a float64
+    (r1 - r0, cols, bands) array, as :class:`io.CubeReader` has. The
+    arguments are checked before this returns; the generator then yields
+    ``(r0, rows)`` blocks of the (rows, cols, bands) result, in row order,
+    each as soon as no later window covers it.
+
+    It goes through the grid one row of windows at a time and reads each row
+    of cells once, with no read longer than a window. It holds the input
+    rows and cell statistics of the current row of windows, and of the next
+    one while the pool solves this one: memory grows with patch_rows x cols
+    x (bands + channels + 1), not with the scene's height. Closing the
+    generator early stops the pool and restores BLAS's thread count.
+    """
     if workers is not None and not (_integer(workers) and workers >= 1):
         raise ValueError(f"workers must be None or an integer >= 1, got {workers!r}")
-    y, z, mask = _check_measurements(y, z, mask)
+    if y.shape[2] != 1:
+        raise ValueError(f"coded measurement must have 1 band, got {y.shape[2]}")
+    _check_shapes(y.shape[:2], z.shape, mask.shape)
     grid = config.grid(mask.shape, z.shape[2])
     response = None if response is None else _joint_response(response, mask.shape[2], z.shape[2])
-    results = [None] * len(grid.origins)  # (F, PatchStats or None) per window
-    if response is None:
-        for index, result in _cell_solves(y, z, mask, grid, config.rank, stats is not None):
-            results[index] = result
-    pending = [index for index, result in enumerate(results) if result is None]
+    return _stream(y, z, mask, grid, config.rank, workers, response, stats)
+
+
+def _stream(y, z, mask, grid, rank, workers, response, stats):
+    """The generator of :func:`pfuse_rows`, on checked arguments."""
+    row_edges, col_edges, spans = grid.cells()
+    inputs = {}  # first row of a cell row -> its (y, z, mask) rows, until its output is out
+    cells = {}  # cell row -> its cell statistics, while the current row of windows covers it
     cpus = os.cpu_count() or 1
-    workers = min(cpus if workers is None else workers, len(pending), cpus)
+    workers = min(cpus if workers is None else workers, cpus)
+    # the pool and BLAS's one-thread pin: entered at the first per-window solve, left when
+    # the generator ends or is closed
+    stack, pool = contextlib.ExitStack(), None
 
-    def solve(index):
-        i0, j0 = origin = grid.origins[index]
-        window = np.s_[i0 : i0 + grid.patch_rows, j0 : j0 + grid.patch_cols]
-        return _fuse_block(y[window], z[window], mask[window], config.rank, response, origin)
+    def at(window, index):
+        """The y, z and mask of window ``index`` from its window row's rows."""
+        j0 = grid.origins[index][1]
+        return [part[:, j0 : j0 + grid.patch_cols] for part in window]
 
-    if workers > 1:
-        # the pool threads are the parallelism: BLAS threads of their own would oversubscribe
-        with _blas.one_thread(), ThreadPoolExecutor(max_workers=workers) as pool:
-            solved = list(pool.map(solve, pending))
-    else:
-        solved = map(solve, pending)
-    for index, result in zip(pending, solved):
-        results[index] = result
-    if stats is not None:
-        stats.extend(record for _, record in results)
-    return core.aggregate((fmap for fmap, _ in results), grid, z)
+    def solve(index, window):
+        return _fuse_block(*at(window, index), rank, response, grid.origins[index])
+
+    def cell_solves(a0, a1, rows, indices):
+        """(vec(E), S^-1 U.T) of each window of the row that its cell statistics solve."""
+        spare = [cells.pop(a) for a in list(cells) if a < a0]
+        for a, part in zip(range(a0, a1), rows):
+            if a not in cells:
+                cells[a] = _cell_stats(*part, col_edges, spare.pop() if spare else None)
+        # each window row's cell rows summed in row order
+        strip = [sum(parts[1:], parts[0]) for parts in zip(*(cells[a] for a in range(a0, a1)))]
+        solved = {}
+        for index in indices:
+            b0, b1 = spans[index][2:]
+            solution = _cell_solve(*(part[b0:b1].sum(axis=0) for part in strip), rank)
+            if solution is not None:
+                solved[index] = solution
+        return solved
+
+    def submit(a0, a1, indices):
+        """Read and solve one row of windows, the per-window solves only submitted."""
+        nonlocal pool
+        rows = []
+        for a in range(a0, a1):
+            r0, r1 = row_edges[a : a + 2]
+            if r0 not in inputs:
+                inputs[r0] = (y.read(r0, r1)[:, :, 0], z.read(r0, r1), mask.read(r0, r1))
+            rows.append(inputs[r0])
+        solved = {} if response is not None else cell_solves(a0, a1, rows, indices)
+        pending = [index for index in indices if index not in solved]
+        window = None
+        if pending or stats is not None:
+            # rows i0:i0 + patch_rows, Fortran-ordered: a window's pixels are then contiguous
+            # per band, so unfolding it, as every per-window solve does, copies nothing
+            window = [np.concatenate(parts, out=np.empty(
+                (grid.patch_rows, *parts[0].shape[1:]), order="F")) for parts in zip(*rows)]
+        results = {}
+        for index, (e, m) in solved.items():
+            record = None if stats is None else _cell_record(*at(window, index), e, m,
+                                                             grid.origins[index])
+            results[index] = (e.reshape(-1, rank, order="F") @ m, record)
+        if pending and pool is None and workers > 1:
+            # the pool threads are the parallelism: BLAS threads of their own would oversubscribe
+            stack.enter_context(_blas.one_thread())
+            pool = stack.enter_context(
+                ThreadPoolExecutor(max_workers=min(workers, len(spans) - pending[0])))
+        solutions = (map if pool is None else pool.map)(solve, pending, itertools.repeat(window))
+        return indices, results, zip(pending, solutions)
+
+    def collect(indices, results, solved):
+        results.update(solved)
+        for index in indices:
+            fmap, record = results[index]
+            if stats is not None:
+                stats.append(record)
+            yield fmap
+
+    def maps():
+        ahead = None
+        for (a0, a1), row in itertools.groupby(range(len(spans)), key=lambda w: spans[w][:2]):
+            submitted = submit(a0, a1, list(row))
+            if ahead is not None:
+                yield from collect(*ahead)
+            ahead = submitted  # collected after the next row is submitted
+        yield from collect(*ahead)
+
+    with stack:
+        yield from core.aggregate_rows(maps(), grid, lambda r0, r1: inputs.pop(r0)[1])

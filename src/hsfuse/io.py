@@ -6,6 +6,11 @@ uint32 (rows, cols, bands), then rows*cols*bands little-endian IEEE-754
 float32 values, band-sequential (all of band 0 first), row-major within
 each band. File length is exactly 16 + 4*rows*cols*bands bytes. Cubes are
 computed in float64 and truncated to float32 on write.
+:class:`CubeReader` reads any run of rows, with one positioned read per
+band, and :class:`CubeWriter` writes rows in order the same way to a
+temporary file that replaces its path only once every row is in.
+``read_cube`` and ``write_cube`` are the whole cube's case of each; a caller
+that works by row blocks holds only the rows it asked for.
 
 Response files are plain text: a first line ``bands channels`` followed by
 ``bands`` lines of ``channels`` space-separated decimal reals.
@@ -14,6 +19,7 @@ Manifests are ``key = value`` lines ('#' starts a comment); a manifest plus
 the referenced input files reproduces a CLI run bit-exactly.
 """
 
+import os
 import struct
 from dataclasses import astuple, dataclass
 from pathlib import Path
@@ -25,6 +31,8 @@ from . import core
 __all__ = [
     "MAGIC",
     "FormatError",
+    "CubeReader",
+    "CubeWriter",
     "ReportRow",
     "check_identifier",
     "read_cube",
@@ -46,39 +54,129 @@ class FormatError(Exception):
     """A file does not conform to its declared format."""
 
 
+class CubeReader:
+    """Rows of a cube container, read on demand.
+
+    Opening checks the header and the file length, so a malformed file fails
+    before any row is used. ``read(r0, r1)`` returns rows r0:r1 of every band
+    as a float64 (r1 - r0, cols, bands) array in :func:`read_cube`'s layout: it
+    reads each band's rows with one positioned read into a float32 buffer that
+    later reads reuse, and checks them for finiteness. Use it as a context
+    manager, which closes the file.
+    """
+
+    def __init__(self, path):
+        self.path = path
+        self._file = open(path, "rb")
+        try:
+            head = self._file.read(16)
+            if head[:4] != MAGIC:
+                raise FormatError(f"{path}: bad magic (expected {MAGIC.decode()})")
+            if len(head) < 16:
+                raise FormatError(f"{path}: truncated header")
+            self.shape = rows, cols, bands = struct.unpack("<III", head[4:])
+            if min(self.shape) < 1:
+                raise FormatError(f"{path}: invalid dimensions {rows}x{cols}x{bands}")
+            expected = 16 + 4 * rows * cols * bands
+            found = os.fstat(self._file.fileno()).st_size
+            if found != expected:
+                raise FormatError(f"{path}: expected {expected} bytes, found {found}")
+        except BaseException:
+            self._file.close()
+            raise
+        self._buffer = np.empty(0, dtype="<f4")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *_):
+        self._file.close()
+
+    def read(self, r0, r1):
+        """Rows r0:r1 as a float64 (r1 - r0, cols, bands) array."""
+        rows, cols, bands = self.shape
+        if not 0 <= r0 < r1 <= rows:
+            raise ValueError(f"rows {r0}:{r1} are not within 0:{rows}")
+        size = bands * (r1 - r0) * cols
+        if self._buffer.size < size:
+            self._buffer = np.empty(size, dtype="<f4")
+        block = self._buffer[:size].reshape(bands, r1 - r0, cols)
+        for band, part in enumerate(block):
+            self._file.seek(16 + 4 * (band * rows + r0) * cols)
+            if self._file.readinto(part) != part.nbytes:
+                raise FormatError(f"{self.path}: file ended inside band {band}")
+        if not np.isfinite(block).all():
+            raise FormatError(f"{self.path}: payload contains non-finite values")
+        return block.transpose(1, 2, 0).astype(np.float64)
+
+
+class CubeWriter:
+    """A cube container written row block by row block, replacing ``path`` only when whole.
+
+    Blocks go, in row order, to a temporary file beside ``path``, one
+    positioned write per band, after the checks of :func:`write_cube`: finite
+    values that do not overflow float32. When the ``with`` block ends without
+    an error and every row is written, ``os.replace`` moves the file onto
+    ``path``; otherwise it is deleted and ``path`` is left as it was.
+    """
+
+    def __init__(self, path, shape):
+        self.path = Path(path)
+        self.shape = rows, cols, bands = shape
+        if min(shape) < 1:
+            raise ValueError(f"{path}: invalid dimensions {rows}x{cols}x{bands}")
+        self._next = 0
+        # unique while this writer lives; another process has another pid
+        self._temp = self.path.with_name(f".{self.path.name}.{os.getpid()}-{id(self):x}.tmp")
+        self._file = open(self._temp, "xb")  # never an existing file; umask sets its mode
+        self._file.write(MAGIC + struct.pack("<III", rows, cols, bands))
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, error, *_):
+        replaced = False
+        try:
+            self._file.close()
+            if error is None:
+                if self._next != self.shape[0]:
+                    raise ValueError(f"{self.path}: {self._next} of {self.shape[0]} rows written")
+                os.replace(self._temp, self.path)
+                replaced = True
+        finally:
+            if not replaced:
+                self._temp.unlink(missing_ok=True)
+
+    def write(self, r0, block):
+        """Write ``block``, a (rows, cols, bands) array, as the rows from ``r0``."""
+        rows, cols, bands = self.shape
+        block = core.check_cube(block)
+        if r0 != self._next or r0 + len(block) > rows or block.shape[1:] != (cols, bands):
+            raise ValueError(f"{self.path}: expected rows from {self._next} of shape "
+                             f"(*, {cols}, {bands}), got {block.shape} at row {r0}")
+        if not np.isfinite(block).all():
+            raise FormatError(f"{self.path}: cube contains non-finite values")
+        with np.errstate(over="ignore"):
+            payload = block.transpose(2, 0, 1).astype("<f4", order="C")
+        if not np.isfinite(payload).all():
+            raise FormatError(f"{self.path}: cube values overflow float32")
+        for band, part in enumerate(payload):
+            self._file.seek(16 + 4 * (band * rows + r0) * cols)
+            self._file.write(part)
+        self._next += len(block)
+
+
 def write_cube(cube, path):
     """Write a cube to the binary container, truncating values to float32."""
     cube = core.check_cube(cube)
-    if not np.isfinite(cube).all():
-        raise FormatError("cube contains non-finite values")
-    with np.errstate(over="ignore"):
-        payload = cube.transpose(2, 0, 1).astype("<f4", order="C")
-    if not np.isfinite(payload).all():
-        raise FormatError("cube values overflow float32")
-    rows, cols, bands = cube.shape
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<III", rows, cols, bands))
-        fh.write(payload)
+    with CubeWriter(path, cube.shape) as writer:
+        writer.write(0, cube)
 
 
 def read_cube(path):
     """Read a cube container back into a float64 (rows, cols, bands) array."""
-    data = Path(path).read_bytes()
-    if data[:4] != MAGIC:
-        raise FormatError(f"{path}: bad magic (expected {MAGIC.decode()})")
-    if len(data) < 16:
-        raise FormatError(f"{path}: truncated header")
-    rows, cols, bands = struct.unpack("<III", data[4:16])
-    if min(rows, cols, bands) < 1:
-        raise FormatError(f"{path}: invalid dimensions {rows}x{cols}x{bands}")
-    expected = 16 + 4 * rows * cols * bands
-    if len(data) != expected:
-        raise FormatError(f"{path}: expected {expected} bytes, found {len(data)}")
-    payload = np.frombuffer(data, dtype="<f4", offset=16)
-    if not np.isfinite(payload).all():
-        raise FormatError(f"{path}: payload contains non-finite values")
-    return payload.reshape(bands, rows, cols).transpose(1, 2, 0).astype(np.float64)
+    with CubeReader(path) as reader:
+        return reader.read(0, reader.shape[0])
 
 
 def save_response(response, path):

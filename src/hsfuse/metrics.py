@@ -11,7 +11,9 @@ the image. That window is the outer product of an 11-tap 1-D Gaussian with
 itself, so each band's five local moments (the means of x, y, x*x, y*y and
 x*y) are filtered once along the rows and once along the columns, as one
 stacked array, with plain numpy slices and no FFT. This costs 11 taps per
-pixel and pass, whatever the image size.
+pixel and pass, whatever the image size. The map is computed a few rows at
+a time, each strip from its rows and the window's halo below them, which
+keeps the moments in cache and gives every value and the mean bit for bit.
 """
 
 import sys
@@ -40,6 +42,7 @@ _SSIM_WINDOW = 11
 _SSIM_SIGMA = 1.5
 _SSIM_K1 = 0.01
 _SSIM_K2 = 0.03
+_SSIM_STRIP = 24  # SSIM map rows computed at once
 
 
 @dataclass(frozen=True)
@@ -150,21 +153,28 @@ def _gaussian_valid(a, axis, taps):
 
 
 def _ssim_band(x, y, c1, c2, taps):
-    # x, y, x*x, y*y, x*y in one contiguous array, filtered together
-    moments = np.empty((5,) + x.shape)
-    moments[0] = x
-    moments[1] = y
-    np.multiply(moments[0], moments[0], out=moments[2])
-    np.multiply(moments[1], moments[1], out=moments[3])
-    np.multiply(moments[0], moments[1], out=moments[4])
-    mu_x, mu_y, exx, eyy, exy = _gaussian_valid(_gaussian_valid(moments, 1, taps), 2, taps)
-    mu_xx = mu_x * mu_x
-    mu_yy = mu_y * mu_y
-    mu_xy = mu_x * mu_y
-    # for x == y both factors of num equal those of den bit for bit, so SSIM is exactly 1
-    num = (2.0 * mu_xy + c1) * (2.0 * (exy - mu_xy) + c2)
-    den = (mu_xx + mu_yy + c1) * ((exx - mu_xx) + (eyy - mu_yy) + c2)
-    return float(np.mean(num / den))
+    # SSIM's map, _SSIM_STRIP rows at a time from those rows and the window's halo below them,
+    # so each strip's moments stay in cache; every value is computed as over the whole band
+    halo = _SSIM_WINDOW - 1
+    ssim = np.empty((x.shape[0] - halo, x.shape[1] - halo))
+    for s0 in range(0, len(ssim), _SSIM_STRIP):
+        rows = slice(s0, s0 + _SSIM_STRIP + halo)
+        # x, y, x*x, y*y, x*y in one contiguous array, filtered together
+        moments = np.empty((5,) + x[rows].shape)
+        moments[0] = x[rows]
+        moments[1] = y[rows]
+        np.multiply(moments[0], moments[0], out=moments[2])
+        np.multiply(moments[1], moments[1], out=moments[3])
+        np.multiply(moments[0], moments[1], out=moments[4])
+        mu_x, mu_y, exx, eyy, exy = _gaussian_valid(_gaussian_valid(moments, 1, taps), 2, taps)
+        mu_xx = mu_x * mu_x
+        mu_yy = mu_y * mu_y
+        mu_xy = mu_x * mu_y
+        # for x == y both factors of num equal those of den bit for bit, so SSIM is exactly 1
+        num = (2.0 * mu_xy + c1) * (2.0 * (exy - mu_xy) + c2)
+        den = (mu_xx + mu_yy + c1) * ((exx - mu_xx) + (eyy - mu_yy) + c2)
+        np.divide(num, den, out=ssim[s0 : s0 + _SSIM_STRIP])
+    return float(np.mean(ssim))
 
 
 def band_ssim(ref, est, peak=1.0):

@@ -28,6 +28,15 @@ def read_csv(path):
     return rows
 
 
+def count_cube_reads(monkeypatch):
+    """The paths of every cube read from here on, whole (read_cube) or by rows (CubeReader)."""
+    reads = []
+    read_cube, reader = hio.read_cube, hio.CubeReader
+    monkeypatch.setattr(hio, "read_cube", lambda path: reads.append(path) or read_cube(path))
+    monkeypatch.setattr(hio, "CubeReader", lambda path: reads.append(path) or reader(path))
+    return reads
+
+
 @pytest.fixture
 def scene(tmp_path):
     """Dyadic rank-3 truth cube on disk plus a simulated measurement set."""
@@ -292,9 +301,7 @@ class TestReconstruct:
     def test_response_without_improved_refused_before_reading(self, scene, tmp_path,
                                                               monkeypatch, capsys):
         # the base solve never reads a response, so the manifest must not name one
-        reads = []
-        read_cube = hio.read_cube
-        monkeypatch.setattr(hio, "read_cube", lambda path: reads.append(path) or read_cube(path))
+        reads = count_cube_reads(monkeypatch)
         cube, truth, out_dir = scene
         out = tmp_path / "x.hsc"
         code = run("reconstruct", "--y", out_dir / "y.hsc", "--z", out_dir / "z.hsc",
@@ -341,6 +348,108 @@ class TestReconstruct:
         assert code == cli.EXIT_USAGE
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestStreamedReconstruct:
+    """reconstruct streams its cubes by rows: the bytes of the in-memory library, inputs
+    read a row of cells at a time, and nothing left behind by a failed run."""
+
+    CASES = {
+        # name: (scene, simulate flags, reconstruct flags, patch rows)
+        "base": ("smooth", ("--noise-sigma", 0.01), ("--patch", 12, "--stride", 4), 12),
+        "fallback": ("two-zone", (), ("--rank", 2, "--patch", 8, "--stride", 4), 8),
+        "improved-threads-1": ("smooth", ("--noise-sigma", 0.01),
+                               ("--patch", 12, "--stride", 6, "--improved", "--threads", 1), 12),
+        "improved-threads-2": ("smooth", ("--noise-sigma", 0.01),
+                               ("--patch", 12, "--stride", 6, "--improved", "--threads", 2), 12),
+        "clamped": ("smooth", ("--noise-sigma", 0.01), ("--patch", "11,9", "--stride", 5), 11),
+    }
+
+    @staticmethod
+    def simulate(tmp_path, kind, flags):
+        if kind == "smooth":  # 29 rows: no stride of these cases divides them
+            cube, response = smooth_spectra_cube(31, 29, 26, 8), "average"
+        else:  # windows inside the zero gap have no signal: the cell guard declines them
+            cube, response = two_zone_cube(32, 29, 12, 12, 12, 6, rank=2), "average:2"
+        hio.write_cube(cube, tmp_path / "truth.hsc")
+        sim = tmp_path / "sim"
+        assert run("simulate", "--in", tmp_path / "truth.hsc", "--mask-seed", 33,
+                   "--response", response, *flags, "--out-dir", sim) == 0
+        return sim
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_bytes_equal_pfuse_and_rows_read_once(self, tmp_path, monkeypatch, case):
+        kind, sim_flags, flags, patch_rows = self.CASES[case]
+        sim = self.simulate(tmp_path, kind, sim_flags)
+        improved = "--improved" in flags
+        joint = ("--response", sim / "response.txt") if improved else ()
+        reads, reader = [], hio.CubeReader
+
+        class Recording(reader):
+            def read(self, r0, r1):
+                reads.append((Path(self.path).name, r0, r1))
+                return super().read(r0, r1)
+
+        monkeypatch.setattr(hio, "CubeReader", Recording)
+        out = tmp_path / "xhat.hsc"
+        assert run("reconstruct", "--y", sim / "y.hsc", "--z", sim / "z.hsc",
+                   "--mask", sim / "mask.hsc", *flags, *joint, "--out", out) == 0
+        for name in ("y.hsc", "z.hsc", "mask.hsc"):
+            spans = sorted((r0, r1) for file, r0, r1 in reads if file == name)
+            assert max(r1 - r0 for r0, r1 in spans) <= patch_rows
+            # each row once, and the file's rows in order
+            assert [r for r0, r1 in spans for r in range(r0, r1)] == list(range(29))
+        monkeypatch.undo()
+
+        y = hio.read_cube(sim / "y.hsc")[:, :, 0]
+        z, mask = hio.read_cube(sim / "z.hsc"), hio.read_cube(sim / "mask.hsc")
+        entries = hio.read_manifest(f"{out}.manifest.txt")
+        m, n = map(int, entries["patch"].split(","))
+        config = fusion.FusionConfig(int(entries["rank"]), m, n, int(entries["stride"]))
+        stats = []
+        xhat = fusion.pfuse(y, z, mask, config, workers=int(entries["threads"] or 1),
+                            response=hio.load_response(sim / "response.txt") if improved else None,
+                            stats=stats)
+        hio.write_cube(xhat, tmp_path / "library.hsc")
+        assert out.read_bytes() == (tmp_path / "library.hsc").read_bytes()
+        solvers = {s.solver for s in stats}
+        assert solvers == ({"cholesky", None} if case == "fallback" else {"cholesky"})
+
+    @pytest.mark.parametrize("case", ["non-finite-mask", "non-finite-z", "zero-mask",
+                                      "float32-overflow"])
+    def test_failed_run_leaves_nothing(self, tmp_path, capsys, case):
+        cube, _, _ = dyadic_low_rank_cube(34, 24, 20, 6, 3)
+        mask = forward.gen_mask(24, 20, 6, 35, 0.5)
+        scale = 1.0
+        if case == "zero-mask":
+            mask = np.zeros_like(mask)
+        elif case == "float32-overflow":
+            # a mask of 1e-10 asks for a scene 1e10 times the coded image: 1e40, past float32
+            mask, scale = mask * 1e-10, 1e40
+        sim = tmp_path / "sim"
+        sim.mkdir()
+        hio.write_cube(forward.simulate_cassi(cube * scale, mask)[:, :, None], sim / "y.hsc")
+        hio.write_cube(forward.simulate_multiband(cube, forward.average_response(6, 3)),
+                       sim / "z.hsc")
+        hio.write_cube(mask, sim / "mask.hsc")
+        if case.startswith("non-finite"):
+            bad = sim / f"{case.rpartition('-')[2]}.hsc"
+            data = bytearray(bad.read_bytes())
+            data[-4 * 20 - 4 : -4 * 20] = struct.pack("<f", float("nan"))  # last band, row 22
+            bad.write_bytes(bytes(data))
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        code = run("reconstruct", "--y", sim / "y.hsc", "--z", sim / "z.hsc",
+                   "--mask", sim / "mask.hsc", "--patch", 8, "--stride", 4,
+                   "--out", out_dir / "xhat.hsc")
+        err = capsys.readouterr().err
+        if case == "zero-mask":
+            assert code == cli.EXIT_NUMERIC
+        else:
+            assert code == cli.EXIT_IO
+            assert (f"{bad}: payload contains non-finite values" if case.startswith("non-finite")
+                    else f"{out_dir / 'xhat.hsc'}: cube values overflow float32") in err
+        assert list(out_dir.iterdir()) == []
 
 
 class TestEval:
@@ -740,9 +849,7 @@ class TestEarlyRejection:
     )
     def test_cube_independent_flag_rejected_before_reading(self, scene, tmp_path, monkeypatch,
                                                           capsys, argv, message):
-        reads = []
-        read_cube = hio.read_cube
-        monkeypatch.setattr(hio, "read_cube", lambda path: reads.append(path) or read_cube(path))
+        reads = count_cube_reads(monkeypatch)
         _, truth, _ = scene
         out = tmp_path / "out"
         command, *flags = argv
@@ -756,9 +863,7 @@ class TestEarlyRejection:
     @pytest.mark.parametrize("label", ["a\rb", '"x"'], ids=["carriage-return", "quote"])
     def test_eval_csv_label_rejected_before_reading(self, scene, tmp_path, monkeypatch, capsys,
                                                     label):
-        reads = []
-        read_cube = hio.read_cube
-        monkeypatch.setattr(hio, "read_cube", lambda path: reads.append(path) or read_cube(path))
+        reads = count_cube_reads(monkeypatch)
         _, truth, _ = scene
         out = tmp_path / "eval.csv"
         code = run("eval", "--ref", truth, "--est", truth, "--method", label, "--out", out)
@@ -771,9 +876,7 @@ class TestEarlyRejection:
                              ids=["missing", "malformed"])
     def test_bad_response_file_rejected_before_reading(self, scene, tmp_path, monkeypatch,
                                                        capsys, payload):
-        reads = []
-        read_cube = hio.read_cube
-        monkeypatch.setattr(hio, "read_cube", lambda path: reads.append(path) or read_cube(path))
+        reads = count_cube_reads(monkeypatch)
         _, _, out_dir = scene
         resp = tmp_path / "resp.txt"
         if payload is not None:

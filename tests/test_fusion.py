@@ -44,6 +44,20 @@ def pool_sizes(monkeypatch):
     return sizes
 
 
+class ArrayRows:
+    """An array as the row source pfuse_rows reads: a shape and rows r0:r1 on request."""
+
+    def __init__(self, array):
+        self.array, self.shape = array, array.shape
+
+    def read(self, r0, r1):
+        return self.array[r0:r1]
+
+
+def row_sources(y, z, mask):
+    return ArrayRows(y[:, :, None]), ArrayRows(z), ArrayRows(mask)
+
+
 @pytest.fixture
 def four_patches():
     """(y, z, mask, config, response) of a 10x10x4 scene cut into four 5x5 patches,
@@ -452,6 +466,66 @@ class TestPfuse:
             fusion.pfuse(y, z, np.zeros((8, 8, 4)), config)
 
 
+class TestPfuseRows:
+    """pfuse_rows: pfuse's result by rows, one row of windows at a time."""
+
+    @staticmethod
+    def tall():
+        """A 20x10x4 scene cut into four rows of two 5x5 windows, stride 5."""
+        rng = np.random.default_rng(60)
+        cube, _, _ = low_rank_cube(60, 20, 10, 4, 2)
+        mask = forward.gen_mask(20, 10, 4, 61, 0.5)
+        a = rng.random((4, 2))
+        y, z = forward.simulate_cassi(cube, mask), forward.simulate_multiband(cube, a)
+        return y, z, mask, FusionConfig(rank=2, patch_rows=5, patch_cols=5, stride=5), a
+
+    @pytest.mark.parametrize("joint", [False, True], ids=["base", "joint"])
+    def test_rows_are_pfuse_by_cell_rows(self, joint):
+        y, z, mask, config, a = self.tall()
+        config = FusionConfig(rank=2, patch_rows=6, patch_cols=5, stride=4)  # rows 0, 4, 8, 12, 14
+        response = a if joint else None
+        blocks = list(fusion.pfuse_rows(*row_sources(y, z, mask), config, response=response))
+        cut = core.make_grid(20, 10, 6, 5, 4).cells()[0]
+        assert [r0 for r0, _ in blocks] == cut[:-1]
+        assert [len(rows) for _, rows in blocks] == list(np.diff(cut))
+        whole = fusion.pfuse(y, z, mask, config, response=response)
+        assert np.array_equal(np.concatenate([rows for _, rows in blocks]), whole)
+
+    def test_arguments_checked_before_returning(self):
+        y, z, mask, config, a = self.tall()
+        with pytest.raises(ValueError, match="coded measurement must have 1 band, got 2"):
+            fusion.pfuse_rows(ArrayRows(np.stack([y, y], axis=2)), ArrayRows(z), ArrayRows(mask),
+                              config)
+        with pytest.raises(ValueError, match="response has 3 rows, expected 4 bands"):
+            fusion.pfuse_rows(*row_sources(y, z, mask), config, response=a[:3])
+
+    def test_next_row_submitted_before_a_row_is_collected(self, monkeypatch):
+        # a pool that solves at submission shows the order of submissions and output rows
+        class EagerPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return iter([fn(*args) for args in zip(*iterables)])
+
+        events, solve = [], fusion._fuse_block
+        monkeypatch.setattr(fusion, "ThreadPoolExecutor", EagerPool)
+        monkeypatch.setattr(fusion, "_fuse_block",
+                            lambda *args: events.append(("solve", args[-1][0])) or solve(*args))
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        y, z, mask, config, a = self.tall()
+        for r0, _ in fusion.pfuse_rows(*row_sources(y, z, mask), config, workers=2, response=a):
+            events.append(("rows", r0))
+        assert events == [("solve", 0)] * 2 + [("solve", 5)] * 2 + [("rows", 0)] + \
+            [("solve", 10)] * 2 + [("rows", 5)] + [("solve", 15)] * 2 + [("rows", 10), ("rows", 15)]
+
+
 @pytest.fixture
 def blas_at_two_threads():
     """numpy's bundled OpenBLAS set to two threads; its own count is restored after."""
@@ -516,6 +590,16 @@ class TestBlasThreads:
         assert not thread.is_alive()
         assert blas_at_two_threads.get_threads() == 2
 
+    def test_closing_rows_early_stops_the_pool_and_restores(self, seen, blas_at_two_threads):
+        y, z, mask, config, a = TestPfuseRows.tall()
+        rows = fusion.pfuse_rows(*row_sources(y, z, mask), config, workers=2, response=a)
+        next(rows)
+        assert blas_at_two_threads.get_threads() == 1
+        rows.close()
+        assert blas_at_two_threads.get_threads() == 2
+        assert not [t for t in threading.enumerate() if t.name.startswith("ThreadPoolExecutor")]
+        assert set(seen) == {1} and len(seen) <= 4  # two rows of windows at most were solved
+
     def test_one_worker_never_sets_the_count(self, monkeypatch, seen, blas_at_two_threads,
                                              four_patches):
         calls = []
@@ -577,7 +661,7 @@ def per_window_reference(monkeypatch, *args, qr=False, **kwargs):
     (its own SVD, phi and solve), and with ``qr`` that solve forced onto pivoted QR."""
     stats = []
     with monkeypatch.context() as patched:
-        patched.setattr(fusion, "_cell_solves", lambda *_args: ())
+        patched.setattr(fusion, "_cell_solve", lambda *_args: None)
         if qr:
             patched.setattr(fusion.numeric, "normal_lstsq", fusion.numeric.lstsq)
         return fusion.pfuse(*args, **kwargs, stats=stats), stats

@@ -72,6 +72,68 @@ class TestCubeFile:
             hio.write_cube(cube, tmp_path / "big.hsc")
 
 
+class TestCubeRows:
+    """CubeReader and CubeWriter: the row access read_cube and write_cube are built on."""
+
+    def test_rows_equal_read_cube_slices(self, tmp_path):
+        cube = np.random.default_rng(2).random((9, 7, 4))
+        hio.write_cube(cube, tmp_path / "c.hsc")
+        whole = hio.read_cube(tmp_path / "c.hsc")
+        with hio.CubeReader(tmp_path / "c.hsc") as reader:
+            assert reader.shape == (9, 7, 4)
+            for r0, r1 in [(0, 3), (3, 4), (4, 9), (2, 8), (0, 9)]:
+                rows = reader.read(r0, r1)
+                assert np.array_equal(rows, whole[r0:r1])
+                assert rows.strides[2] > rows.strides[0]  # band-major, as read_cube's
+            with pytest.raises(ValueError, match="not within 0:9"):
+                reader.read(5, 10)
+
+    def test_header_checked_on_open(self, tmp_path):
+        path = tmp_path / "short.hsc"
+        path.write_bytes(b"HSC1" + struct.pack("<III", 2, 2, 2) + b"\x00" * 10)
+        with pytest.raises(FormatError, match=f"{path}: expected 48 bytes, found 26"):
+            hio.CubeReader(path)
+
+    def test_non_finite_row_named_when_read(self, tmp_path):
+        path = tmp_path / "nan.hsc"
+        hio.write_cube(np.ones((4, 3, 2)), path)
+        data = bytearray(path.read_bytes())
+        data[-4:] = struct.pack("<f", float("inf"))  # band 1, last row
+        path.write_bytes(bytes(data))
+        with hio.CubeReader(path) as reader:
+            assert np.array_equal(reader.read(0, 3), np.ones((3, 3, 2)))
+            with pytest.raises(FormatError, match=f"{path}: payload contains non-finite"):
+                reader.read(3, 4)
+
+    def test_blocks_write_write_cube_bytes(self, tmp_path):
+        cube = np.random.default_rng(3).random((7, 5, 3))
+        hio.write_cube(cube, tmp_path / "whole.hsc")
+        with hio.CubeWriter(tmp_path / "rows.hsc", cube.shape) as writer:
+            for r0, r1 in [(0, 2), (2, 3), (3, 7)]:
+                writer.write(r0, cube[r0:r1])
+        assert (tmp_path / "rows.hsc").read_bytes() == (tmp_path / "whole.hsc").read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["rows.hsc", "whole.hsc"]
+
+    @pytest.mark.parametrize("failure", ["overflow", "non-finite", "rows-missing", "raised",
+                                         "row-order"])
+    def test_failure_keeps_the_old_file_and_no_temp(self, tmp_path, failure):
+        path = tmp_path / "out.hsc"
+        path.write_bytes(b"old")
+        block = np.ones((2, 3, 1))
+        bad = {"overflow": 1e300, "non-finite": np.nan}
+        with pytest.raises((FormatError, ValueError, KeyError)):
+            with hio.CubeWriter(path, (4, 3, 1)) as writer:
+                writer.write(0, block)
+                if failure in bad:
+                    writer.write(2, block * bad[failure])
+                elif failure == "raised":
+                    raise KeyError("the rows' producer failed")
+                elif failure == "row-order":
+                    writer.write(3, block[:1])
+        assert path.read_bytes() == b"old"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.hsc"]
+
+
 class TestResponseFile:
     def test_roundtrip_exact(self, tmp_path):
         rng = np.random.default_rng(1)

@@ -51,6 +51,23 @@ def ssim_window_oracle(x, y, peak=1.0):
     return float(np.mean(values))
 
 
+def ssim_whole_band_oracle(ref, est, peak=1.0):
+    """band_ssim's arithmetic over each whole band at once, with no strips."""
+    taps = metrics._gaussian_taps()
+    c1, c2 = (0.01 * peak) ** 2, (0.03 * peak) ** 2
+    out = []
+    for b in range(ref.shape[2]):
+        x, y = ref[:, :, b], est[:, :, b]
+        moments = np.stack([x, y, x * x, y * y, x * y])
+        mu_x, mu_y, exx, eyy, exy = metrics._gaussian_valid(
+            metrics._gaussian_valid(moments, 1, taps), 2, taps)
+        mu_xx, mu_yy, mu_xy = mu_x * mu_x, mu_y * mu_y, mu_x * mu_y
+        num = (2.0 * mu_xy + c1) * (2.0 * (exy - mu_xy) + c2)
+        den = (mu_xx + mu_yy + c1) * ((exx - mu_xx) + (eyy - mu_yy) + c2)
+        out.append(float(np.mean(num / den)))
+    return np.array(out)
+
+
 def msa_loop_oracle(ref, est):
     rows, cols, _ = ref.shape
     angles = []
@@ -184,6 +201,16 @@ class TestSsim:
         for b in range(2):
             oracle = ssim_window_oracle(ref[:, :, b], est[:, :, b])
             assert abs(got[b] - oracle) < 1e-12
+
+    @pytest.mark.parametrize("strip", [1, 8, 16, 24, 32, 64])
+    def test_strips_bit_identical_to_whole_band(self, monkeypatch, strip):
+        # 61 rows leave a short last strip for every strip height but 1
+        monkeypatch.setattr(metrics, "_SSIM_STRIP", strip)
+        rng = np.random.default_rng(20)
+        ref = rng.random((61, 23, 3))
+        est = np.clip(ref + 0.1 * rng.standard_normal(ref.shape), 0.0, 1.0)
+        assert np.array_equal(metrics.band_ssim(ref, est), ssim_whole_band_oracle(ref, est))
+        assert (metrics.band_ssim(ref, ref.copy()) == 1.0).all()
 
     @pytest.mark.parametrize("peak", [1e-100, 1e100])
     def test_peak_beyond_stability_constants(self, peak):
