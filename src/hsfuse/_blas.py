@@ -1,11 +1,12 @@
-"""numpy's own OpenBLAS through ctypes: the Cholesky trio and the BLAS thread count.
+"""numpy's own OpenBLAS through ctypes: the Cholesky solve and the BLAS thread count.
 
 numpy 2 wheels bundle scipy-openblas, whose ILP64 symbols carry a ``scipy_``
-prefix and a ``64_`` suffix. Calling its ``dpotrf``/``dpocon``/``dpotrs``
-spares every solve the scipy.linalg import (0.2-0.4 s and 28 MB). Where
-numpy bundles no such library (numpy 1.x wheels, MKL or Accelerate builds)
-:func:`openblas` is None: the solves use scipy.linalg.lapack and the thread
-count is left alone. Nothing is bound until first use.
+prefix and a ``64_`` suffix. Calling its ``dposv`` (``dpotrf`` then
+``dpotrs``) and ``dpocon`` spares every solve the scipy.linalg import
+(0.2-0.4 s and 28 MB). Where numpy bundles no such library (numpy 1.x
+wheels, MKL or Accelerate builds) :func:`openblas` is None: the solves use
+scipy.linalg.lapack and the thread count is left alone. Nothing is bound
+until first use.
 """
 
 import contextlib
@@ -42,11 +43,11 @@ def _call(func, *args):
 
 
 class OpenBLAS:
-    """The three scipy.linalg.lapack calls the solves use, with scipy's arguments,
+    """The two scipy.linalg.lapack calls the solves use, with scipy's arguments,
     results and upper-triangle factor, plus the library's BLAS thread count."""
 
     def __init__(self, lib):
-        for name, count in (("dpotrf", 4), ("dpocon", 8), ("dpotrs", 7)):
+        for name, count in (("dposv", 7), ("dpocon", 8)):
             func = getattr(lib, f"scipy_{name}_64_")
             # uplo, the arguments and info by address, then uplo's string length
             func.argtypes = (ctypes.c_char_p, *[ctypes.c_void_p] * count, ctypes.c_size_t)
@@ -57,9 +58,12 @@ class OpenBLAS:
         self.set_threads = lib.scipy_openblas_set_num_threads64_
         self.set_threads.argtypes, self.set_threads.restype = (ctypes.c_int,), None
 
-    def dpotrf(self, a):
-        a = _square(np.array(a, dtype=np.float64, order="F"))  # factored in place
-        return a, _call(self._dpotrf, len(a), a, len(a))
+    def dposv(self, a, b):
+        c = _square(np.array(a, dtype=np.float64, order="F"))  # factored in place
+        x, n = np.array(b, dtype=np.float64), len(c)  # solved in place
+        if x.shape != (n,):
+            raise ValueError(f"right-hand side shape {x.shape} does not match order {n}")
+        return c, x, _call(self._dposv, n, 1, c, n, x, n)
 
     def dpocon(self, factor, anorm):
         factor, rcond = _square(factor), ctypes.c_double()
@@ -67,13 +71,6 @@ class OpenBLAS:
         info = _call(self._dpocon, n, factor, n, ctypes.c_double(anorm), rcond,
                      (ctypes.c_double * (3 * n))(), (ctypes.c_int64 * n)())
         return rcond.value, info
-
-    def dpotrs(self, factor, b):
-        factor, x = _square(factor), np.array(b, dtype=np.float64)
-        n = len(factor)
-        if x.shape != (n,):
-            raise ValueError(f"right-hand side shape {x.shape} does not match order {n}")
-        return x, _call(self._dpotrs, n, 1, factor, n, x, n)
 
 
 @functools.cache

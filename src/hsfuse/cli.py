@@ -136,7 +136,7 @@ def _build_parser():
         commands[name] = p = sub.add_parser(name, help=text)
         add_flags(p)
         p.add_argument("--config", help="key = value file providing flag defaults")
-        p.set_defaults(func=run)
+        p.set_defaults(func=run, parser=p)
     return parser, commands
 
 
@@ -207,6 +207,17 @@ def _check_threads(args):
         raise ValueError("--threads must be >= 1")
 
 
+def _check_manifest_flags(args):
+    """Refuse, before any cube is read, a flag value that the command's manifest would not
+    give a rerun unchanged (an empty value there means the flag's default)."""
+    for action in args.parser._actions:
+        value, flag = getattr(args, action.dest, None), f"{action.option_strings[0]} value"
+        if action.dest != "config" and isinstance(value, str):
+            if not value:
+                raise ValueError(f"{flag} must not be empty")
+            hio.check_manifest_value(value, flag)
+
+
 def _manifest_value(value):
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -217,7 +228,8 @@ def _manifest_value(value):
 
 def _write_manifest(path, args, **resolved):
     """Record every flag of ``args``, with the values the command resolved."""
-    flags = {k: v for k, v in vars(args).items() if k not in ("command", "config", "func")}
+    flags = {k: v for k, v in vars(args).items()
+             if k not in ("command", "config", "func", "parser")}
     entries = {"command": args.command, "version": __version__, **flags, **resolved}
     hio.write_manifest(path, {k: _manifest_value(v) for k, v in entries.items()})
 
@@ -248,6 +260,7 @@ def _multiband(truth, response, args):
 
 def _run_simulate(args):
     _check_measurement_flags(args)
+    _check_manifest_flags(args)
     truth = hio.read_cube(args.in_path)
     response = forward.response_from_spec(args.response, truth.shape[2])
     y, mask = _coded(truth, args)
@@ -274,6 +287,7 @@ def _run_reconstruct(args):
     m, n = _parse_patch(args.patch)
     config = fusion.FusionConfig(args.rank, m, n, args.stride)
     _check_threads(args)
+    _check_manifest_flags(args)
     # a bad response file fails before the cubes are read; pfuse_rows checks its bands
     response = hio.load_response(args.response) if args.response else None
     out = Path(args.out)
@@ -305,8 +319,9 @@ def _run_eval(args):
     m_label, _ = _parse_patch(args.patch)
     hio.check_identifier(args.method, "--method value")
     scene = args.scene if args.scene is not None else Path(args.ref).stem
-    hio.check_identifier(scene, "--scene value" if args.scene is not None
-                         else f"--ref value {args.ref!r}: stem")
+    label = "--scene value" if args.scene is not None else f"--ref value {args.ref!r}: stem"
+    hio.check_manifest_value(hio.check_identifier(scene, label), label)
+    _check_manifest_flags(args)
     ref = hio.read_cube(args.ref)
     est = hio.read_cube(args.est)
     start = time.perf_counter()
@@ -359,6 +374,7 @@ def _sweep_plan(args):
 def _run_sweep(args):
     _check_threads(args)
     _check_measurement_flags(args)
+    _check_manifest_flags(args)
     plan = _sweep_plan(args)
     scene = hio.check_identifier(Path(args.in_path).stem, f"--in value {args.in_path!r}: stem")
     truth = hio.read_cube(args.in_path)
@@ -395,6 +411,7 @@ def _run_analyze(args):
     m = args.patch
     if m < 1:
         raise ValueError("--patch must be >= 1")
+    _check_manifest_flags(args)
     cube = hio.read_cube(args.in_path)
     rows, cols, _ = cube.shape
     if m > min(rows, cols):

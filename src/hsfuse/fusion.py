@@ -169,7 +169,12 @@ def assemble_phi_w(mask, w):
     ``assemble_phi_w(C, W) @ vec(E)`` equals the pixel-major ravel of
     ``simulate_cassi(fold3(E @ W), C)``.
     """
-    mask = core.check_cube(mask, "mask")
+    return _phi_w(core.check_cube(mask, "mask"), w)
+
+
+def _phi_w(mask, w, below=0):
+    """:func:`assemble_phi_w` of a checked mask; given ``below`` > 0, as the top rows of a
+    C-ordered array with that many more rows, left for the caller to fill."""
     w = np.asarray(w, dtype=np.float64)
     if w.ndim != 2:
         raise ValueError(f"coefficients must be 2-D, got shape {w.shape}")
@@ -177,8 +182,12 @@ def assemble_phi_w(mask, w):
     k, pixels = w.shape
     if pixels != rows * cols:
         raise ValueError(f"coefficients cover {pixels} pixels, mask has {rows * cols}")
-    mask_px = mask.reshape(rows * cols, bands, order="F")
-    return np.einsum("tp,pb->ptb", w, mask_px).reshape(pixels, k * bands)
+    terms = (w, mask.reshape(pixels, bands, order="F"))
+    if not below:  # einsum's own memory layout, on which the sums over phi depend
+        return np.einsum("tp,pb->ptb", *terms).reshape(pixels, k * bands)
+    phi = np.empty((pixels + below, k * bands))
+    np.einsum("tp,pb->ptb", *terms, out=phi[:pixels].reshape(pixels, k, bands))
+    return phi
 
 
 def assemble_phi_rgb(response, w):
@@ -228,14 +237,14 @@ def _solve(y, mask, w, z, response):
     base Gram plus a positive semidefinite term, which never lowers its
     smallest eigenvalue.
     """
-    phi = assemble_phi_w(mask, w)
+    phi = _phi_w(mask, w, 0 if response is None else len(w) * response.shape[1])
     rhs = y.ravel(order="F")
     outside = 0.0
     if response is not None:
         q, r = np.linalg.qr(w.T)
         zmat = core.unfold3(z)
         zq = zmat @ q
-        phi = np.vstack((phi, np.kron(r, response.T)))
+        phi[len(rhs):] = np.kron(r, response.T)  # below phi_W, which is not copied
         rhs = np.concatenate((rhs, zq.ravel(order="F")))
         outside = np.linalg.norm(zmat - zq @ q.T)
     sol = numeric.normal_lstsq(phi, rhs)
@@ -369,23 +378,10 @@ def fuse(y, z, mask, rank, response=None):
     return pfuse(y, z, mask, FusionConfig(rank, rows, cols), response=response)
 
 
-class _Rows(NamedTuple):
-    """An array as a row source: the ``shape`` and ``read`` of :class:`io.CubeReader`."""
-
-    array: np.ndarray
-
-    @property
-    def shape(self):
-        return self.array.shape
-
-    def read(self, r0, r1):
-        return self.array[r0:r1]
-
-
 def pfuse(y, z, mask, config, workers=1, response=None, stats=None):
     """Patch-based fusion over an overlapping grid, averaged on overlaps.
 
-    This is :func:`pfuse_rows` over slices of the arrays, collected into one
+    This is :func:`pfuse_rows` over the arrays, collected into one
     (rows, cols, bands) array. A ``response`` selects the joint solve. Base
     windows are solved from cell statistics on the calling thread, the rest
     by the per-window path, with ``workers`` > 1 (None: one per CPU) on a
@@ -403,8 +399,8 @@ def pfuse(y, z, mask, config, workers=1, response=None, stats=None):
     """
     y, z, mask = _check_measurements(y, z, mask)
     out = np.empty(mask.shape)
-    for r0, rows in pfuse_rows(_Rows(y[:, :, None]), _Rows(z), _Rows(mask), config,
-                               workers=workers, response=response, stats=stats):
+    for r0, rows in pfuse_rows(y[:, :, None], z, mask, config, workers=workers,
+                               response=response, stats=stats):
         out[r0 : r0 + len(rows)] = rows
     return out
 
@@ -413,11 +409,11 @@ def pfuse_rows(y, z, mask, config, workers=1, response=None, stats=None):
     """:func:`pfuse` of row sources, yielding the reconstruction by rows.
 
     ``y`` (one band), ``z`` and ``mask`` each have a ``shape`` (rows, cols,
-    bands) and a ``read(r0, r1)`` returning rows r0:r1 as a float64
-    (r1 - r0, cols, bands) array, as :class:`io.CubeReader` has. The
-    arguments are checked before this returns; the generator then yields
-    ``(r0, rows)`` blocks of the (rows, cols, bands) result, in row order,
-    each as soon as no later window covers it.
+    bands), and ``source[r0:r1]`` gives rows r0:r1, read as float64: numpy
+    arrays and :class:`io.CubeReader` are row sources. The arguments are
+    checked before this returns; the generator then yields ``(r0, rows)``
+    blocks of the (rows, cols, bands) result, in row order, each as soon as
+    no later window covers it.
 
     It goes through the grid one row of windows at a time and reads each row
     of cells once, with no read longer than a window. It holds the input
@@ -428,6 +424,8 @@ def pfuse_rows(y, z, mask, config, workers=1, response=None, stats=None):
     """
     if workers is not None and not (_integer(workers) and workers >= 1):
         raise ValueError(f"workers must be None or an integer >= 1, got {workers!r}")
+    if any(len(source.shape) != 3 for source in (y, z, mask)):
+        raise ValueError(f"row sources must be 3-D, got shapes {y.shape}, {z.shape}, {mask.shape}")
     if y.shape[2] != 1:
         raise ValueError(f"coded measurement must have 1 band, got {y.shape[2]}")
     _check_shapes(y.shape[:2], z.shape, mask.shape)
@@ -474,12 +472,11 @@ def _stream(y, z, mask, grid, rank, workers, response, stats):
     def submit(a0, a1, indices):
         """Read and solve one row of windows, the per-window solves only submitted."""
         nonlocal pool
-        rows = []
-        for a in range(a0, a1):
-            r0, r1 = row_edges[a : a + 2]
+        for r0, r1 in zip(row_edges[a0:a1], row_edges[a0 + 1 : a1 + 1]):
             if r0 not in inputs:
-                inputs[r0] = (y.read(r0, r1)[:, :, 0], z.read(r0, r1), mask.read(r0, r1))
-            rows.append(inputs[r0])
+                coded, *rest = (np.asarray(part[r0:r1], dtype=np.float64) for part in (y, z, mask))
+                inputs[r0] = (coded[:, :, 0], *rest)
+        rows = [inputs[r0] for r0 in row_edges[a0:a1]]
         solved = {} if response is not None else cell_solves(a0, a1, rows, indices)
         pending = [index for index in indices if index not in solved]
         window = None

@@ -6,8 +6,8 @@ uint32 (rows, cols, bands), then rows*cols*bands little-endian IEEE-754
 float32 values, band-sequential (all of band 0 first), row-major within
 each band. File length is exactly 16 + 4*rows*cols*bands bytes. Cubes are
 computed in float64 and truncated to float32 on write.
-:class:`CubeReader` reads any run of rows, with one positioned read per
-band, and :class:`CubeWriter` writes rows in order the same way to a
+:class:`CubeReader` reads any run of rows by slicing, with one positioned
+read per band, and :class:`CubeWriter` writes rows in order the same way to a
 temporary file that replaces its path only once every row is in.
 ``read_cube`` and ``write_cube`` are the whole cube's case of each; a caller
 that works by row blocks holds only the rows it asked for.
@@ -35,6 +35,7 @@ __all__ = [
     "CubeWriter",
     "ReportRow",
     "check_identifier",
+    "check_manifest_value",
     "read_cube",
     "write_cube",
     "load_response",
@@ -58,7 +59,7 @@ class CubeReader:
     """Rows of a cube container, read on demand.
 
     Opening checks the header and the file length, so a malformed file fails
-    before any row is used. ``read(r0, r1)`` returns rows r0:r1 of every band
+    before any row is used. ``reader[r0:r1]`` returns rows r0:r1 of every band
     as a float64 (r1 - r0, cols, bands) array in :func:`read_cube`'s layout: it
     reads each band's rows with one positioned read into a float32 buffer that
     later reads reuse, and checks them for finiteness. Use it as a context
@@ -92,11 +93,13 @@ class CubeReader:
     def __exit__(self, *_):
         self._file.close()
 
-    def read(self, r0, r1):
-        """Rows r0:r1 as a float64 (r1 - r0, cols, bands) array."""
+    def __getitem__(self, span):
+        """Rows r0:r1 of the slice ``span`` as a float64 (r1 - r0, cols, bands) array."""
         rows, cols, bands = self.shape
+        step_1 = isinstance(span, slice) and span.step in (None, 1)
+        r0, r1 = (span.start or 0, rows if span.stop is None else span.stop) if step_1 else (0, 0)
         if not 0 <= r0 < r1 <= rows:
-            raise ValueError(f"rows {r0}:{r1} are not within 0:{rows}")
+            raise ValueError(f"rows {span!r} are not a nonempty step-1 slice within 0:{rows}")
         size = bands * (r1 - r0) * cols
         if self._buffer.size < size:
             self._buffer = np.empty(size, dtype="<f4")
@@ -176,7 +179,7 @@ def write_cube(cube, path):
 def read_cube(path):
     """Read a cube container back into a float64 (rows, cols, bands) array."""
     with CubeReader(path) as reader:
-        return reader.read(0, reader.shape[0])
+        return reader[:]
 
 
 def save_response(response, path):
@@ -188,10 +191,17 @@ def save_response(response, path):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _read_text(path):
+    """The text of the file at ``path``, or FormatError naming it if it is not UTF-8 text."""
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as err:
+        raise FormatError(f"{path}: not a text file ({err.reason} at byte {err.start})") from err
+
+
 def load_response(path):
     """Read a spectral response matrix from its text format."""
-    text = Path(path).read_text()
-    rows = [line.split() for line in text.splitlines() if line.strip()]
+    rows = [line.split() for line in _read_text(path).splitlines() if line.strip()]
     if not rows or len(rows[0]) != 2:
         raise FormatError(f"{path}: first line must be 'bands channels'")
     try:
@@ -240,6 +250,16 @@ def check_identifier(value, what):
     return value
 
 
+def check_manifest_value(value, what):
+    """``value`` as a string, or ValueError if a manifest could not carry it back unchanged:
+    :func:`read_manifest` ends a value at a line break and strips it."""
+    text = str(value)
+    if text != text.strip() or len(text.splitlines()) > 1:
+        raise ValueError(f"{what} {text!r} must not contain line breaks or surrounding "
+                         "whitespace, which its manifest would not keep")
+    return text
+
+
 def write_table(path, header, rows):
     """Write a plain CSV table (no quoting; fields must be comma-free)."""
     lines = [",".join(header)]
@@ -254,20 +274,24 @@ def write_report(rows, path):
 
 
 def write_manifest(path, entries):
-    """Write configuration as human-readable ``key = value`` lines."""
-    lines = [f"{key} = {value}" for key, value in entries.items()]
+    """Write configuration as human-readable ``key = value`` lines, refusing a value that
+    :func:`read_manifest` would not read back as written (:func:`check_manifest_value`)."""
+    lines = [f"{key} = {check_manifest_value(value, key)}" for key, value in entries.items()]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def read_manifest(path):
-    """Read a ``key = value`` manifest (or config file) into a dict."""
+    """Read a ``key = value`` manifest (or config file) into a dict; a key appears once."""
     entries = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         key, sep, value = line.partition("=")
-        if not sep or not key.strip():
+        key = key.strip()
+        if not sep or not key:
             raise FormatError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        entries[key.strip()] = value.strip()
+        if key in entries:
+            raise FormatError(f"{path}:{lineno}: key {key!r} repeats an earlier line")
+        entries[key] = value.strip()
     return entries

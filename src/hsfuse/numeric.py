@@ -11,10 +11,11 @@ several times faster on tall systems, and hands the system to ``lstsq``
 whenever the Gram matrix's estimated condition makes that squaring unsafe,
 so its answer stays within about 1e-10 relative of QR's.
 
-``cholesky_solve`` calls LAPACK in numpy's own OpenBLAS (``_blas``), so a
-reconstruction whose windows all keep their Cholesky answer never imports
-scipy.linalg, which takes longer to load than numpy. Only the QR fallback
-imports it, and ``cholesky_solve`` too where numpy bundles no OpenBLAS.
+``cholesky_solve`` calls ``dposv`` and ``dpocon`` in numpy's own OpenBLAS
+(``_blas``), so a reconstruction whose windows all keep their Cholesky
+answer never imports scipy.linalg, which takes longer to load than numpy.
+Only the QR fallback imports it, and ``cholesky_solve`` too where numpy
+bundles no OpenBLAS.
 """
 
 from typing import NamedTuple
@@ -141,22 +142,20 @@ def lstsq(phi, y):
 
 
 def cholesky_solve(gram, rhs):
-    """Solution of the normal equations gram @ x = rhs by Cholesky, or None (solve by
-    pivoted QR instead) unless G is finite, factors and has rcond(G) >= CHOLESKY_RCOND_MIN."""
+    """Solution of gram @ x = rhs by Cholesky (``dposv``), or None (solve by pivoted QR
+    instead) unless G is finite, factors and has rcond(G) >= CHOLESKY_RCOND_MIN (``dpocon``)."""
     lapack = _blas.openblas()
     if lapack is None:
         from scipy.linalg import lapack
 
     if not np.isfinite(gram).all():
         return None
-    factor, info = lapack.dpotrf(gram)
+    factor, x, info = lapack.dposv(gram, rhs)
     if info != 0:
         return None
     # dpocon needs the 1-norm of G itself, not of its factor
     rcond, _ = lapack.dpocon(factor, np.abs(gram).sum(axis=0).max())
-    if not rcond >= CHOLESKY_RCOND_MIN:
-        return None
-    return lapack.dpotrs(factor, rhs)[0]
+    return x if rcond >= CHOLESKY_RCOND_MIN else None
 
 
 def normal_lstsq(phi, y):

@@ -386,9 +386,9 @@ class TestStreamedReconstruct:
         reads, reader = [], hio.CubeReader
 
         class Recording(reader):
-            def read(self, r0, r1):
-                reads.append((Path(self.path).name, r0, r1))
-                return super().read(r0, r1)
+            def __getitem__(self, span):
+                reads.append((Path(self.path).name, span.start, span.stop))
+                return super().__getitem__(span)
 
         monkeypatch.setattr(hio, "CubeReader", Recording)
         out = tmp_path / "xhat.hsc"
@@ -842,10 +842,18 @@ class TestEarlyRejection:
             # the --in stem is the CSV's scene field (the last --in wins)
             (("sweep", "--vary", "rank", "--values", "1", "--in", "a,b.hsc"),
              "stem 'a,b' must not contain commas"),
+            # every flag is recorded in the manifest, whose lines end at a line break and
+            # whose values are stripped
+            (("simulate", "--response", "average "),
+             "--response value 'average ' must not contain line breaks or surrounding whitespace"),
+            (("sweep", "--vary", "rank", "--values", "1\n2"),
+             "--values value '1\\n2' must not contain line breaks"),
+            (("analyze", "--seed", 1, "--in", ""), "--in value must not be empty"),
         ],
         ids=["sweep-threads", "simulate-noise", "analyze-samples", "simulate-density",
              "sweep-density", "analyze-patch", "sweep-stride", "sweep-rank-value",
-             "sweep-scene-label"],
+             "sweep-scene-label", "simulate-response-space", "sweep-values-newline",
+             "analyze-in-empty"],
     )
     def test_cube_independent_flag_rejected_before_reading(self, scene, tmp_path, monkeypatch,
                                                           capsys, argv, message):
@@ -872,14 +880,43 @@ class TestEarlyRejection:
         assert reads == []
         assert not out.exists()
 
-    @pytest.mark.parametrize("payload", [None, "31 3\n0.1 0.2 0.3\n"],
-                             ids=["missing", "malformed"])
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            # a path with a line break would add a manifest line of its own, such as a second y
+            (("reconstruct", "--out", "x.hsc\ny = other.hsc"),
+             "--out value 'x.hsc\\ny = other.hsc' must not contain line breaks"),
+            (("reconstruct", "--patch", " 12"), "--patch value ' 12' must not contain"),
+            (("eval", "--scene", " lab "), "--scene value ' lab ' must not contain"),
+            (("eval", "--scene", ""), "--scene value must not be empty"),
+            (("eval", "--ref", "dir/ lab.hsc"), "--ref value 'dir/ lab.hsc': stem ' lab' must not"),
+        ],
+        ids=["reconstruct-out-newline", "reconstruct-patch-space", "eval-scene-spaces",
+             "eval-scene-empty", "eval-ref-stem-space"],
+    )
+    def test_value_the_manifest_would_change_rejected_before_reading(
+            self, scene, tmp_path, monkeypatch, capsys, argv, message):
+        reads = count_cube_reads(monkeypatch)
+        _, truth, out_dir = scene
+        command, *flags = argv
+        inputs = {"reconstruct": ("--y", out_dir / "y.hsc", "--z", out_dir / "z.hsc",
+                                  "--mask", out_dir / "mask.hsc", "--out", tmp_path / "x.hsc"),
+                  "eval": ("--ref", truth, "--est", truth, "--out", tmp_path / "e.csv")}[command]
+        assert run(command, *inputs, *flags) == cli.EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert reads == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sim", "truth.hsc"]
+
+    @pytest.mark.parametrize("payload", [None, "31 3\n0.1 0.2 0.3\n", b"31 3\n\xae\x00\n"],
+                             ids=["missing", "malformed", "binary"])
     def test_bad_response_file_rejected_before_reading(self, scene, tmp_path, monkeypatch,
                                                        capsys, payload):
         reads = count_cube_reads(monkeypatch)
         _, _, out_dir = scene
         resp = tmp_path / "resp.txt"
-        if payload is not None:
+        if isinstance(payload, bytes):
+            resp.write_bytes(payload)
+        elif payload is not None:
             resp.write_text(payload)
         out = tmp_path / "out.hsc"
         code = run("reconstruct", "--y", out_dir / "y.hsc", "--z", out_dir / "z.hsc",

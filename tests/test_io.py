@@ -82,11 +82,19 @@ class TestCubeRows:
         with hio.CubeReader(tmp_path / "c.hsc") as reader:
             assert reader.shape == (9, 7, 4)
             for r0, r1 in [(0, 3), (3, 4), (4, 9), (2, 8), (0, 9)]:
-                rows = reader.read(r0, r1)
+                rows = reader[r0:r1]
                 assert np.array_equal(rows, whole[r0:r1])
                 assert rows.strides[2] > rows.strides[0]  # band-major, as read_cube's
-            with pytest.raises(ValueError, match="not within 0:9"):
-                reader.read(5, 10)
+            assert np.array_equal(reader[:], whole)
+            assert np.array_equal(reader[4:], whole[4:]) and np.array_equal(reader[:2], whole[:2])
+
+    @pytest.mark.parametrize("span", [slice(0, 9, 2), 3, slice(4, 4), slice(5, 10), slice(-1, 9)],
+                             ids=["step-2", "integer", "empty", "past-the-end", "negative"])
+    def test_only_a_nonempty_step_1_slice_within_the_rows(self, tmp_path, span):
+        hio.write_cube(np.ones((9, 7, 4)), tmp_path / "c.hsc")
+        with hio.CubeReader(tmp_path / "c.hsc") as reader:
+            with pytest.raises(ValueError, match="not a nonempty step-1 slice within 0:9"):
+                reader[span]
 
     def test_header_checked_on_open(self, tmp_path):
         path = tmp_path / "short.hsc"
@@ -101,9 +109,9 @@ class TestCubeRows:
         data[-4:] = struct.pack("<f", float("inf"))  # band 1, last row
         path.write_bytes(bytes(data))
         with hio.CubeReader(path) as reader:
-            assert np.array_equal(reader.read(0, 3), np.ones((3, 3, 2)))
+            assert np.array_equal(reader[0:3], np.ones((3, 3, 2)))
             with pytest.raises(FormatError, match=f"{path}: payload contains non-finite"):
-                reader.read(3, 4)
+                reader[3:4]
 
     def test_blocks_write_write_cube_bytes(self, tmp_path):
         cube = np.random.default_rng(3).random((7, 5, 3))
@@ -241,6 +249,33 @@ class TestManifest:
         path.write_text("just some text\n")
         with pytest.raises(FormatError, match="key = value"):
             hio.read_manifest(path)
+
+    def test_binary_file_named(self, tmp_path):
+        path = tmp_path / "y.hsc"
+        hio.write_cube(np.full((2, 2, 1), 0.37), path)  # float32 0.37 starts with 0xa4: not UTF-8
+        with pytest.raises(FormatError, match=f"{path}: not a text file"):
+            hio.read_manifest(path)
+        with pytest.raises(FormatError, match=f"{path}: not a text file"):
+            hio.load_response(path)
+
+    def test_repeated_key_names_its_line(self, tmp_path):
+        path = tmp_path / "manifest.txt"
+        path.write_text("y = a.hsc\n# note\ny = b.hsc\n")
+        with pytest.raises(FormatError, match=f"{path}:3: key 'y' repeats an earlier line"):
+            hio.read_manifest(path)
+
+    @pytest.mark.parametrize("value", ["a\nb = c", " lab", "lab ", "a\rb", "a\x85b", "\t"])
+    def test_value_not_read_back_as_written_refused(self, tmp_path, value):
+        path = tmp_path / "manifest.txt"
+        with pytest.raises(ValueError, match="scene .* must not contain line breaks or surround"):
+            hio.write_manifest(path, {"command": "eval", "scene": value})
+        assert not path.exists()
+
+    def test_values_read_back_as_written(self, tmp_path):
+        path = tmp_path / "manifest.txt"
+        entries = {"out": "x = y.hsc", "scene": "a b", "threads": "", "peak": "#1"}
+        hio.write_manifest(path, entries)
+        assert hio.read_manifest(path) == entries
 
     def test_human_readable_layout(self, tmp_path):
         path = tmp_path / "manifest.txt"

@@ -222,15 +222,15 @@ class TestCholeskySolve:
         if lib is None:
             pytest.skip("numpy bundles no scipy-openblas LAPACK symbols")
         with pytest.raises(ValueError, match="square"):
-            lib.dpotrf(np.ones((2, 3)))
+            lib.dposv(np.ones((2, 3)), np.ones(2))
         with pytest.raises(ValueError, match="does not match order 2"):
-            lib.dpotrs(np.eye(2), np.ones(3))
+            lib.dposv(np.eye(2), np.ones(3))
 
     def test_missing_symbols_use_scipy(self, monkeypatch):
         calls = []
         monkeypatch.setattr(_blas, "openblas", lambda: calls.append(1))
-        monkeypatch.setattr(scipy.linalg.lapack, "dpotrs",
-                            lambda *args: calls.append(2) or (np.zeros(2), 0))
+        monkeypatch.setattr(scipy.linalg.lapack, "dposv",
+                            lambda *args: calls.append(2) or (np.eye(2), np.zeros(2), 0))
         assert np.array_equal(cholesky_solve(np.eye(2), np.ones(2)), np.zeros(2))
         assert calls == [1, 2]
 

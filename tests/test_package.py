@@ -2,6 +2,7 @@
 its modules import each other without cycles."""
 
 import ast
+import inspect
 import pkgutil
 import re
 from graphlib import TopologicalSorter
@@ -11,6 +12,7 @@ from pathlib import Path
 import hsfuse
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
 def library_modules():
@@ -67,3 +69,25 @@ def test_import_graph_is_acyclic_and_module_level():
     assert nested == []
     # the response rules live in core, so the file format and the solver need no simulator
     assert "forward" not in graph["io"] | graph["fusion"]
+
+
+def test_benchmark_hooks_resolve():
+    # perfbench/spans.py wraps hsfuse.<module>.<function> by name and binds each call's
+    # arguments to read some of them by parameter name; read from its source, not imported
+    tree = ast.parse(SPANS.read_text())
+    reads = {
+        node.name: {sub.slice.value for sub in ast.walk(node) if isinstance(sub, ast.Subscript)
+                    and isinstance(sub.value, ast.Name) and sub.value.id == "arguments"}
+        for node in tree.body if isinstance(node, ast.FunctionDef)
+    }
+    (table,) = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                and [t.id for t in node.targets] == ["WRAPPED"]]
+    hooks = [[ast.literal_eval(e) if isinstance(e, ast.Constant) else e.id for e in row.elts]
+             for row in table.elts]
+    assert len(hooks) >= 16
+    wanted = set()
+    for module, name, measure in hooks:
+        func = getattr(import_module(f"hsfuse.{module}"), name)
+        wanted |= reads.get(measure, set())
+        assert reads.get(measure, set()) <= inspect.signature(func).parameters.keys(), name
+    assert wanted == {"path", "phi", "k", "config", "workers"}
