@@ -28,18 +28,16 @@ def _square(a):
     return a
 
 
-def _ref(arg):
-    """A LAPACK argument by address; an int is passed as an ILP64 integer."""
-    if isinstance(arg, np.ndarray):
-        return arg.ctypes.data
-    return ctypes.byref(ctypes.c_int64(arg) if isinstance(arg, int) else arg)
+class _Arguments:
+    """The LAPACK arguments of order n, built once and reused by one thread: the ILP64
+    scalars n and 1 by address, and info, rcond and ``dpocon``'s work arrays, which the
+    calls write, so no two threads share them."""
 
-
-def _call(func, *args):
-    """``func("U", *args, info)`` with uplo's string length; returns info."""
-    info = ctypes.c_int64()
-    func(b"U", *map(_ref, args), ctypes.byref(info), 1)
-    return info.value
+    def __init__(self, n):
+        self.n = n
+        self.order, self.one = ctypes.byref(ctypes.c_int64(n)), ctypes.byref(ctypes.c_int64(1))
+        self.info, self.rcond = ctypes.c_int64(), ctypes.c_double()
+        self.work, self.iwork = (ctypes.c_double * (3 * n))(), (ctypes.c_int64 * n)()
 
 
 class OpenBLAS:
@@ -57,20 +55,32 @@ class OpenBLAS:
         self.get_threads.argtypes, self.get_threads.restype = (), ctypes.c_int
         self.set_threads = lib.scipy_openblas_set_num_threads64_
         self.set_threads.argtypes, self.set_threads.restype = (ctypes.c_int,), None
+        self._local = threading.local()
+
+    def _arguments(self, n):
+        """This thread's :class:`_Arguments` for order n, rebuilt only when n changes."""
+        args = getattr(self._local, "args", None)
+        if args is None or args.n != n:
+            args = self._local.args = _Arguments(n)
+        return args
 
     def dposv(self, a, b):
         c = _square(np.array(a, dtype=np.float64, order="F"))  # factored in place
         x, n = np.array(b, dtype=np.float64), len(c)  # solved in place
         if x.shape != (n,):
             raise ValueError(f"right-hand side shape {x.shape} does not match order {n}")
-        return c, x, _call(self._dposv, n, 1, c, n, x, n)
+        args = self._arguments(n)
+        self._dposv(b"U", args.order, args.one, c.ctypes.data, args.order, x.ctypes.data,
+                    args.order, ctypes.byref(args.info), 1)
+        return c, x, args.info.value
 
     def dpocon(self, factor, anorm):
-        factor, rcond = _square(factor), ctypes.c_double()
-        n = len(factor)
-        info = _call(self._dpocon, n, factor, n, ctypes.c_double(anorm), rcond,
-                     (ctypes.c_double * (3 * n))(), (ctypes.c_int64 * n)())
-        return rcond.value, info
+        factor = _square(factor)
+        args = self._arguments(len(factor))
+        self._dpocon(b"U", args.order, factor.ctypes.data, args.order,
+                     ctypes.byref(ctypes.c_double(anorm)), ctypes.byref(args.rcond),
+                     args.work, args.iwork, ctypes.byref(args.info), 1)
+        return args.rcond.value, args.info.value
 
 
 @functools.cache

@@ -322,6 +322,9 @@ def _run_eval(args):
     label = "--scene value" if args.scene is not None else f"--ref value {args.ref!r}: stem"
     hio.check_manifest_value(hio.check_identifier(scene, label), label)
     _check_manifest_flags(args)
+    with hio.CubeReader(args.ref) as ref, hio.CubeReader(args.est) as est:
+        if ref.shape != est.shape:  # evaluate's own check, from the headers alone
+            raise ValueError(f"shape mismatch: reference {ref.shape} vs estimate {est.shape}")
     ref = hio.read_cube(args.ref)
     est = hio.read_cube(args.est)
     start = time.perf_counter()

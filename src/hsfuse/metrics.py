@@ -9,11 +9,14 @@ assessment: from error visibility to structural similarity" (IEEE TIP,
 2004): an 11x11 window with sigma 1.5, evaluated only where it fits inside
 the image. That window is the outer product of an 11-tap 1-D Gaussian with
 itself, so each band's five local moments (the means of x, y, x*x, y*y and
-x*y) are filtered once along the rows and once along the columns, as one
-stacked array, with plain numpy slices and no FFT. This costs 11 taps per
-pixel and pass, whatever the image size. The map is computed a few rows at
-a time, each strip from its rows and the window's halo below them, which
-keeps the moments in cache and gives every value and the mean bit for bit.
+x*y) are filtered once along the columns and once along the rows, with no
+FFT and no scipy. Each pass is a matrix product with a banded Toeplitz
+matrix of the taps: the map is computed 32 rows at a time, each strip from
+its rows and the window's halo below them, filtered down by one GEMM and
+then across by one GEMM per block of 32 output columns, and the SSIM
+formula runs in place on the strip while it is in cache. All five moments
+go through calls of one shape and layout, so SSIM(x, x) is exactly 1 and
+SSIM(x, y) equals SSIM(y, x) to the last bit on any BLAS.
 """
 
 import sys
@@ -42,7 +45,7 @@ _SSIM_WINDOW = 11
 _SSIM_SIGMA = 1.5
 _SSIM_K1 = 0.01
 _SSIM_K2 = 0.03
-_SSIM_STRIP = 24  # SSIM map rows computed at once
+_SSIM_BLOCK = 32  # SSIM map rows per strip, and columns per block of the row pass
 
 
 @dataclass(frozen=True)
@@ -133,47 +136,56 @@ def _gaussian_taps():
     return g / g.sum()
 
 
-def _gaussian_valid(a, axis, taps):
-    """Filter ``a`` along ``axis`` with the symmetric ``taps``, valid part only."""
-    size = taps.shape[0]
-    half = size // 2
-    n = a.shape[axis] - size + 1
-    head = (slice(None),) * axis
-
-    def tap(k):
-        return a[head + (slice(k, k + n),)]
-
-    out = taps[half] * tap(half)
-    pair = np.empty_like(out)
-    for k in range(half):
-        np.add(tap(k), tap(size - 1 - k), out=pair)
-        pair *= taps[k]
-        out += pair
-    return out
+def _band_matrix(taps, n):
+    """The (n, n + 10) banded Toeplitz matrix T of the taps: T @ a filters a down its columns."""
+    band = np.zeros((n, n + len(taps) - 1))
+    for k, tap in enumerate(taps):
+        np.fill_diagonal(band[:, k:], tap)
+    return band
 
 
 def _ssim_band(x, y, c1, c2, taps):
-    # SSIM's map, _SSIM_STRIP rows at a time from those rows and the window's halo below them,
-    # so each strip's moments stay in cache; every value is computed as over the whole band
-    halo = _SSIM_WINDOW - 1
+    # SSIM's map a strip of rows at a time, from those rows and the window's halo below them;
+    # x, y, x*x, y*y and x*y share each matmul call, so equal planes filter to equal bits
+    halo = len(taps) - 1
     ssim = np.empty((x.shape[0] - halo, x.shape[1] - halo))
-    for s0 in range(0, len(ssim), _SSIM_STRIP):
-        rows = slice(s0, s0 + _SSIM_STRIP + halo)
-        # x, y, x*x, y*y, x*y in one contiguous array, filtered together
-        moments = np.empty((5,) + x[rows].shape)
-        moments[0] = x[rows]
-        moments[1] = y[rows]
-        np.multiply(moments[0], moments[0], out=moments[2])
-        np.multiply(moments[1], moments[1], out=moments[3])
-        np.multiply(moments[0], moments[1], out=moments[4])
-        mu_x, mu_y, exx, eyy, exy = _gaussian_valid(_gaussian_valid(moments, 1, taps), 2, taps)
-        mu_xx = mu_x * mu_x
-        mu_yy = mu_y * mu_y
-        mu_xy = mu_x * mu_y
-        # for x == y both factors of num equal those of den bit for bit, so SSIM is exactly 1
-        num = (2.0 * mu_xy + c1) * (2.0 * (exy - mu_xy) + c2)
-        den = (mu_xx + mu_yy + c1) * ((exx - mu_xx) + (eyy - mu_yy) + c2)
-        np.divide(num, den, out=ssim[s0 : s0 + _SSIM_STRIP])
+    strip, block = min(_SSIM_BLOCK, ssim.shape[0]), min(_SSIM_BLOCK, ssim.shape[1])
+    down, across = _band_matrix(taps, strip), _band_matrix(taps, block).T.copy()
+    moments = np.empty((5, strip + halo, x.shape[1]))
+    filtered = np.empty((5, strip, x.shape[1]))
+    local = np.empty((5, strip, ssim.shape[1]))
+    for r0 in range(0, len(ssim), strip):
+        n = min(strip, len(ssim) - r0)
+        m = moments[:, : n + halo]
+        m[0], m[1] = x[r0 : r0 + n + halo], y[r0 : r0 + n + halo]
+        np.multiply(m[0], m[0], out=m[2])
+        np.multiply(m[1], m[1], out=m[3])
+        np.multiply(m[0], m[1], out=m[4])
+        f = np.matmul(down[:n, : n + halo], m, out=filtered[:, :n])
+        mu_x, mu_y, exx, eyy, exy = local[:, :n]
+        for c0 in range(0, ssim.shape[1], block):
+            w = min(block, ssim.shape[1] - c0)
+            np.matmul(f[:, :, c0 : c0 + w + halo], across[: w + halo, :w],
+                      out=local[:, :n, c0 : c0 + w])
+        # (2 mu_xy + c1)(2 (exy - mu_xy) + c2) / ((mu_xx + mu_yy + c1)((exx - mu_xx) + (eyy -
+        # mu_yy) + c2)) in place; for x == y both factors of num equal those of den bit for bit
+        out = np.multiply(mu_x, mu_y, out=ssim[r0 : r0 + n])
+        exy -= out
+        exy *= 2.0
+        exy += c2
+        out *= 2.0
+        out += c1
+        out *= exy
+        mu_x *= mu_x
+        mu_y *= mu_y
+        exx -= mu_x
+        eyy -= mu_y
+        exx += eyy
+        exx += c2
+        mu_x += mu_y
+        mu_x += c1
+        mu_x *= exx
+        out /= mu_x
     return float(np.mean(ssim))
 
 

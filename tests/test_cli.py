@@ -511,6 +511,28 @@ class TestEval:
         assert calls == {"read_cube": 0, "evaluate": 0}
         assert not out.exists()
 
+    def test_shape_mismatch_rejected_before_reading_payloads(self, tmp_path, monkeypatch,
+                                                             capsys):
+        rng = np.random.default_rng(26)
+        hio.write_cube(rng.random((20, 20, 4)), tmp_path / "ref.hsc")
+        hio.write_cube(rng.random((20, 21, 4)), tmp_path / "est.hsc")
+        payload_reads, reader = [], hio.CubeReader
+
+        class Recording(reader):
+            def __getitem__(self, span):
+                payload_reads.append(Path(self.path).name)
+                return super().__getitem__(span)
+
+        monkeypatch.setattr(hio, "CubeReader", Recording)
+        out = tmp_path / "eval.csv"
+        code = run("eval", "--ref", tmp_path / "ref.hsc", "--est", tmp_path / "est.hsc",
+                   "--out", out)
+        assert code == cli.EXIT_USAGE
+        assert ("shape mismatch: reference (20, 20, 4) vs estimate (20, 21, 4)"
+                in capsys.readouterr().err)
+        assert payload_reads == []
+        assert not out.exists()
+
     def test_peak_beyond_ssim_range(self, scene, tmp_path, capsys):
         cube, truth, out_dir = scene
         out = tmp_path / "eval.csv"

@@ -6,8 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import low_rank_cube, two_zone_cube
-from hsfuse import core, forward, metrics
+from helpers import low_rank_cube, smooth_spectra_cube, two_zone_cube
+from hsfuse import _blas, cli, core, forward, metrics
 from hsfuse import io as hio
 
 
@@ -51,20 +51,57 @@ def ssim_window_oracle(x, y, peak=1.0):
     return float(np.mean(values))
 
 
+def ssim_tail(moments, c1, c2):
+    """Mean SSIM from the filtered local moments (mu_x, mu_y, E[xx], E[yy], E[xy])."""
+    mu_x, mu_y, exx, eyy, exy = moments
+    mu_xx, mu_yy, mu_xy = mu_x * mu_x, mu_y * mu_y, mu_x * mu_y
+    num = (2.0 * mu_xy + c1) * (2.0 * (exy - mu_xy) + c2)
+    den = (mu_xx + mu_yy + c1) * ((exx - mu_xx) + (eyy - mu_yy) + c2)
+    return float(np.mean(num / den))
+
+
 def ssim_whole_band_oracle(ref, est, peak=1.0):
-    """band_ssim's arithmetic over each whole band at once, with no strips."""
+    """band_ssim's arithmetic over each whole band at once, with no strips or column blocks:
+    the moments filtered down by one banded Toeplitz matrix of the taps and across by another."""
     taps = metrics._gaussian_taps()
     c1, c2 = (0.01 * peak) ** 2, (0.03 * peak) ** 2
+
+    def toeplitz(n):
+        t = np.zeros((n, n + 10))
+        for i in range(n):
+            t[i, i : i + 11] = taps
+        return t
+
+    down, across = toeplitz(ref.shape[0] - 10), toeplitz(ref.shape[1] - 10).T
     out = []
     for b in range(ref.shape[2]):
         x, y = ref[:, :, b], est[:, :, b]
-        moments = np.stack([x, y, x * x, y * y, x * y])
-        mu_x, mu_y, exx, eyy, exy = metrics._gaussian_valid(
-            metrics._gaussian_valid(moments, 1, taps), 2, taps)
-        mu_xx, mu_yy, mu_xy = mu_x * mu_x, mu_y * mu_y, mu_x * mu_y
-        num = (2.0 * mu_xy + c1) * (2.0 * (exy - mu_xy) + c2)
-        den = (mu_xx + mu_yy + c1) * ((exx - mu_xx) + (eyy - mu_yy) + c2)
-        out.append(float(np.mean(num / den)))
+        out.append(ssim_tail(down @ np.stack([x, y, x * x, y * y, x * y]) @ across, c1, c2))
+    return np.array(out)
+
+
+def ssim_slice_filter_oracle(ref, est, peak=1.0):
+    """band_ssim as it was before its filter became matrix products: the 11 taps as
+    slice-multiply-add passes along each axis, over each whole band."""
+    taps = metrics._gaussian_taps()
+    c1, c2 = (0.01 * peak) ** 2, (0.03 * peak) ** 2
+
+    def valid(a, axis):
+        n = a.shape[axis] - 10
+        head = (slice(None),) * axis
+
+        def tap(k):
+            return a[head + (slice(k, k + n),)]
+
+        out = taps[5] * tap(5)
+        for k in range(5):
+            out += taps[k] * (tap(k) + tap(10 - k))
+        return out
+
+    out = []
+    for b in range(ref.shape[2]):
+        x, y = ref[:, :, b], est[:, :, b]
+        out.append(ssim_tail(valid(valid(np.stack([x, y, x * x, y * y, x * y]), 1), 2), c1, c2))
     return np.array(out)
 
 
@@ -203,14 +240,61 @@ class TestSsim:
             assert abs(got[b] - oracle) < 1e-12
 
     @pytest.mark.parametrize("strip", [1, 8, 16, 24, 32, 64])
-    def test_strips_bit_identical_to_whole_band(self, monkeypatch, strip):
-        # 61 rows leave a short last strip for every strip height but 1
-        monkeypatch.setattr(metrics, "_SSIM_STRIP", strip)
+    def test_strips_within_1e14_of_whole_band(self, monkeypatch, strip):
+        # 61 rows leave a short last strip for every strip height but 1, and 23 columns a
+        # short last block for every width but 1. A strip's matrix products need not add in
+        # the whole band's order (BLAS may take another kernel for a one-row strip), so the
+        # bound is a few ulps of both the whole-band products and the old slice filter.
+        monkeypatch.setattr(metrics, "_SSIM_BLOCK", strip)
         rng = np.random.default_rng(20)
         ref = rng.random((61, 23, 3))
         est = np.clip(ref + 0.1 * rng.standard_normal(ref.shape), 0.0, 1.0)
-        assert np.array_equal(metrics.band_ssim(ref, est), ssim_whole_band_oracle(ref, est))
+        got = metrics.band_ssim(ref, est)
+        assert np.abs(got - ssim_whole_band_oracle(ref, est)).max() <= 1e-14
+        assert np.abs(got - ssim_slice_filter_oracle(ref, est)).max() <= 1e-14
         assert (metrics.band_ssim(ref, ref.copy()) == 1.0).all()
+
+    @pytest.mark.parametrize("shape", [(11, 11), (37, 13), (61, 23), (11, 256)],
+                             ids=lambda shape: "x".join(map(str, shape)))
+    def test_identical_is_one_and_symmetric(self, shape):
+        # the five moments share every matrix product, so equal inputs give equal moments
+        rng = np.random.default_rng(sum(shape))
+        ref = rng.random(shape + (2,))
+        est = np.clip(ref + 0.1 * rng.standard_normal(ref.shape), 0.0, 1.0)
+        assert (metrics.band_ssim(ref, ref.copy()) == 1.0).all()
+        assert np.array_equal(metrics.band_ssim(ref, est), metrics.band_ssim(est, ref))
+
+    def test_same_bits_on_one_and_two_blas_threads(self):
+        lib = _blas.openblas()
+        if lib is None:
+            pytest.skip("numpy bundles no scipy-openblas to set the thread count of")
+        rng = np.random.default_rng(21)
+        ref = rng.random((75, 300, 2))  # down-pass products of 32 x 42 x 300, large enough to split
+        est = np.clip(ref + 0.1 * rng.standard_normal(ref.shape), 0.0, 1.0)
+        before = lib.get_threads()
+        try:
+            got = []
+            for threads in (1, 2):
+                lib.set_threads(threads)
+                got.append(metrics.band_ssim(ref, est))
+        finally:
+            lib.set_threads(before)
+        assert np.array_equal(*got)
+
+    def test_cli_report_row_is_unchanged(self, tmp_path):
+        # the row the slice filter gave: the matrix-product filter moves m_ssim's last bits
+        # only, below the CSV's six significant digits
+        hio.write_cube(smooth_spectra_cube(41, 40, 40, 31), tmp_path / "truth.hsc")
+        sim = tmp_path / "sim"
+        for argv in (("simulate", "--in", tmp_path / "truth.hsc", "--mask-seed", 42,
+                      "--noise-sigma", 0.01, "--noise-seed", 43, "--out-dir", sim),
+                     ("reconstruct", "--y", sim / "y.hsc", "--z", sim / "z.hsc",
+                      "--mask", sim / "mask.hsc", "--patch", 20, "--out", tmp_path / "xhat.hsc"),
+                     ("eval", "--ref", tmp_path / "truth.hsc", "--est", tmp_path / "xhat.hsc",
+                      "--out", tmp_path / "eval.csv")):
+            assert cli.main([str(a) for a in argv]) == 0
+        _, row = (tmp_path / "eval.csv").read_text().splitlines()
+        assert row.rsplit(",", 1)[0] == "truth,eval,0,0,0,33.4253,0.944591,12.7387"
 
     @pytest.mark.parametrize("peak", [1e-100, 1e100])
     def test_peak_beyond_stability_constants(self, peak):

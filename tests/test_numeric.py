@@ -1,5 +1,8 @@
 """Dense kernel contract tests: truncated SVD and least squares (QR and Cholesky)."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -216,6 +219,27 @@ class TestCholeskySolve:
             assert info == 0
             assert np.array_equal(cholesky_solve(gram, rhs),
                                   scipy.linalg.lapack.dpotrs(factor, rhs)[0])
+
+    def test_threads_solve_as_one_thread_does(self, lapack_path):
+        # the binding reuses info, rcond and dpocon's work arrays across calls, one set per
+        # thread; mixed orders rebuild them and indefinite Grams write a nonzero info
+        rng = np.random.default_rng(16)
+        systems = []
+        for n in (2, 30, 93) * 8:
+            a = rng.standard_normal((n + 7, n))
+            systems.append((a.T @ a, rng.standard_normal(n)))
+            systems.append((-a.T @ a, rng.standard_normal(n)))
+        alone = [cholesky_solve(*system) for system in systems]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, between a call and its reads
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(cholesky_solve, *system) for system in systems]
+                together = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert [x is None for x in alone] == [i % 2 == 1 for i in range(len(systems))]
+        assert all(x is y is None or np.array_equal(x, y) for x, y in zip(alone, together))
 
     def test_binding_refuses_bad_shapes(self):
         lib = _blas.openblas()
