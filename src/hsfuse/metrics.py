@@ -15,8 +15,9 @@ matrix of the taps: the map is computed 32 rows at a time, each strip from
 its rows and the window's halo below them, filtered down by one GEMM and
 then across by one GEMM per block of 32 output columns, and the SSIM
 formula runs in place on the strip while it is in cache. All five moments
-go through calls of one shape and layout, so SSIM(x, x) is exactly 1 and
-SSIM(x, y) equals SSIM(y, x) to the last bit on any BLAS.
+go through calls of one shape and layout, so with a BLAS whose results
+depend only on a call's operands and shape (OpenBLAS's do), SSIM(x, x) is
+exactly 1 and SSIM(x, y) equals SSIM(y, x) to the last bit.
 """
 
 import sys
