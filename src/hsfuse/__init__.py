@@ -3,15 +3,43 @@
 Simulates coded-aperture and multiband measurements of a hyperspectral
 cube and reconstructs the cube by non-iterative low-rank fusion, either
 globally or over overlapping patches.
+
+The package exports exactly what its library modules (``core``,
+``forward``, ``fusion``, ``io``, ``metrics``, ``numeric``) export, and
+loads them lazily (PEP 562): importing ``hsfuse`` loads no module of its
+own and not numpy. A submodule name (``from hsfuse import core``) loads
+only that submodule; any other name, ``__all__`` included, loads the six
+library modules once and binds every name of their ``__all__`` here.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from . import core, forward, fusion, io, metrics, numeric
+_LIBRARY = ("core", "forward", "fusion", "io", "metrics", "numeric")
 
-# the package exports exactly what each module exports
-__all__ = ["__version__"]
-for _module in (core, forward, fusion, io, metrics, numeric):
-    globals().update((name, getattr(_module, name)) for name in _module.__all__)
-    __all__ += _module.__all__
-del _module
+
+def _export():
+    """Bind every library module's exports here, and ``__all__``, once."""
+    names = ["__version__"]
+    for submodule in _LIBRARY:
+        module = importlib.import_module(f"{__name__}.{submodule}")
+        globals().update((name, getattr(module, name)) for name in module.__all__)
+        names += module.__all__
+    globals()["__all__"] = names
+
+
+def __getattr__(name):
+    # reached only by a name not bound here yet
+    if name.isidentifier() and not name.startswith("__"):
+        try:
+            return importlib.import_module(f"{__name__}.{name}")
+        except ModuleNotFoundError as err:
+            if err.name != f"{__name__}.{name}":
+                raise
+    # other dunder names are probes (inspect, copy, ...) that must not load the library
+    if (name == "__all__" or not name.startswith("__")) and "__all__" not in globals():
+        _export()
+    if name in globals():
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

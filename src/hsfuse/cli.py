@@ -12,6 +12,10 @@ writes a manifest of its configuration; rerunning with
 ``--config <manifest>`` reproduces the outputs bit-exactly (explicit flags
 win over config values). Exit codes: 0 success, 2 usage or constraint
 error (any ``ValueError``), 3 I/O or file-format error, 4 numerical failure.
+
+Each function imports the package modules it uses, so ``--version``,
+``--help`` and usage errors load none of them (nor numpy), and each command
+loads only the modules it runs.
 """
 
 import argparse
@@ -20,11 +24,7 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
-from . import __version__, core, forward, fusion, metrics
-from . import io as hio
-from .numeric import RankDeficiencyError
+from . import __version__
 
 EXIT_USAGE = 2
 EXIT_IO = 3
@@ -150,6 +150,8 @@ def _coercers(subparser):
 
 
 def _config_defaults(config_path, command, subparser):
+    from . import io as hio
+
     entries = hio.read_manifest(config_path)
     coercers = _coercers(subparser)
     declared = entries.pop("command", None)
@@ -210,6 +212,8 @@ def _check_threads(args):
 def _check_manifest_flags(args):
     """Refuse, before any cube is read, a flag value that the command's manifest would not
     give a rerun unchanged (an empty value there means the flag's default)."""
+    from . import io as hio
+
     for action in args.parser._actions:
         value, flag = getattr(args, action.dest, None), f"{action.option_strings[0]} value"
         if action.dest != "config" and isinstance(value, str):
@@ -228,6 +232,8 @@ def _manifest_value(value):
 
 def _write_manifest(path, args, **resolved):
     """Record every flag of ``args``, with the values the command resolved."""
+    from . import io as hio
+
     flags = {k: v for k, v in vars(args).items()
              if k not in ("command", "config", "func", "parser")}
     entries = {"command": args.command, "version": __version__, **flags, **resolved}
@@ -235,6 +241,8 @@ def _write_manifest(path, args, **resolved):
 
 
 def _check_measurement_flags(args):
+    from . import forward
+
     if not 0 <= args.noise_sigma < float("inf"):
         raise ValueError(f"--noise-sigma must be finite and nonnegative, got {args.noise_sigma}")
     forward.check_density(args.density)
@@ -242,6 +250,8 @@ def _check_measurement_flags(args):
 
 def _coded(truth, args):
     """Mask and coded measurement of ``truth``, with the flags' noise."""
+    from . import forward
+
     rows, cols, bands = truth.shape
     mask = forward.gen_mask(rows, cols, bands, args.mask_seed, args.density)
     y = forward.simulate_cassi(truth, mask)
@@ -252,6 +262,8 @@ def _coded(truth, args):
 
 def _multiband(truth, response, args):
     """Multiband measurement of ``truth``, with the flags' noise."""
+    from . import forward
+
     z = forward.simulate_multiband(truth, response)
     if args.noise_sigma > 0:
         z = forward.add_noise(z, args.noise_sigma, args.noise_seed + 1)
@@ -259,6 +271,9 @@ def _multiband(truth, response, args):
 
 
 def _run_simulate(args):
+    from . import forward
+    from . import io as hio
+
     _check_measurement_flags(args)
     _check_manifest_flags(args)
     truth = hio.read_cube(args.in_path)
@@ -280,6 +295,9 @@ def _run_simulate(args):
 
 
 def _run_reconstruct(args):
+    from . import fusion
+    from . import io as hio
+
     if args.improved and not args.response:
         raise ValueError("--improved requires --response (the base solve does not)")
     if args.response and not args.improved:
@@ -306,6 +324,8 @@ def _run_reconstruct(args):
 
 
 def _peak_value(text):
+    from . import metrics
+
     if str(text).strip().lower() == "refmax":
         return None
     try:
@@ -315,6 +335,9 @@ def _peak_value(text):
 
 
 def _run_eval(args):
+    from . import io as hio
+    from . import metrics
+
     peak = _peak_value(args.peak)
     m_label, _ = _parse_patch(args.patch)
     hio.check_identifier(args.method, "--method value")
@@ -354,6 +377,8 @@ def _positive_int(flag, text):
 
 def _sweep_plan(args):
     """(value, FusionConfig, response spec) per swept value, checked before any cube is read."""
+    from . import fusion
+
     sep = ";" if args.vary == "response" else ","
     values = [v.strip() for v in args.values.split(sep) if v.strip()]
     if not values:
@@ -375,6 +400,9 @@ def _sweep_plan(args):
 
 
 def _run_sweep(args):
+    from . import forward, fusion, metrics
+    from . import io as hio
+
     _check_threads(args)
     _check_measurement_flags(args)
     _check_manifest_flags(args)
@@ -409,6 +437,11 @@ def _run_sweep(args):
 
 
 def _run_analyze(args):
+    import numpy as np
+
+    from . import core, forward, metrics
+    from . import io as hio
+
     if args.samples < 1:
         raise ValueError("--samples must be >= 1")
     m = args.patch
@@ -443,6 +476,14 @@ def _run_analyze(args):
     print(f"wrote {length} singular-value rows to {out}")
 
 
+def _loaded(module, name):
+    """``(class,)`` for exception ``name`` of package module ``module`` once that module is
+    loaded, else ``()``: an exception can only come from a loaded module, so none is imported
+    just to name its class."""
+    module = sys.modules.get(f"{__package__}.{module}")
+    return (getattr(module, name),) if module else ()
+
+
 def main(argv=None):
     """Entry point; returns the process exit code."""
     argv = list(sys.argv[1:]) if argv is None else list(argv)
@@ -453,10 +494,10 @@ def main(argv=None):
     except SystemExit as exc:  # argparse usage errors and --help/--version
         code = exc.code
         return code if isinstance(code, int) else EXIT_USAGE
-    except RankDeficiencyError as exc:
+    except _loaded("numeric", "RankDeficiencyError") as exc:
         print(f"hsfuse: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (hio.FormatError, OSError) as exc:
+    except (*_loaded("io", "FormatError"), OSError) as exc:
         print(f"hsfuse: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     except ValueError as exc:

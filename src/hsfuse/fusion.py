@@ -36,7 +36,6 @@ makes ``assemble_phi_w(C, W) @ vec(E)`` equal the pixel-major ravel of
 import contextlib
 import itertools
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -491,6 +490,8 @@ def _stream(y, z, mask, grid, rank, workers, response, stats):
                                                              grid.origins[index])
             results[index] = (e.reshape(-1, rank, order="F") @ m, record)
         if pending and pool is None and workers > 1:
+            from concurrent.futures import ThreadPoolExecutor  # with logging, ~6.5 ms to load
+
             # the pool threads are the parallelism: BLAS threads of their own would oversubscribe
             stack.enter_context(_blas.one_thread())
             pool = stack.enter_context(

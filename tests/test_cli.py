@@ -13,7 +13,7 @@ import pytest
 
 import hsfuse
 from helpers import dyadic_low_rank_cube, rel_err, smooth_spectra_cube, two_zone_cube
-from hsfuse import cli, core, forward, fusion, metrics
+from hsfuse import _blas, cli, core, forward, fusion, metrics
 from hsfuse import io as hio
 
 
@@ -542,7 +542,58 @@ class TestEval:
         assert not out.exists()
 
 
+def loaded_by(argv, cwd):
+    """Exit code of ``cli.main(argv)`` in a fresh interpreter, and the modules it loaded."""
+    code = (
+        "import json, sys\n"
+        "from hsfuse import cli\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "print(json.dumps([code, sorted(sys.modules)]))\n"
+    )
+    src = str(Path(hsfuse.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code, *map(str, argv)], cwd=cwd,
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    exit_code, modules = json.loads(done.stdout.splitlines()[-1])
+    return exit_code, set(modules)
+
+
 class TestStartup:
+    @pytest.mark.parametrize("argv, exit_code", [
+        (["--version"], 0),
+        (["--help"], 0),
+        (["eval", "--help"], 0),
+        (["eval", "--no-such-flag"], cli.EXIT_USAGE),
+    ], ids=["version", "help", "eval-help", "unknown-flag"])
+    def test_usage_loads_no_numpy(self, tmp_path, argv, exit_code):
+        code, modules = loaded_by(argv, tmp_path)
+        assert code == exit_code
+        assert "numpy" not in modules
+        assert {m for m in modules if m.startswith("hsfuse")} == {"hsfuse", "hsfuse.cli"}
+
+    @pytest.mark.parametrize("command, loads, skips", [
+        ("simulate", "hsfuse.forward", {"hsfuse.fusion", "hsfuse.metrics", "hsfuse.numeric"}),
+        ("eval", "hsfuse.metrics", {"hsfuse.fusion", "hsfuse.forward", "hsfuse.numeric"}),
+        ("reconstruct", "hsfuse.fusion",
+         {"hsfuse.forward", "hsfuse.metrics", "concurrent.futures", "scipy.linalg"}),
+    ], ids=["simulate", "eval", "reconstruct"])
+    def test_command_loads_only_what_it_runs(self, scene, tmp_path, command, loads, skips):
+        _, truth, sim = scene
+        argv = {
+            "simulate": ["--in", truth, "--out-dir", tmp_path / "sim2"],
+            "eval": ["--ref", truth, "--est", truth, "--out", tmp_path / "eval.csv"],
+            # one worker and the base solve: no pool, and every window keeps its Cholesky answer
+            "reconstruct": ["--y", sim / "y.hsc", "--z", sim / "z.hsc", "--mask", sim / "mask.hsc",
+                            "--patch", 12, "--threads", 1, "--out", tmp_path / "xhat.hsc"],
+        }[command]
+        if _blas.openblas() is None:
+            skips = skips - {"scipy.linalg"}  # every Cholesky solve goes through scipy.linalg
+        code, modules = loaded_by([command, *argv], tmp_path)
+        assert code == 0
+        assert loads in modules
+        assert modules & skips == set()
+
     def test_imports_only_what_runs(self):
         # scipy.signal and scipy.linalg take ~1 s to import: no command pays it before
         # working, and a solve loads scipy.linalg only when it falls back to pivoted QR

@@ -1,5 +1,6 @@
 """Fusion pipeline tests: coefficients, structured systems, global and patch solves."""
 
+import concurrent.futures
 import dataclasses
 import os
 import threading
@@ -41,7 +42,7 @@ def pool_sizes(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(fusion, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
     return sizes
 
 
@@ -515,7 +516,7 @@ class TestPfuseRows:
                 return iter([fn(*args) for args in zip(*iterables)])
 
         events, solve = [], fusion._fuse_block
-        monkeypatch.setattr(fusion, "ThreadPoolExecutor", EagerPool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", EagerPool)
         monkeypatch.setattr(fusion, "_fuse_block",
                             lambda *args: events.append(("solve", args[-1][0])) or solve(*args))
         monkeypatch.setattr(os, "cpu_count", lambda: 2)

@@ -42,17 +42,22 @@ def test_readme_imports_resolve():
 
 def intra_package_imports():
     """module -> set of package modules it imports ("__init__" for the package itself),
-    and the relative imports made anywhere but at module level."""
+    and the relative imports made anywhere but at module level or, in cli.py only,
+    directly in the body of a module-level function."""
     sources = {path.stem: path for path in Path(hsfuse.__file__).parent.glob("*.py")}
     graph, nested = {}, []
     for name, path in sources.items():
         tree = ast.parse(path.read_text())
-        top = set(tree.body)
+        allowed = set(tree.body)
+        if name == "cli":
+            # each command loads only what it runs: cli's functions import their own modules
+            allowed.update(node for func in tree.body if isinstance(func, ast.FunctionDef)
+                           for node in func.body)
         graph[name] = set()
         for node in ast.walk(tree):
             if not isinstance(node, ast.ImportFrom) or node.level == 0:
                 continue
-            if node not in top:
+            if node not in allowed:
                 nested.append(f"{name}:{node.lineno}")
             if node.module:
                 graph[name].add(node.module.partition(".")[0])
