@@ -10,11 +10,28 @@ loads them lazily (PEP 562): importing ``hsfuse`` loads no module of its
 own and not numpy. A submodule name (``from hsfuse import core``) loads
 only that submodule; any other name, ``__all__`` included, loads the six
 library modules once and binds every name of their ``__all__`` here.
+
+The two exceptions that the command line maps to exit codes are defined
+here, without numpy, so ``cli`` can name them before any library module is
+loaded; ``io`` and ``numeric`` raise and export them.
 """
 
 import importlib
 
 __version__ = "0.1.0"
+
+
+class FormatError(Exception):
+    """A file does not conform to its declared format."""
+
+
+class RankDeficiencyError(ArithmeticError):
+    """A least-squares system has numerically dependent columns."""
+
+    def __init__(self, message, column=None):
+        super().__init__(message)
+        self.column = column
+
 
 _LIBRARY = ("core", "forward", "fusion", "io", "metrics", "numeric")
 

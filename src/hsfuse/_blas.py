@@ -28,18 +28,6 @@ def _square(a):
     return a
 
 
-class _Arguments:
-    """The LAPACK arguments of order n, built once and reused by one thread: the ILP64
-    scalars n and 1 by address, and info, rcond and ``dpocon``'s work arrays, which the
-    calls write, so no two threads share them."""
-
-    def __init__(self, n):
-        self.n = n
-        self.order, self.one = ctypes.byref(ctypes.c_int64(n)), ctypes.byref(ctypes.c_int64(1))
-        self.info, self.rcond = ctypes.c_int64(), ctypes.c_double()
-        self.work, self.iwork = (ctypes.c_double * (3 * n))(), (ctypes.c_int64 * n)()
-
-
 class OpenBLAS:
     """The two scipy.linalg.lapack calls the solves use, with scipy's arguments,
     results and upper-triangle factor, plus the library's BLAS thread count."""
@@ -55,32 +43,26 @@ class OpenBLAS:
         self.get_threads.argtypes, self.get_threads.restype = (), ctypes.c_int
         self.set_threads = lib.scipy_openblas_set_num_threads64_
         self.set_threads.argtypes, self.set_threads.restype = (ctypes.c_int,), None
-        self._local = threading.local()
-
-    def _arguments(self, n):
-        """This thread's :class:`_Arguments` for order n, rebuilt only when n changes."""
-        args = getattr(self._local, "args", None)
-        if args is None or args.n != n:
-            args = self._local.args = _Arguments(n)
-        return args
 
     def dposv(self, a, b):
         c = _square(np.array(a, dtype=np.float64, order="F"))  # factored in place
         x, n = np.array(b, dtype=np.float64), len(c)  # solved in place
         if x.shape != (n,):
             raise ValueError(f"right-hand side shape {x.shape} does not match order {n}")
-        args = self._arguments(n)
-        self._dposv(b"U", args.order, args.one, c.ctypes.data, args.order, x.ctypes.data,
-                    args.order, ctypes.byref(args.info), 1)
-        return c, x, args.info.value
+        # ILP64 scalars by address; info is written by the call
+        order, info = ctypes.byref(ctypes.c_int64(n)), ctypes.c_int64()
+        self._dposv(b"U", order, ctypes.byref(ctypes.c_int64(1)), c.ctypes.data, order,
+                    x.ctypes.data, order, ctypes.byref(info), 1)
+        return c, x, info.value
 
     def dpocon(self, factor, anorm):
         factor = _square(factor)
-        args = self._arguments(len(factor))
-        self._dpocon(b"U", args.order, factor.ctypes.data, args.order,
-                     ctypes.byref(ctypes.c_double(anorm)), ctypes.byref(args.rcond),
-                     args.work, args.iwork, ctypes.byref(args.info), 1)
-        return args.rcond.value, args.info.value
+        n = len(factor)
+        order, rcond, info = ctypes.byref(ctypes.c_int64(n)), ctypes.c_double(), ctypes.c_int64()
+        self._dpocon(b"U", order, factor.ctypes.data, order, ctypes.byref(ctypes.c_double(anorm)),
+                     ctypes.byref(rcond), (ctypes.c_double * (3 * n))(), (ctypes.c_int64 * n)(),
+                     ctypes.byref(info), 1)
+        return rcond.value, info.value
 
 
 @functools.cache

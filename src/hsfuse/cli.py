@@ -24,7 +24,7 @@ import sys
 import time
 from pathlib import Path
 
-from . import __version__
+from . import FormatError, RankDeficiencyError, __version__
 
 EXIT_USAGE = 2
 EXIT_IO = 3
@@ -476,14 +476,6 @@ def _run_analyze(args):
     print(f"wrote {length} singular-value rows to {out}")
 
 
-def _loaded(module, name):
-    """``(class,)`` for exception ``name`` of package module ``module`` once that module is
-    loaded, else ``()``: an exception can only come from a loaded module, so none is imported
-    just to name its class."""
-    module = sys.modules.get(f"{__package__}.{module}")
-    return (getattr(module, name),) if module else ()
-
-
 def main(argv=None):
     """Entry point; returns the process exit code."""
     argv = list(sys.argv[1:]) if argv is None else list(argv)
@@ -494,10 +486,10 @@ def main(argv=None):
     except SystemExit as exc:  # argparse usage errors and --help/--version
         code = exc.code
         return code if isinstance(code, int) else EXIT_USAGE
-    except _loaded("numeric", "RankDeficiencyError") as exc:
+    except RankDeficiencyError as exc:
         print(f"hsfuse: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (*_loaded("io", "FormatError"), OSError) as exc:
+    except (FormatError, OSError) as exc:
         print(f"hsfuse: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     except ValueError as exc:

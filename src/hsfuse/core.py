@@ -35,6 +35,11 @@ __all__ = [
 ]
 
 
+def _integer(value):
+    """Whether ``value`` is an integer, numpy's included, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def check_cube(cube, name="cube"):
     """Coerce to a float64 (rows, cols, bands) array and validate the shape."""
     arr = np.asarray(cube, dtype=np.float64)

@@ -60,10 +60,6 @@ __all__ = [
 RANK_TOL = 1e-10
 
 
-def _integer(value):
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class FusionConfig:
     """Settings for patch-based fusion.
@@ -82,11 +78,12 @@ class FusionConfig:
     def __post_init__(self):
         for name in ("rank", "patch_rows", "patch_cols"):
             value = getattr(self, name)
-            if not (_integer(value) and value >= 1):
+            if not (core._integer(value) and value >= 1):
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         if self.stride is None:
             object.__setattr__(self, "stride", max(1, min(self.patch_rows, self.patch_cols) // 2))
-        if not (_integer(self.stride) and 1 <= self.stride <= min(self.patch_rows, self.patch_cols)):
+        stride = self.stride
+        if not (core._integer(stride) and 1 <= stride <= min(self.patch_rows, self.patch_cols)):
             raise ValueError("stride must satisfy 1 <= stride <= min(patch dims) and be an "
                              f"integer, got {self.stride!r}")
 
@@ -172,8 +169,8 @@ def assemble_phi_w(mask, w):
 
 
 def _phi_w(mask, w, below=0):
-    """:func:`assemble_phi_w` of a checked mask; given ``below`` > 0, as the top rows of a
-    C-ordered array with that many more rows, left for the caller to fill."""
+    """:func:`assemble_phi_w` of a checked mask, as the top rows of a C-ordered array with
+    ``below`` more rows, left for the caller to fill."""
     w = np.asarray(w, dtype=np.float64)
     if w.ndim != 2:
         raise ValueError(f"coefficients must be 2-D, got shape {w.shape}")
@@ -181,11 +178,9 @@ def _phi_w(mask, w, below=0):
     k, pixels = w.shape
     if pixels != rows * cols:
         raise ValueError(f"coefficients cover {pixels} pixels, mask has {rows * cols}")
-    terms = (w, mask.reshape(pixels, bands, order="F"))
-    if not below:  # einsum's own memory layout, on which the sums over phi depend
-        return np.einsum("tp,pb->ptb", *terms).reshape(pixels, k * bands)
     phi = np.empty((pixels + below, k * bands))
-    np.einsum("tp,pb->ptb", *terms, out=phi[:pixels].reshape(pixels, k, bands))
+    np.einsum("tp,pb->ptb", w, mask.reshape(pixels, bands, order="F"),
+              out=phi[:pixels].reshape(pixels, k, bands))
     return phi
 
 
@@ -421,7 +416,7 @@ def pfuse_rows(y, z, mask, config, workers=1, response=None, stats=None):
     x (bands + channels + 1), not with the scene's height. Closing the
     generator early stops the pool and restores BLAS's thread count.
     """
-    if workers is not None and not (_integer(workers) and workers >= 1):
+    if workers is not None and not (core._integer(workers) and workers >= 1):
         raise ValueError(f"workers must be None or an integer >= 1, got {workers!r}")
     if any(len(source.shape) != 3 for source in (y, z, mask)):
         raise ValueError(f"row sources must be 3-D, got shapes {y.shape}, {z.shape}, {mask.shape}")

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import core
+from . import FormatError, core
 
 __all__ = [
     "MAGIC",
@@ -51,19 +51,15 @@ MAGIC = b"HSC1"
 REPORT_HEADER = ("scene", "method", "k", "m", "s", "m_psnr", "m_ssim", "msa", "wall_seconds")
 
 
-class FormatError(Exception):
-    """A file does not conform to its declared format."""
-
-
 class CubeReader:
     """Rows of a cube container, read on demand.
 
     Opening checks the header and the file length, so a malformed file fails
     before any row is used. ``reader[r0:r1]`` returns rows r0:r1 of every band
-    as a float64 (r1 - r0, cols, bands) array in :func:`read_cube`'s layout: it
-    reads each band's rows with one positioned read into a float32 buffer that
-    later reads reuse, and checks them for finiteness. Use it as a context
-    manager, which closes the file.
+    as a new float64 (r1 - r0, cols, bands) array in :func:`read_cube`'s layout:
+    it reads each band's rows with one positioned read into a new float32
+    block, checks them for finiteness and converts the block. Use it as a
+    context manager, which closes the file.
     """
 
     def __init__(self, path):
@@ -85,7 +81,6 @@ class CubeReader:
         except BaseException:
             self._file.close()
             raise
-        self._buffer = np.empty(0, dtype="<f4")
 
     def __enter__(self):
         return self
@@ -100,10 +95,7 @@ class CubeReader:
         r0, r1 = (span.start or 0, rows if span.stop is None else span.stop) if step_1 else (0, 0)
         if not 0 <= r0 < r1 <= rows:
             raise ValueError(f"rows {span!r} are not a nonempty step-1 slice within 0:{rows}")
-        size = bands * (r1 - r0) * cols
-        if self._buffer.size < size:
-            self._buffer = np.empty(size, dtype="<f4")
-        block = self._buffer[:size].reshape(bands, r1 - r0, cols)
+        block = np.empty((bands, r1 - r0, cols), dtype="<f4")
         for band, part in enumerate(block):
             self._file.seek(16 + 4 * (band * rows + r0) * cols)
             if self._file.readinto(part) != part.nbytes:
@@ -125,9 +117,10 @@ class CubeWriter:
 
     def __init__(self, path, shape):
         self.path = Path(path)
-        self.shape = rows, cols, bands = shape
-        if min(shape) < 1:
-            raise ValueError(f"{path}: invalid dimensions {rows}x{cols}x{bands}")
+        # refused before the temporary file exists: its header holds three uint32
+        if len(shape) != 3 or not all(core._integer(d) and 1 <= d < 2**32 for d in shape):
+            raise ValueError(f"{path}: invalid dimensions {'x'.join(map(str, shape))}")
+        self.shape = rows, cols, bands = tuple(map(int, shape))
         self._next = 0
         # unique while this writer lives; another process has another pid
         self._temp = self.path.with_name(f".{self.path.name}.{os.getpid()}-{id(self):x}.tmp")

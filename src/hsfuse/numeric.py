@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import _blas
+from . import RankDeficiencyError, _blas
 
 __all__ = [
     "RANK_RTOL",
@@ -48,14 +48,6 @@ RANK_RTOL = 1e-10
 # estimates the 1-norm condition, which for a symmetric matrix is never
 # below the 2-norm one, so the bound errs towards falling back to QR.
 CHOLESKY_RCOND_MIN = 1e-6
-
-
-class RankDeficiencyError(ArithmeticError):
-    """A least-squares system has numerically dependent columns."""
-
-    def __init__(self, message, column=None):
-        super().__init__(message)
-        self.column = column
 
 
 class SvdResult(NamedTuple):

@@ -71,6 +71,16 @@ class TestUnfoldFold:
         with pytest.raises(ValueError, match="3-D"):
             core.unfold3(np.zeros((4, 4)))
 
+    @pytest.mark.parametrize("shape", [(0, 2, 3), (2, 0, 3), (2, 3, 0)])
+    def test_check_cube_rejects_empty_dimension(self, shape):
+        with pytest.raises(ValueError, match="cube has an empty dimension"):
+            core.check_cube(np.zeros(shape))
+
+    @pytest.mark.parametrize("shape", [(8,), (1, 2, 4)])
+    def test_fold_rejects_non_matrix(self, shape):
+        with pytest.raises(ValueError, match="expected a 2-D matrix, got shape"):
+            core.fold3(np.zeros(shape), 2, 4)
+
 
 def brute_force_coverage(grid):
     cover = np.zeros((grid.rows, grid.cols), dtype=int)
@@ -106,6 +116,11 @@ class TestMakeGrid:
     def test_patch_larger_than_image(self):
         with pytest.raises(ValueError, match="exceeds image"):
             core.make_grid(8, 8, 9, 4, 2)
+
+    @pytest.mark.parametrize("m,n", [(0, 4), (4, 0), (-1, 4)])
+    def test_bad_patch_dimensions(self, m, n):
+        with pytest.raises(ValueError, match="patch dimensions must be positive"):
+            core.make_grid(8, 8, m, n, 1)
 
     def test_bad_stride(self):
         with pytest.raises(ValueError, match="stride"):
@@ -206,6 +221,12 @@ class TestExtractAggregate:
         grid = core.PatchGrid(2, 2, 2, 2, 2, ((0, 0), (0, 0)))
         with pytest.raises(ValueError, match="zip"):
             core.aggregate(maps, grid, np.ones((2, 2, 1)))
+
+    def test_grid_mismatch_detected(self):
+        grid = core.PatchGrid(2, 2, 2, 2, 2, ((0, 0),))
+        with pytest.raises(ValueError,
+                           match="multiband shape \\(2, 3, 1\\) does not match grid 2x2"):
+            core.aggregate([np.ones((1, 1))], grid, np.ones((2, 3, 1)))
 
     def test_no_patches(self):
         with pytest.raises(ValueError, match="no patches"):

@@ -60,6 +60,12 @@ class TestPcg32:
         parts = np.concatenate([gen.next_u32(10), gen.next_u32(300), gen.next_u32(1)])
         assert list(parts) == pcg32_reference(9, 311)
 
+    def test_negative_count_refused(self):
+        gen = forward.Pcg32(5)
+        with pytest.raises(ValueError, match="count must be nonnegative"):
+            gen.next_u32(-1)
+        assert gen.next_u32(4).tolist() == pcg32_reference(5, 4)  # nothing was drawn
+
     def test_uniform_range(self):
         u = forward.Pcg32(3).uniform(10000)
         assert (u >= 0).all() and (u < 1).all()
@@ -96,6 +102,11 @@ class TestGenMask:
     def test_bad_density(self, density):
         with pytest.raises(ValueError, match="density"):
             forward.gen_mask(4, 4, 2, 0, density)
+
+    @pytest.mark.parametrize("dims", [(0, 4, 2), (4, 0, 2), (4, 4, 0)])
+    def test_zero_dimension_refused(self, dims):
+        with pytest.raises(ValueError, match="mask dimensions must be positive"):
+            forward.gen_mask(*dims, 0)
 
     def test_zero_spectrum_pixels(self):
         mask = np.ones((3, 3, 2))
@@ -141,6 +152,16 @@ class TestResponses:
         with pytest.raises(ValueError, match="distinct"):
             forward.single_band_response(4, [1, 1])
 
+    def test_single_band_needs_an_index(self):
+        with pytest.raises(ValueError, match="at least one band index is required"):
+            forward.single_band_response(4, [])
+
+    @pytest.mark.parametrize("channels", [0, -1, 7])
+    def test_average_channels_outside_the_bands_refused(self, channels):
+        with pytest.raises(ValueError, match=f"channels must be in \\[1, bands\\], got {channels} "
+                           "for 6 bands"):
+            forward.average_response(6, channels)
+
     def test_validate_rejects_zero_column(self):
         a = np.ones((4, 2))
         a[:, 1] = 0.0
@@ -160,6 +181,10 @@ class TestResponses:
             forward.response_from_spec("nope", 6)
         with pytest.raises(ValueError, match="indices"):
             forward.response_from_spec("single:", 6)
+
+    def test_file_spec_needs_a_path(self):
+        with pytest.raises(ValueError, match="file response needs a path"):
+            forward.response_from_spec("file:", 6)
 
     def test_file_spec_roundtrip(self, tmp_path):
         from hsfuse import io as hio

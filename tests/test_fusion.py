@@ -104,6 +104,11 @@ class TestEstimateCoefficients:
         with pytest.raises(ValueError, match="rank 0"):
             fusion.estimate_coefficients(np.zeros((4, 4, 2)), 1)
 
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_rank_below_one_rejected(self, k):
+        with pytest.raises(ValueError, match=f"rank must be >= 1, got {k}"):
+            fusion.estimate_coefficients(np.ones((4, 4, 2)), k)
+
 
 class TestAssemblePhiW:
     def test_unit_coefficients_give_mask_rows(self):
@@ -141,6 +146,10 @@ class TestAssemblePhiW:
         with pytest.raises(ValueError, match="pixels"):
             fusion.assemble_phi_w(np.ones((2, 2, 3)), np.ones((1, 5)))
 
+    def test_one_dimensional_coefficients_rejected(self):
+        with pytest.raises(ValueError, match="coefficients must be 2-D, got shape \\(4,\\)"):
+            fusion.assemble_phi_w(np.ones((2, 2, 3)), np.ones(4))
+
 
 class TestAssemblePhiRgb:
     def test_all_ones_scalar_case(self):
@@ -170,6 +179,10 @@ class TestAssemblePhiRgb:
         lhs = phi @ basis.reshape(-1, order="F")
         rhs = z.ravel(order="F")
         assert np.linalg.norm(lhs - rhs) < 1e-12 * np.linalg.norm(rhs)
+
+    def test_one_dimensional_coefficients_rejected(self):
+        with pytest.raises(ValueError, match="coefficients must be 2-D, got shape \\(6,\\)"):
+            fusion.assemble_phi_rgb(np.ones((4, 1)), np.ones(6))
 
 
 class TestSolveBasis:
@@ -225,6 +238,20 @@ class TestSolveBasis:
         y = np.zeros((6, 5))
         with pytest.raises(ValueError, match="the joint solve requires the multiband measurement"):
             fusion.solve_basis(y, mask, coeff, response=np.ones((4, 3)))
+
+    @pytest.mark.parametrize("shape", [(6, 4), (5, 5), (6, 5, 1)])
+    def test_coded_image_shape_mismatch(self, shape):
+        basis, coeff, mask = random_instance(28)
+        with pytest.raises(ValueError, match=f"coded image shape \\({shape[0]}, {shape[1]}"
+                           ".* does not match mask \\(6, 5\\)"):
+            fusion.solve_basis(np.zeros(shape), mask, coeff)
+
+    def test_multiband_shape_mismatch(self):
+        basis, coeff, mask = random_instance(29)
+        with pytest.raises(ValueError, match="multiband shape \\(6, 4, 3\\) does not match "
+                           "image \\(6, 5\\)"):
+            fusion.solve_basis(np.zeros((6, 5)), mask, coeff, z=np.ones((6, 4, 3)),
+                               response=np.ones((4, 3)))
 
     def test_multiband_without_response_refused(self):
         # z without a response used to run the base solve and ignore z
@@ -359,6 +386,11 @@ class TestPfuse:
         serial = fusion.pfuse(y, z, mask, config, workers=1)
         threaded = fusion.pfuse(y, z, mask, config, workers=4)
         assert np.array_equal(serial, threaded)
+
+    def test_coded_image_must_be_2d(self):
+        config = FusionConfig(rank=1, patch_rows=4, patch_cols=4, stride=4)
+        with pytest.raises(ValueError, match="coded image must be 2-D, got shape \\(8, 8, 1\\)"):
+            fusion.pfuse(np.zeros((8, 8, 1)), np.ones((8, 8, 3)), np.ones((8, 8, 2)), config)
 
     def test_patch_area_constraint_message(self):
         config = FusionConfig(rank=3, patch_rows=4, patch_cols=4, stride=4)

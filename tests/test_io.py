@@ -1,5 +1,6 @@
 """File format tests: cube container, response text, CSV reports, manifests."""
 
+import os
 import struct
 
 import numpy as np
@@ -112,6 +113,25 @@ class TestCubeRows:
             assert np.array_equal(reader[0:3], np.ones((3, 3, 2)))
             with pytest.raises(FormatError, match=f"{path}: payload contains non-finite"):
                 reader[3:4]
+
+    def test_file_truncated_after_opening_named_when_read(self, tmp_path):
+        # bands larger than the file object's read buffer, so reads reach the file
+        path = tmp_path / "c.hsc"
+        hio.write_cube(np.ones((64, 64, 2)), path)
+        with hio.CubeReader(path) as reader:
+            os.truncate(path, 16 + 4 * (64 * 64 + 64))  # band 0 and row 0 of band 1
+            assert np.array_equal(reader[0:1], np.ones((1, 64, 2)))
+            with pytest.raises(FormatError, match=f"{path}: file ended inside band 1"):
+                reader[1:64]
+
+    @pytest.mark.parametrize("shape", [(2**32, 1, 1), (2.5, 2, 2), (0, 1, 1), (True, 2, 2),
+                                       (2, 2)],
+                             ids=["beyond-uint32", "float", "zero", "bool", "two-dimensions"])
+    def test_bad_shape_refused_before_any_file(self, tmp_path, shape):
+        path = tmp_path / "x.hsc"
+        with pytest.raises(ValueError, match=f"{path}: invalid dimensions"):
+            hio.CubeWriter(path, shape)
+        assert list(tmp_path.iterdir()) == []
 
     def test_blocks_write_write_cube_bytes(self, tmp_path):
         cube = np.random.default_rng(3).random((7, 5, 3))

@@ -446,6 +446,11 @@ class TestSingularSpectrum:
         with pytest.raises(ValueError, match="at least one"):
             metrics.mean_log_singular_spectrum(p for p in [])
 
+    def test_inconsistent_spectrum_lengths_rejected(self):
+        # a 2x2x3 patch has 3 singular values, a 1x2x3 patch 2
+        with pytest.raises(ValueError, match="inconsistent singular spectrum lengths"):
+            metrics.mean_log_singular_spectrum([np.ones((2, 2, 3)), np.ones((1, 2, 3))])
+
     def test_generator_matches_list(self):
         cube = two_zone_cube(23, 40, 20, 0, 20, 10, rank=3)
         grid = core.make_grid(40, 40, 10, 10, 10)

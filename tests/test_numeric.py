@@ -70,6 +70,11 @@ class TestTruncatedSvd:
         with pytest.raises(ValueError, match="non-finite"):
             truncated_svd(mat, 1)
 
+    @pytest.mark.parametrize("shape", [(4,), (2, 3, 4)])
+    def test_non_matrix_rejected(self, shape):
+        with pytest.raises(ValueError, match="expected a 2-D matrix, got shape"):
+            truncated_svd(np.ones(shape), 1)
+
 
 class TestLstsq:
     def test_identity_system(self):
@@ -136,6 +141,11 @@ class TestLstsq:
     def test_rhs_shape_mismatch(self):
         with pytest.raises(ValueError, match="right-hand side"):
             lstsq(np.ones((4, 2)), np.ones(5))
+
+    @pytest.mark.parametrize("solve", [lstsq, normal_lstsq], ids=["qr", "cholesky"])
+    def test_non_matrix_system_rejected(self, solve):
+        with pytest.raises(ValueError, match="expected a 2-D system matrix, got shape \\(4,\\)"):
+            solve(np.ones(4), np.ones(4))
 
     def test_reports_qr_solver(self):
         assert lstsq(np.eye(3), np.ones(3)).solver == "qr"

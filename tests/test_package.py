@@ -32,6 +32,21 @@ def test_all_is_version_plus_every_module_export():
             assert getattr(hsfuse, name) is getattr(module, name), name
 
 
+def test_exit_code_exceptions_are_the_packages_own():
+    # defined beside __version__, so the command line names them without loading numpy;
+    # io and numeric raise and export these same classes
+    tree = ast.parse(Path(hsfuse.__file__).read_text())
+    assert [a.name for node in tree.body if isinstance(node, ast.Import) for a in node.names] \
+        == ["importlib"]
+    assert not any(isinstance(node, ast.ImportFrom) for node in tree.body)
+    assert hsfuse.FormatError is import_module("hsfuse.io").FormatError
+    assert hsfuse.RankDeficiencyError is import_module("hsfuse.numeric").RankDeficiencyError
+    assert hsfuse.FormatError.__bases__ == (Exception,)
+    assert hsfuse.RankDeficiencyError.__bases__ == (ArithmeticError,)
+    assert hsfuse.RankDeficiencyError("dependent", column=3).column == 3
+    assert hsfuse.RankDeficiencyError("dependent").column is None
+
+
 def test_readme_imports_resolve():
     names = []
     for group, line in re.findall(r"from hsfuse import (?:\(([^)]*)\)|(.*))", README.read_text()):
