@@ -348,8 +348,7 @@ def _run_eval(args):
     with hio.CubeReader(args.ref) as ref, hio.CubeReader(args.est) as est:
         if ref.shape != est.shape:  # evaluate's own check, from the headers alone
             raise ValueError(f"shape mismatch: reference {ref.shape} vs estimate {est.shape}")
-    ref = hio.read_cube(args.ref)
-    est = hio.read_cube(args.est)
+        ref, est = ref[:], est[:]
     start = time.perf_counter()
     report = metrics.evaluate(ref, est, peak)
     wall = time.perf_counter() - start

@@ -113,8 +113,9 @@ class PatchGrid:
         m, n = self.patch_rows, self.patch_cols
         row_edges = sorted({0, self.rows}.union(*((i, i + m) for i, _ in self.origins)))
         col_edges = sorted({0, self.cols}.union(*((j, j + n) for _, j in self.origins)))
-        spans = tuple((row_edges.index(i), row_edges.index(i + m), col_edges.index(j),
-                       col_edges.index(j + n)) for i, j in self.origins)
+        row_at = {edge: a for a, edge in enumerate(row_edges)}
+        col_at = {edge: b for b, edge in enumerate(col_edges)}
+        spans = tuple((row_at[i], row_at[i + m], col_at[j], col_at[j + n]) for i, j in self.origins)
         return row_edges, col_edges, spans
 
 

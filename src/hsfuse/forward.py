@@ -119,14 +119,15 @@ def gen_mask(rows, cols, bands, seed, density=0.5):
     """Seeded Bernoulli {0, 1} mask cube of shape (rows, cols, bands).
 
     Entries are drawn in row, column, band order (C order of the cube) from
-    ``Pcg32(seed)``; an entry is 1.0 when u < density for u = out / 2^32.
+    ``Pcg32(seed)``; an entry is 1.0 when u < density for u = out / 2^32,
+    that is when out < density * 2^32, as scaling by a power of two is exact.
     Identical (seed, dims, density) give a bit-identical mask everywhere.
     """
     if min(rows, cols, bands) < 1:
         raise ValueError("mask dimensions must be positive")
     check_density(density)
-    u = Pcg32(seed).uniform(rows * cols * bands)
-    return (u < density).astype(np.float64).reshape(rows, cols, bands)
+    out = Pcg32(seed).next_u32(rows * cols * bands)
+    return (out < np.float64(density) * 2.0**32).astype(np.float64).reshape(rows, cols, bands)
 
 
 def zero_spectrum_pixels(mask):
@@ -175,14 +176,15 @@ def response_from_spec(spec, bands):
     ``single:i,j,...`` and ``file:PATH``.
     """
     kind, _, detail = str(spec).partition(":")
-    if kind == "average":
-        channels = int(detail) if detail else 3
-        return average_response(bands, channels)
-    if kind == "single":
-        if not detail:
-            raise ValueError("single-band response needs indices, e.g. single:0,7,15")
-        indices = [int(t) for t in detail.split(",")]
-        return single_band_response(bands, indices)
+    try:
+        if kind == "average":
+            return average_response(bands, int(detail) if detail else 3)
+        if kind == "single":
+            if not detail:
+                raise ValueError("single-band response needs indices, e.g. single:0,7,15")
+            return single_band_response(bands, [int(t) for t in detail.split(",")])
+    except ValueError as err:
+        raise ValueError(f"bad response spec {spec!r}: {err}") from err
     if kind == "file":
         if not detail:
             raise ValueError("file response needs a path, e.g. file:resp.txt")

@@ -280,16 +280,6 @@ def _check_shapes(coded, z, mask):
         )
 
 
-def _check_measurements(y, z, mask):
-    y = np.asarray(y, dtype=np.float64)
-    z = core.check_cube(z, "multiband measurement")
-    mask = core.check_cube(mask, "mask")
-    if y.ndim != 2:
-        raise ValueError(f"coded image must be 2-D, got shape {y.shape}")
-    _check_shapes(y.shape, z.shape, mask.shape)
-    return y, z, mask
-
-
 def _fuse_block(y, z, mask, rank, response, origin):
     """Fusion of the window at ``origin`` by its own solve; returns (F, PatchStats), where
     the (bands, channels) map F = E @ S^-1 U.T turns multiband values into spectra."""
@@ -365,8 +355,7 @@ def fuse(y, z, mask, rank, response=None):
     This is :func:`pfuse` with one window covering the whole image, so it
     requires more pixels than basis unknowns (rows*cols > rank*bands).
     """
-    y, z, mask = _check_measurements(y, z, mask)
-    rows, cols, bands = mask.shape
+    rows, cols, bands = core.check_cube(mask, "mask").shape
     if rows * cols <= rank * bands:
         raise ValueError(f"image area {rows * cols} must exceed rank*bands = {rank * bands}")
     return pfuse(y, z, mask, FusionConfig(rank, rows, cols), response=response)
@@ -391,7 +380,10 @@ def pfuse(y, z, mask, config, workers=1, response=None, stats=None):
     (patch_rows*patch_cols > rank*bands), otherwise the per-patch systems
     cannot have full column rank.
     """
-    y, z, mask = _check_measurements(y, z, mask)
+    y = np.asarray(y, dtype=np.float64)
+    if y.ndim != 2:
+        raise ValueError(f"coded image must be 2-D, got shape {y.shape}")
+    z, mask = core.check_cube(z, "multiband measurement"), core.check_cube(mask, "mask")
     out = np.empty(mask.shape)
     for r0, rows in pfuse_rows(y[:, :, None], z, mask, config, workers=workers,
                                response=response, stats=stats):
@@ -411,10 +403,12 @@ def pfuse_rows(y, z, mask, config, workers=1, response=None, stats=None):
 
     It goes through the grid one row of windows at a time and reads each row
     of cells once, with no read longer than a window. It holds the input
-    rows and cell statistics of the current row of windows, and of the next
-    one while the pool solves this one: memory grows with patch_rows x cols
-    x (bands + channels + 1), not with the scene's height. Closing the
-    generator early stops the pool and restores BLAS's thread count.
+    rows and cell statistics of one row of windows and yields the rows that
+    row finishes before it reads the next; while a pool runs, it submits the
+    next row before it collects this one, so the workers do not wait between
+    rows, and holds two. Memory grows with patch_rows x cols x (bands + channels
+    + 1), not with the scene's height. Closing the generator early stops the
+    pool and restores BLAS's thread count.
     """
     if workers is not None and not (core._integer(workers) and workers >= 1):
         raise ValueError(f"workers must be None or an integer >= 1, got {workers!r}")
@@ -503,13 +497,13 @@ def _stream(y, z, mask, grid, rank, workers, response, stats):
             yield fmap
 
     def maps():
-        ahead = None
+        submitted = []  # rows of windows not yet collected: while a pool runs, one is left
         for (a0, a1), row in itertools.groupby(range(len(spans)), key=lambda w: spans[w][:2]):
-            submitted = submit(a0, a1, list(row))
-            if ahead is not None:
-                yield from collect(*ahead)
-            ahead = submitted  # collected after the next row is submitted
-        yield from collect(*ahead)
+            submitted.append(submit(a0, a1, list(row)))
+            while len(submitted) > (pool is not None):
+                yield from collect(*submitted.pop(0))
+        for ahead in submitted:
+            yield from collect(*ahead)
 
     with stack:
         yield from core.aggregate_rows(maps(), grid, lambda r0, r1: inputs.pop(r0)[1])

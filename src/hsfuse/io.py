@@ -57,9 +57,9 @@ class CubeReader:
     Opening checks the header and the file length, so a malformed file fails
     before any row is used. ``reader[r0:r1]`` returns rows r0:r1 of every band
     as a new float64 (r1 - r0, cols, bands) array in :func:`read_cube`'s layout:
-    it reads each band's rows with one positioned read into a new float32
-    block, checks them for finiteness and converts the block. Use it as a
-    context manager, which closes the file.
+    it reads each band's rows with one positioned read into one band-sized
+    float32 buffer, checks them for finiteness and copies them into the
+    result. Use it as a context manager, which closes the file.
     """
 
     def __init__(self, path):
@@ -95,14 +95,17 @@ class CubeReader:
         r0, r1 = (span.start or 0, rows if span.stop is None else span.stop) if step_1 else (0, 0)
         if not 0 <= r0 < r1 <= rows:
             raise ValueError(f"rows {span!r} are not a nonempty step-1 slice within 0:{rows}")
-        block = np.empty((bands, r1 - r0, cols), dtype="<f4")
-        for band, part in enumerate(block):
+        part = np.empty((r1 - r0, cols), dtype="<f4")
+        # astype's layout of the band-major float32 block, which is never written
+        block = np.empty_like(np.empty((bands, *part.shape), "<f4").transpose(1, 2, 0), np.float64)
+        for band in range(bands):
             self._file.seek(16 + 4 * (band * rows + r0) * cols)
             if self._file.readinto(part) != part.nbytes:
                 raise FormatError(f"{self.path}: file ended inside band {band}")
-        if not np.isfinite(block).all():
-            raise FormatError(f"{self.path}: payload contains non-finite values")
-        return block.transpose(1, 2, 0).astype(np.float64)
+            if not np.isfinite(part).all():
+                raise FormatError(f"{self.path}: payload contains non-finite values")
+            block[:, :, band] = part
+        return block
 
 
 class CubeWriter:

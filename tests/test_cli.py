@@ -94,6 +94,14 @@ class TestSimulate:
     def test_missing_input_is_io_error(self, tmp_path):
         assert run("simulate", "--in", tmp_path / "nope.hsc", "--out-dir", tmp_path / "o") == 3
 
+    @pytest.mark.parametrize("spec", ["average:x", "single:a,1", "single:1,,2"])
+    def test_unparsable_response_spec_named(self, scene, tmp_path, capsys, spec):
+        cube, truth, out_dir = scene
+        out = tmp_path / "bad"
+        assert run("simulate", "--in", truth, "--response", spec, "--out-dir", out) == 2
+        assert f"bad response spec '{spec}': invalid literal for int()" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("sigma", ["-0.5", "inf", "nan"])
     def test_bad_noise_rejected(self, scene, tmp_path, sigma):
         cube, truth, out_dir = scene
@@ -533,6 +541,22 @@ class TestEval:
         assert payload_reads == []
         assert not out.exists()
 
+    def test_opens_each_input_once(self, scene, tmp_path, monkeypatch):
+        # the readers that check the headers also read the payloads
+        cube, truth, out_dir = scene
+        est = tmp_path / "est.hsc"
+        hio.write_cube(cube * 0.9, est)
+        expected = metrics.evaluate(hio.read_cube(truth), hio.read_cube(est))
+        opened, reader = [], hio.CubeReader
+        monkeypatch.setattr(hio, "CubeReader", lambda path: opened.append(path) or reader(path))
+        monkeypatch.setattr(hio, "read_cube", lambda path: pytest.fail(f"read_cube({path})"))
+        out = tmp_path / "eval.csv"
+        assert run("eval", "--ref", truth, "--est", est, "--out", out) == 0
+        assert opened == [str(truth), str(est)]
+        (row,) = read_csv(out)
+        assert [row[key] for key in ("m_psnr", "m_ssim", "msa")] == [
+            f"{value:.6g}" for value in (expected.m_psnr, expected.m_ssim, expected.msa)]
+
     def test_peak_beyond_ssim_range(self, scene, tmp_path, capsys):
         cube, truth, out_dir = scene
         out = tmp_path / "eval.csv"
@@ -759,6 +783,8 @@ class TestSweep:
             ("patch", "12,0", "patch value '0'"),
             ("patch", "12,48", "patch 48x48 exceeds image 24x24"),
             ("response", "average:2;single:0", "rank 2 exceeds the channel count 1"),
+            ("response", "average:2;average:x", "bad response spec 'average:x': invalid literal"),
+            ("response", "average:2;single:0,,1", "bad response spec 'single:0,,1': invalid"),
             ("rank", ",", "--values is empty"),
         ],
     )

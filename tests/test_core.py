@@ -1,5 +1,7 @@
 """Cube layout, unfolding, and patch grid tests."""
 
+import bisect
+
 import numpy as np
 import pytest
 
@@ -158,6 +160,18 @@ class TestCells:
         for r0, r1 in zip(row_edges[:-1], row_edges[1:]):
             for c0, c1 in zip(col_edges[:-1], col_edges[1:]):
                 assert (cover[r0:r1, c0:c1] == cover[r0, c0]).all()
+
+    def test_kaist_sized_grid(self):
+        # 2704 x 3376 with 40 x 40 windows at stride 10: 89,780 windows, each edge found
+        # by bisection in the sorted edges, as plain ints
+        grid = core.make_grid(2704, 3376, 40, 40, 10)
+        row_edges, col_edges, spans = grid.cells()
+        assert len(spans) == 89_780
+        expected = tuple((bisect.bisect_left(row_edges, i), bisect.bisect_left(row_edges, i + 40),
+                          bisect.bisect_left(col_edges, j), bisect.bisect_left(col_edges, j + 40))
+                         for i, j in grid.origins)
+        assert spans == expected
+        assert {type(a) for span in spans for a in span} == {int}
 
 
 class TestExtractAggregate:

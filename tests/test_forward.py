@@ -88,15 +88,20 @@ class TestGenMask:
         assert abs(mask.mean() - 0.5) < 0.1
 
     def test_traversal_order_matches_reference(self):
-        # entry (i, j, k) consumes draw number (i*N + j)*B + k
+        # entry (i, j, k) consumes draw number (i*N + j)*B + k; a density at a draw's own
+        # u = raw / 2**32 or one step above it pins the comparison to that exact u, and
+        # none of these draws is a float32, so a float32 threshold would move an entry
         rows, cols, bands = 3, 4, 2
-        mask = forward.gen_mask(rows, cols, bands, 31, 0.25)
         raw = pcg32_reference(31, rows * cols * bands)
-        expected = np.array(
-            [1.0 if raw[(i * cols + j) * bands + k] / 2**32 < 0.25 else 0.0
-             for i in range(rows) for j in range(cols) for k in range(bands)]
-        ).reshape(rows, cols, bands)
-        assert np.array_equal(mask, expected)
+        densities = [0.25, 1.0, 2**-32, 5e-324]  # the last is subnormal
+        densities += [(r + step) / 2**32 for r in raw for step in (0, 1)]
+        for density in densities:
+            mask = forward.gen_mask(rows, cols, bands, 31, density)
+            expected = np.array(
+                [1.0 if raw[(i * cols + j) * bands + k] / 2**32 < density else 0.0
+                 for i in range(rows) for j in range(cols) for k in range(bands)]
+            ).reshape(rows, cols, bands)
+            assert np.array_equal(mask, expected), density
 
     @pytest.mark.parametrize("density", [0.0, -0.1, 1.00001, float("nan")])
     def test_bad_density(self, density):
@@ -181,6 +186,11 @@ class TestResponses:
             forward.response_from_spec("nope", 6)
         with pytest.raises(ValueError, match="indices"):
             forward.response_from_spec("single:", 6)
+
+    @pytest.mark.parametrize("spec", ["average:x", "single:a,1", "single:1,,2"])
+    def test_unparsable_spec_named(self, spec):
+        with pytest.raises(ValueError, match=f"^bad response spec '{spec}': invalid literal"):
+            forward.response_from_spec(spec, 6)
 
     def test_file_spec_needs_a_path(self):
         with pytest.raises(ValueError, match="file response needs a path"):

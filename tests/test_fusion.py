@@ -532,6 +532,27 @@ class TestPfuseRows:
                              response=response)
         assert np.concatenate([rows for _, rows in blocks]).tobytes() == whole.tobytes()
 
+    @pytest.mark.parametrize("joint,workers", [(False, 1), (False, 2), (True, 1)],
+                             ids=["base", "base-two-workers", "joint"])
+    def test_without_a_pool_rows_are_out_before_the_next_read(self, monkeypatch, joint,
+                                                              workers):
+        # base windows that all keep their cell answer start no pool, whatever the workers
+        class Recorded:
+            def __init__(self, array):
+                self.array, self.shape = array, array.shape
+
+            def __getitem__(self, span):
+                events.append(("read", span.start))
+                return self.array[span]
+
+        events = []
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        y, z, mask, config, a = self.tall()
+        for r0, _ in fusion.pfuse_rows(Recorded(y[:, :, None]), z, mask, config,
+                                       workers=workers, response=a if joint else None):
+            events.append(("rows", r0))
+        assert events == [(kind, r0) for r0 in (0, 5, 10, 15) for kind in ("read", "rows")]
+
     def test_next_row_submitted_before_a_row_is_collected(self, monkeypatch):
         # a pool that solves at submission shows the order of submissions and output rows
         class EagerPool:
