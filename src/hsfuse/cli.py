@@ -276,8 +276,10 @@ def _run_simulate(args):
 
     _check_measurement_flags(args)
     _check_manifest_flags(args)
+    # the band count from the header alone: a bad spec is refused before the payload is read
+    with hio.CubeReader(args.in_path) as reader:
+        response = forward.response_from_spec(args.response, reader.shape[2])
     truth = hio.read_cube(args.in_path)
-    response = forward.response_from_spec(args.response, truth.shape[2])
     y, mask = _coded(truth, args)
     z = _multiband(truth, response, args)
     out_dir = Path(args.out_dir)
@@ -407,11 +409,13 @@ def _run_sweep(args):
     _check_manifest_flags(args)
     plan = _sweep_plan(args)
     scene = hio.check_identifier(Path(args.in_path).stem, f"--in value {args.in_path!r}: stem")
-    truth = hio.read_cube(args.in_path)
-    # responses and grids need the band count; all are checked before anything is simulated
-    responses = [forward.response_from_spec(spec, truth.shape[2]) for _, _, spec in plan]
+    # responses and grids need the cube's shape; all are checked before its payload is read
+    with hio.CubeReader(args.in_path) as reader:
+        shape = reader.shape
+    responses = [forward.response_from_spec(spec, shape[2]) for _, _, spec in plan]
     for (_, config, _), response in zip(plan, responses):
-        config.grid(truth.shape, response.shape[1])
+        config.grid(shape, response.shape[1])
+    truth = hio.read_cube(args.in_path)
     # the mask and coded image do not depend on any swept value
     y, mask = _coded(truth, args)
     method = "pfusion-improved" if args.improved else "pfusion"
@@ -447,10 +451,11 @@ def _run_analyze(args):
     if m < 1:
         raise ValueError("--patch must be >= 1")
     _check_manifest_flags(args)
-    cube = hio.read_cube(args.in_path)
-    rows, cols, _ = cube.shape
+    with hio.CubeReader(args.in_path) as reader:  # the header alone, before the payload
+        rows, cols, _ = reader.shape
     if m > min(rows, cols):
-        raise ValueError(f"--patch must be in [1, {min(rows, cols)}]")
+        raise ValueError(f"--patch {m} must be in [1, {min(rows, cols)}] for {args.in_path}")
+    cube = hio.read_cube(args.in_path)
     rng = forward.Pcg32(args.seed)
 
     def patches():

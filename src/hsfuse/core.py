@@ -17,6 +17,7 @@ reads A^T x at a pixel with spectrum x. ``validate_response`` owns its rules,
 and the simulator, the response file format and the joint solve apply them.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -109,10 +110,15 @@ class PatchGrid:
         """(row_edges, col_edges, spans): the image cut at every window origin and end.
 
         Cell (a, b), rows row_edges[a]:row_edges[a + 1] by columns col_edges[b]:col_edges[b + 1],
-        is covered by a fixed set of windows; window w is cells a0:a1 by b0:b1 = spans[w]."""
+        is covered by a fixed set of windows; window w is cells a0:a1 by b0:b1 = spans[w].
+        The grid is frozen, so the cut is made at the first call and kept, as tuples."""
+        return self._cells
+
+    @functools.cached_property
+    def _cells(self):
         m, n = self.patch_rows, self.patch_cols
-        row_edges = sorted({0, self.rows}.union(*((i, i + m) for i, _ in self.origins)))
-        col_edges = sorted({0, self.cols}.union(*((j, j + n) for _, j in self.origins)))
+        row_edges = tuple(sorted({0, self.rows}.union(*((i, i + m) for i, _ in self.origins))))
+        col_edges = tuple(sorted({0, self.cols}.union(*((j, j + n) for _, j in self.origins))))
         row_at = {edge: a for a, edge in enumerate(row_edges)}
         col_at = {edge: b for b, edge in enumerate(col_edges)}
         spans = tuple((row_at[i], row_at[i + m], col_at[j], col_at[j + n]) for i, j in self.origins)

@@ -301,13 +301,11 @@ def _fuse_block(y, z, mask, rank, response, origin):
 
 
 @np.errstate(invalid="ignore")  # inf * 0 from a non-finite input; the window guard rejects it
-def _cell_stats(y, z, mask, col_edges, out=None):
-    """H, g and the multiband Gram of each cell of one row of cells, stacked by cell,
-    written into ``out`` (the arrays of a row no longer needed) when given."""
+def _cell_stats(y, z, mask, col_edges):
+    """H, g and the multiband Gram of each cell of one row of cells, stacked by cell."""
     channels, bands, cells = z.shape[2], mask.shape[2], len(col_edges) - 1
-    if out is None:
-        out = (np.empty((cells, channels * bands, channels * bands)),
-               np.empty((cells, channels * bands)), np.empty((cells, channels, channels)))
+    out = (np.empty((cells, channels * bands, channels * bands)),
+           np.empty((cells, channels * bands)), np.empty((cells, channels, channels)))
     for b, (c0, c1) in enumerate(zip(col_edges[:-1], col_edges[1:])):
         zc = z[:, c0:c1].reshape(-1, channels)
         yc = y[:, c0:c1].ravel()
@@ -402,12 +400,15 @@ def pfuse_rows(y, z, mask, config, workers=1, response=None, stats=None):
     no later window covers it.
 
     It goes through the grid one row of windows at a time and reads each row
-    of cells once, with no read longer than a window. It holds the input
-    rows and cell statistics of one row of windows and yields the rows that
-    row finishes before it reads the next; while a pool runs, it submits the
-    next row before it collects this one, so the workers do not wait between
-    rows, and holds two. Memory grows with patch_rows x cols x (bands + channels
-    + 1), not with the scene's height. Closing the generator early stops the
+    of cells once, with no read longer than a window, into one record: its
+    y, z and mask rows and, for base windows, its cells' statistics, made as
+    it is read. The record is dropped when those rows of the result are
+    yielded. So it holds the records of one row of windows and yields the
+    rows that row finishes before it reads the next; while a pool runs, it
+    submits the next row before it collects this one, so the workers do not
+    wait between rows, and holds two. Memory grows with patch_rows x cols x
+    (bands + channels + 1) input values plus (channels x bands)^2 values per
+    cell, not with the scene's height. Closing the generator early stops the
     pool and restores BLAS's thread count.
     """
     if workers is not None and not (core._integer(workers) and workers >= 1):
@@ -425,8 +426,9 @@ def pfuse_rows(y, z, mask, config, workers=1, response=None, stats=None):
 def _stream(y, z, mask, grid, rank, workers, response, stats):
     """The generator of :func:`pfuse_rows`, on checked arguments."""
     row_edges, col_edges, spans = grid.cells()
-    inputs = {}  # first row of a cell row -> its (y, z, mask) rows, until its output is out
-    cells = {}  # cell row -> its cell statistics, while the current row of windows covers it
+    # first row of a cell row -> its record: its (y, z, mask) rows and, on the base path,
+    # its cell statistics, held until aggregate_rows takes its z rows
+    inputs = {}
     cpus = os.cpu_count() or 1
     workers = min(cpus if workers is None else workers, cpus)
     # the pool and BLAS's one-thread pin: entered at the first per-window solve, left when
@@ -441,14 +443,10 @@ def _stream(y, z, mask, grid, rank, workers, response, stats):
     def solve(index, window):
         return _fuse_block(*at(window, index), rank, response, grid.origins[index])
 
-    def cell_solves(a0, a1, rows, indices):
-        """(vec(E), S^-1 U.T) of each window of the row that its cell statistics solve."""
-        spare = [cells.pop(a) for a in list(cells) if a < a0]
-        for a, part in zip(range(a0, a1), rows):
-            if a not in cells:
-                cells[a] = _cell_stats(*part, col_edges, spare.pop() if spare else None)
-        # each window row's cell rows summed in row order
-        strip = [sum(parts[1:], parts[0]) for parts in zip(*(cells[a] for a in range(a0, a1)))]
+    def cell_solves(sums, indices):
+        """(vec(E), S^-1 U.T) of each window that its cell rows' statistics ``sums`` solve."""
+        # the window row's cell rows summed in row order
+        strip = [sum(parts[1:], parts[0]) for parts in zip(*sums)]
         solved = {}
         for index in indices:
             b0, b1 = spans[index][2:]
@@ -463,16 +461,17 @@ def _stream(y, z, mask, grid, rank, workers, response, stats):
         for r0, r1 in zip(row_edges[a0:a1], row_edges[a0 + 1 : a1 + 1]):
             if r0 not in inputs:
                 coded, *rest = (np.asarray(part[r0:r1], dtype=np.float64) for part in (y, z, mask))
-                inputs[r0] = (coded[:, :, 0], *rest)
-        rows = [inputs[r0] for r0 in row_edges[a0:a1]]
-        solved = {} if response is not None else cell_solves(a0, a1, rows, indices)
+                read = (coded[:, :, 0], *rest)
+                inputs[r0] = read, None if response is not None else _cell_stats(*read, col_edges)
+        reads, sums = zip(*(inputs[r0] for r0 in row_edges[a0:a1]))
+        solved = {} if response is not None else cell_solves(sums, indices)
         pending = [index for index in indices if index not in solved]
         window = None
         if pending or stats is not None:
             # rows i0:i0 + patch_rows, Fortran-ordered: a window's pixels are then contiguous
             # per band, so unfolding it, as every per-window solve does, copies nothing
             window = [np.concatenate(parts, out=np.empty(
-                (grid.patch_rows, *parts[0].shape[1:]), order="F")) for parts in zip(*rows)]
+                (grid.patch_rows, *parts[0].shape[1:]), order="F")) for parts in zip(*reads)]
         results = {}
         for index, (e, m) in solved.items():
             record = None if stats is None else _cell_record(*at(window, index), e, m,
@@ -506,4 +505,4 @@ def _stream(y, z, mask, grid, rank, workers, response, stats):
             yield from collect(*ahead)
 
     with stack:
-        yield from core.aggregate_rows(maps(), grid, lambda r0, r1: inputs.pop(r0)[1])
+        yield from core.aggregate_rows(maps(), grid, lambda r0, r1: inputs.pop(r0)[0][1])

@@ -205,6 +205,9 @@ def load_response(path):
         values = [[float(v) for v in row] for row in rows[1:]]
     except ValueError as err:
         raise FormatError(f"{path}: {err}") from err
+    for count, name in ((bands, "band"), (channels, "channel")):
+        if count < 1:
+            raise FormatError(f"{path}: {name} count {count} must be at least 1")
     if len(values) != bands or any(len(row) != channels for row in values):
         raise FormatError(f"{path}: expected {bands} lines of {channels} values")
     try:

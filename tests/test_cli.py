@@ -967,6 +967,33 @@ class TestEarlyRejection:
         assert reads == []
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("simulate", "--response", "average:x"), "bad response spec 'average:x'"),
+            (("sweep", "--vary", "response", "--values", "average:2;single:0,,1", "--rank", 2),
+             "bad response spec 'single:0,,1'"),
+            (("analyze", "--patch", 9999), "--patch 9999 must be in [1, 24]"),
+        ],
+        ids=["simulate-response", "sweep-response", "analyze-patch"],
+    )
+    def test_cube_dependent_flag_rejected_before_the_payload(self, scene, tmp_path,
+                                                             monkeypatch, capsys, argv, message):
+        # the band count and image size come from the header; the payload is never read
+        def no_payload(*_args):
+            raise AssertionError("read the payload before checking the flags")
+
+        monkeypatch.setattr(hio, "read_cube", no_payload)
+        monkeypatch.setattr(hio.CubeReader, "__getitem__", no_payload)
+        _, truth, _ = scene
+        out = tmp_path / "out"
+        command, *flags = argv
+        code = run(command, "--in", truth, *flags, "--out-dir" if command == "simulate" else "--out",
+                   out)
+        assert code == cli.EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("label", ["a\rb", '"x"'], ids=["carriage-return", "quote"])
     def test_eval_csv_label_rejected_before_reading(self, scene, tmp_path, monkeypatch, capsys,
                                                     label):

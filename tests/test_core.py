@@ -161,6 +161,16 @@ class TestCells:
             for c0, c1 in zip(col_edges[:-1], col_edges[1:]):
                 assert (cover[r0:r1, c0:c1] == cover[r0, c0]).all()
 
+    def test_cut_once_per_grid(self):
+        grid = core.make_grid(17, 23, 5, 7, 3)
+        cut = grid.cells()
+        assert grid.cells() is cut
+        assert all(isinstance(part, tuple) for part in cut)
+        # an equal grid cuts the image the same way, and the kept cut leaves equality alone
+        again = core.make_grid(17, 23, 5, 7, 3)
+        assert again == grid and hash(again) == hash(grid)
+        assert again.cells() == cut and again.cells() is not cut
+
     def test_kaist_sized_grid(self):
         # 2704 x 3376 with 40 x 40 windows at stride 10: 89,780 windows, each edge found
         # by bisection in the sorted edges, as plain ints

@@ -5,6 +5,7 @@ import dataclasses
 import os
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -506,7 +507,7 @@ class TestPfuseRows:
         response = a if joint else None
         blocks = list(fusion.pfuse_rows(y[:, :, None], z, mask, config, response=response))
         cut = core.make_grid(20, 10, 6, 5, 4).cells()[0]
-        assert [r0 for r0, _ in blocks] == cut[:-1]
+        assert [r0 for r0, _ in blocks] == list(cut[:-1])
         assert [len(rows) for _, rows in blocks] == list(np.diff(cut))
         whole = fusion.pfuse(y, z, mask, config, response=response)
         assert np.array_equal(np.concatenate([rows for _, rows in blocks]), whole)
@@ -552,6 +553,52 @@ class TestPfuseRows:
                                        workers=workers, response=a if joint else None):
             events.append(("rows", r0))
         assert events == [(kind, r0) for r0 in (0, 5, 10, 15) for kind in ("read", "rows")]
+
+    @pytest.mark.parametrize("joint", [False, True], ids=["base", "joint"])
+    def test_one_cut_per_run(self, monkeypatch, joint):
+        # the stream and the aggregation share the grid's one cut
+        cuts, cells = [], core.PatchGrid.cells
+        monkeypatch.setattr(core.PatchGrid, "cells",
+                            lambda grid: cuts.append(cells(grid)) or cuts[-1])
+        y, z, mask, _, a = self.tall()
+        config = FusionConfig(rank=2, patch_rows=6, patch_cols=5, stride=4)
+        list(fusion.pfuse_rows(y[:, :, None], z, mask, config, response=a if joint else None))
+        assert len(cuts) >= 1 and all(cut is cuts[0] for cut in cuts)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_cell_statistics_made_once_and_freed_before_the_next_row(self, monkeypatch,
+                                                                      workers):
+        # windows at rows 0, 4, 8, 12 and 14, six rows tall: most cell rows serve two rows
+        # of windows, and each must be gone before the first read of a row below it
+        class Recorded:
+            def __init__(self, array):
+                self.array, self.shape = array, array.shape
+
+            def __getitem__(self, span):
+                i0 = min(i for i in starts if i + config.patch_rows > span.start)
+                above = [refs for a, refs in enumerate(made) if row_edges[a + 1] <= i0]
+                assert all(ref() is None for refs in above for ref in refs), (span, i0)
+                return self.array[span]
+
+        def recorded(y, *rest):
+            sums = cell_stats(y, *rest)
+            assert len(y) == np.diff(row_edges)[len(made)]  # cell rows in order, each once
+            made.append([weakref.ref(part) for part in sums])
+            return sums
+
+        y, z, mask, _, _ = self.tall()
+        config = FusionConfig(rank=2, patch_rows=6, patch_cols=5, stride=4)
+        whole = fusion.pfuse(y, z, mask, config)
+        grid = config.grid(mask.shape, z.shape[2])
+        row_edges, starts = grid.cells()[0], sorted({i for i, _ in grid.origins})
+        made, cell_stats = [], fusion._cell_stats
+        monkeypatch.setattr(fusion, "_cell_stats", recorded)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        rows = list(fusion.pfuse_rows(Recorded(y[:, :, None]), z, mask, config,
+                                      workers=workers))
+        assert len(made) == len(row_edges) - 1
+        assert all(ref() is None for refs in made for ref in refs)
+        assert np.concatenate([block for _, block in rows]).tobytes() == whole.tobytes()
 
     def test_next_row_submitted_before_a_row_is_collected(self, monkeypatch):
         # a pool that solves at submission shows the order of submissions and output rows

@@ -1,6 +1,7 @@
 """File format tests: cube container, response text, CSV reports, manifests."""
 
 import os
+import re
 import struct
 
 import numpy as np
@@ -186,6 +187,15 @@ class TestResponseFile:
         path = tmp_path / "resp.txt"
         path.write_text("3 2\n1 0\n0 1\n")
         with pytest.raises(FormatError, match="expected 3 lines"):
+            hio.load_response(path)
+
+    @pytest.mark.parametrize("header,message", [("-3 3", "band count -3"), ("0 2", "band count 0"),
+                                                ("2 0", "channel count 0"),
+                                                ("1 -1", "channel count -1")])
+    def test_count_below_one_named(self, tmp_path, header, message):
+        path = tmp_path / "resp.txt"
+        path.write_text(f"{header}\n1 2 3\n")
+        with pytest.raises(FormatError, match=re.escape(f"{path}: {message} must be at least 1")):
             hio.load_response(path)
 
     def test_non_numeric_value(self, tmp_path):
