@@ -179,8 +179,9 @@ def _phi_w(mask, w, below=0):
     if pixels != rows * cols:
         raise ValueError(f"coefficients cover {pixels} pixels, mask has {rows * cols}")
     phi = np.empty((pixels + below, k * bands))
-    np.einsum("tp,pb->ptb", w, mask.reshape(pixels, bands, order="F"),
-              out=phi[:pixels].reshape(pixels, k, bands))
+    # a pixel-major C-ordered copy of the mask: each pixel's spectrum is one run, in any layout
+    spectra = np.ascontiguousarray(mask.transpose(1, 0, 2)).reshape(pixels, bands)
+    np.einsum("tp,pb->ptb", w, spectra, out=phi[:pixels].reshape(pixels, k, bands))
     return phi
 
 
@@ -402,14 +403,16 @@ def pfuse_rows(y, z, mask, config, workers=1, response=None, stats=None):
     It goes through the grid one row of windows at a time and reads each row
     of cells once, with no read longer than a window, into one record: its
     y, z and mask rows and, for base windows, its cells' statistics, made as
-    it is read. The record is dropped when those rows of the result are
-    yielded. So it holds the records of one row of windows and yields the
-    rows that row finishes before it reads the next; while a pool runs, it
-    submits the next row before it collects this one, so the workers do not
-    wait between rows, and holds two. Memory grows with patch_rows x cols x
-    (bands + channels + 1) input values plus (channels x bands)^2 values per
-    cell, not with the scene's height. Closing the generator early stops the
-    pool and restores BLAS's thread count.
+    it is read. A window's rows are a plain concatenation of its records'
+    rows, and its sensing matrix makes the pixel-major mask copy it reads. A
+    record is dropped when its rows of the result are yielded. So it holds
+    the records of one row of windows and yields the rows that row finishes
+    before it reads the next; while a pool runs, it submits the next row
+    before it draws this one's answers, so the workers do not wait between
+    rows, and holds two. Memory grows with patch_rows x cols x (bands +
+    channels + 1) input values plus (channels x bands)^2 values per cell,
+    not with the scene's height. Closing the generator early stops the pool
+    and restores BLAS's thread count.
     """
     if workers is not None and not (core._integer(workers) and workers >= 1):
         raise ValueError(f"workers must be None or an integer >= 1, got {workers!r}")
@@ -440,23 +443,9 @@ def _stream(y, z, mask, grid, rank, workers, response, stats):
         j0 = grid.origins[index][1]
         return [part[:, j0 : j0 + grid.patch_cols] for part in window]
 
-    def solve(index, window):
-        return _fuse_block(*at(window, index), rank, response, grid.origins[index])
-
-    def cell_solves(sums, indices):
-        """(vec(E), S^-1 U.T) of each window that its cell rows' statistics ``sums`` solve."""
-        # the window row's cell rows summed in row order
-        strip = [sum(parts[1:], parts[0]) for parts in zip(*sums)]
-        solved = {}
-        for index in indices:
-            b0, b1 = spans[index][2:]
-            solution = _cell_solve(*(part[b0:b1].sum(axis=0) for part in strip), rank)
-            if solution is not None:
-                solved[index] = solution
-        return solved
-
     def submit(a0, a1, indices):
-        """Read and solve one row of windows, the per-window solves only submitted."""
+        """Read one row of windows and return its (F, record) pairs in window order: the
+        cell answers are made here, the per-window solves submitted and drawn in order."""
         nonlocal pool
         for r0, r1 in zip(row_edges[a0:a1], row_edges[a0 + 1 : a1 + 1]):
             if r0 not in inputs:
@@ -464,19 +453,21 @@ def _stream(y, z, mask, grid, rank, workers, response, stats):
                 read = (coded[:, :, 0], *rest)
                 inputs[r0] = read, None if response is not None else _cell_stats(*read, col_edges)
         reads, sums = zip(*(inputs[r0] for r0 in row_edges[a0:a1]))
-        solved = {} if response is not None else cell_solves(sums, indices)
-        pending = [index for index in indices if index not in solved]
-        window = None
+        answers = [None] * len(indices)  # (vec(E), S^-1 U.T) of each window its cells solve
+        if response is None:
+            strip = [sum(parts[1:], parts[0]) for parts in zip(*sums)]  # cell rows, in order
+            answers = [_cell_solve(*(part[b0:b1].sum(axis=0) for part in strip), rank)
+                       for b0, b1 in (spans[index][2:] for index in indices)]
+        pending = [index for index, answer in zip(indices, answers) if answer is None]
+        # rows i0:i0 + patch_rows as plain row concatenations; _phi_w copies the mask pixel-major
         if pending or stats is not None:
-            # rows i0:i0 + patch_rows, Fortran-ordered: a window's pixels are then contiguous
-            # per band, so unfolding it, as every per-window solve does, copies nothing
-            window = [np.concatenate(parts, out=np.empty(
-                (grid.patch_rows, *parts[0].shape[1:]), order="F")) for parts in zip(*reads)]
-        results = {}
-        for index, (e, m) in solved.items():
-            record = None if stats is None else _cell_record(*at(window, index), e, m,
-                                                             grid.origins[index])
-            results[index] = (e.reshape(-1, rank, order="F") @ m, record)
+            window = [np.concatenate(parts) for parts in zip(*reads)]
+        for n, (index, answer) in enumerate(zip(indices, answers)):  # cell answers, in place
+            if answer is not None:
+                e, m = answer
+                record = None if stats is None else _cell_record(*at(window, index), e, m,
+                                                                 grid.origins[index])
+                answers[n] = e.reshape(-1, rank, order="F") @ m, record
         if pending and pool is None and workers > 1:
             from concurrent.futures import ThreadPoolExecutor  # with logging, ~6.5 ms to load
 
@@ -484,25 +475,24 @@ def _stream(y, z, mask, grid, rank, workers, response, stats):
             stack.enter_context(_blas.one_thread())
             pool = stack.enter_context(
                 ThreadPoolExecutor(max_workers=min(workers, len(spans) - pending[0])))
-        solutions = (map if pool is None else pool.map)(solve, pending, itertools.repeat(window))
-        return indices, results, zip(pending, solutions)
+        fused = (map if pool is None else pool.map)(
+            lambda index: _fuse_block(*at(window, index), rank, response, grid.origins[index]),
+            pending)
+        return (answer or next(fused) for answer in answers)
 
-    def collect(indices, results, solved):
-        results.update(solved)
-        for index in indices:
-            fmap, record = results[index]
-            if stats is not None:
-                stats.append(record)
-            yield fmap
-
-    def maps():
-        submitted = []  # rows of windows not yet collected: while a pool runs, one is left
+    def rows():
+        submitted = []  # rows of windows' pairs not yet drawn: while a pool runs, one is left
         for (a0, a1), row in itertools.groupby(range(len(spans)), key=lambda w: spans[w][:2]):
             submitted.append(submit(a0, a1, list(row)))
             while len(submitted) > (pool is not None):
-                yield from collect(*submitted.pop(0))
-        for ahead in submitted:
-            yield from collect(*ahead)
+                yield submitted.pop(0)
+        yield from submitted
+
+    def maps():
+        for fmap, record in itertools.chain.from_iterable(rows()):
+            if stats is not None:
+                stats.append(record)
+            yield fmap
 
     with stack:
         yield from core.aggregate_rows(maps(), grid, lambda r0, r1: inputs.pop(r0)[0][1])

@@ -143,6 +143,22 @@ class TestAssemblePhiW:
         rhs = y.ravel(order="F")
         assert np.linalg.norm(lhs - rhs) < 1e-12 * np.linalg.norm(rhs)
 
+    def test_layouts_give_identical_bytes(self):
+        # the sensing matrix reads its own pixel-major copy of the mask, so no layout of the
+        # mask or the coefficients moves a bit
+        _, coeff, mask = random_instance(12)
+        wide = forward.gen_mask(6, 9, 4, 13, 0.5)
+        wide[:, 2:7] = mask
+        band_major = np.ascontiguousarray(mask.transpose(2, 0, 1)).transpose(1, 2, 0)
+        masks = {"C": mask, "F": np.asfortranarray(mask), "band-major": band_major,
+                 "column-sliced": wide[:, 2:7]}
+        assert mask.flags.c_contiguous and masks["F"].flags.f_contiguous
+        assert not any(masks[name].flags.forc for name in ("band-major", "column-sliced"))
+        want = fusion.assemble_phi_w(mask, coeff).tobytes()
+        for name, layout in masks.items():
+            for w in (np.ascontiguousarray(coeff), np.asfortranarray(coeff)):
+                assert fusion.assemble_phi_w(layout, w).tobytes() == want, name
+
     def test_pixel_count_mismatch(self):
         with pytest.raises(ValueError, match="pixels"):
             fusion.assemble_phi_w(np.ones((2, 2, 3)), np.ones((1, 5)))
@@ -476,6 +492,28 @@ class TestPfuse:
         with pytest.raises(ValueError, match=f"got {workers!r}"):
             fusion.pfuse(y, z, mask, config, workers=workers, response=response)
         assert pool_sizes == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("case", ["base", "declined", "joint"])
+    def test_stats_do_not_change_the_bytes(self, monkeypatch, case, workers):
+        # observing a run never changes its answer, whichever path and worker count made it
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        y, z, mask = (part.copy() for part in noisy_instance(95, 16, 16))
+        if case == "declined":
+            # a dead corner: its window's Gram is zero, so the cell guards decline it and
+            # the per-window path reconstructs it as zero
+            for part in (y, z, mask):
+                part[8:, 8:] = 0.0
+        response = forward.average_response(6, 3) if case == "joint" else None
+        config = FusionConfig(rank=3, patch_rows=8, patch_cols=8, stride=4)
+        stats = []
+        observed = fusion.pfuse(y, z, mask, config, workers=workers, response=response,
+                                stats=stats)
+        plain = fusion.pfuse(y, z, mask, config, workers=workers, response=response)
+        assert observed.tobytes() == plain.tobytes()
+        assert [s.origin for s in stats] == list(core.make_grid(16, 16, 8, 8, 4).origins)
+        assert [s.origin for s in stats if s.solver is None] == \
+            ([(8, 8)] if case == "declined" else [])
 
     def test_rank_deficient_patch_names_origin(self):
         # an all-zero mask makes every per-patch system rank deficient
