@@ -23,10 +23,11 @@ and the Cholesky solve passes that bound on rcond(G). Other windows, and all
 joint ones, take the per-window path: own SVD, sensing matrix and solve.
 
 The improved (joint) solve, selected by passing the multiband response,
-adds the multiband measurement's rows to that system. They all lie in the
-span of W's k row directions, so the channels*pixels multiband rows reduce
-exactly to k*channels rows, and the reduced system is solved like a base
-window's own: by the guarded normal equations, falling back to pivoted QR.
+adds the multiband measurement's rows (``assemble_phi_rgb``) to that
+system. They enter its normal equations as one Gram term kron(W W.T, A A.T)
+and one right-hand side vec(A Z W.T), which are solved like a base window's
+own: by the guarded Cholesky solve, falling back to pivoted QR on the
+stacked rows.
 
 The layout of vec(E) is defined operationally: stacking E column by column
 makes ``assemble_phi_w(C, W) @ vec(E)`` equal the pixel-major ravel of
@@ -122,7 +123,8 @@ class PatchStats:
     fell back to pivoted QR.
     ``residual`` is the 2-norm residual of the patch's least-squares
     system: the coded rows, plus for the joint solve all channels*pixels
-    multiband rows (not only the reduced rows that were factored).
+    multiband rows, whether they were solved through their Gram term or
+    stacked under the coded rows.
     """
 
     origin: tuple
@@ -165,12 +167,7 @@ def assemble_phi_w(mask, w):
     ``assemble_phi_w(C, W) @ vec(E)`` equals the pixel-major ravel of
     ``simulate_cassi(fold3(E @ W), C)``.
     """
-    return _phi_w(core.check_cube(mask, "mask"), w)
-
-
-def _phi_w(mask, w, below=0):
-    """:func:`assemble_phi_w` of a checked mask, as the top rows of a C-ordered array with
-    ``below`` more rows, left for the caller to fill."""
+    mask = core.check_cube(mask, "mask")
     w = np.asarray(w, dtype=np.float64)
     if w.ndim != 2:
         raise ValueError(f"coefficients must be 2-D, got shape {w.shape}")
@@ -178,11 +175,9 @@ def _phi_w(mask, w, below=0):
     k, pixels = w.shape
     if pixels != rows * cols:
         raise ValueError(f"coefficients cover {pixels} pixels, mask has {rows * cols}")
-    phi = np.empty((pixels + below, k * bands))
     # a pixel-major C-ordered copy of the mask: each pixel's spectrum is one run, in any layout
     spectra = np.ascontiguousarray(mask.transpose(1, 0, 2)).reshape(pixels, bands)
-    np.einsum("tp,pb->ptb", w, spectra, out=phi[:pixels].reshape(pixels, k, bands))
-    return phi
+    return np.einsum("tp,pb->ptb", w, spectra, order="C").reshape(pixels, k * bands)
 
 
 def assemble_phi_rgb(response, w):
@@ -217,33 +212,30 @@ def _joint_response(response, bands, channels):
 def _solve(y, mask, w, z, response):
     """Least-squares basis solve as a :class:`numeric.LstsqResult`.
 
-    Without ``response`` this is the base system. With it (already checked
-    by :func:`_joint_response`) the multiband rows join the system in their
-    exact reduction: reordered with all channels of pixel 0 first, they are
-    kron(W.T, A.T), and with the thin QR W.T = Q R that is
-    kron(Q, I) @ kron(R, A.T), where kron(Q, I) has orthonormal columns. So
-    the channels*pixels multiband rows can be replaced by the k*channels
-    rows kron(R, A.T) against vec(Z Q) (Z the channels x pixels unfolding
-    of z) without changing the Gram matrix, the column norms or the
-    least-squares answer; the part of Z outside span(Q) is added back to
-    the residual, which stays the stacked system's. Either system is solved
-    by :func:`numeric.normal_lstsq`: Cholesky on the normal equations, or
-    pivoted QR when its rcond guard declines them. The joint Gram is the
-    base Gram plus a positive semidefinite term, which never lowers its
-    smallest eigenvalue.
+    Without ``response`` this is the base system, solved by
+    :func:`numeric.normal_lstsq`. With it (already checked by
+    :func:`_joint_response`) the multiband rows kron(W.T, A.T) join the
+    system through its normal equations: their Gram term is
+    kron(W W.T, A A.T) and their right-hand side vec(A Z W.T) (Z the
+    channels x pixels unfolding of z). That Gram is the base Gram plus a
+    positive semidefinite term, which never lowers its smallest eigenvalue.
+    When :func:`numeric.cholesky_solve` declines it, pivoted QR solves the
+    stacked rows of :func:`assemble_phi_w` and :func:`assemble_phi_rgb`.
+    Either way the residual is the stacked system's.
     """
-    phi = _phi_w(mask, w, 0 if response is None else len(w) * response.shape[1])
+    phi = assemble_phi_w(mask, w)
     rhs = y.ravel(order="F")
-    outside = 0.0
-    if response is not None:
-        q, r = np.linalg.qr(w.T)
-        zmat = core.unfold3(z)
-        zq = zmat @ q
-        phi[len(rhs):] = np.kron(r, response.T)  # below phi_W, which is not copied
-        rhs = np.concatenate((rhs, zq.ravel(order="F")))
-        outside = np.linalg.norm(zmat - zq @ q.T)
-    sol = numeric.normal_lstsq(phi, rhs)
-    return sol._replace(residual=float(np.hypot(sol.residual, outside)))
+    if response is None:
+        return numeric.normal_lstsq(phi, rhs)
+    zmat = core.unfold3(z)
+    x = numeric.cholesky_solve(phi.T @ phi + np.kron(w @ w.T, response @ response.T),
+                               phi.T @ rhs + (response @ (zmat @ w.T)).ravel(order="F"))
+    if x is None:
+        return numeric.lstsq(np.vstack((phi, assemble_phi_rgb(response, w))),
+                             np.concatenate((rhs, zmat.ravel())))
+    fit = response.T @ x.reshape(-1, len(w), order="F") @ w
+    residual = np.hypot(np.linalg.norm(rhs - phi @ x), np.linalg.norm(zmat - fit))
+    return numeric.LstsqResult(x, float(residual), "cholesky")
 
 
 def solve_basis(y, mask, w, z=None, response=None):
@@ -254,9 +246,11 @@ def solve_basis(y, mask, w, z=None, response=None):
     phi_W is well conditioned, by pivoted QR otherwise
     (:func:`numeric.normal_lstsq`). Given both ``response`` and ``z``, the
     multiband measurement joins the system through its own structured matrix
-    (:func:`assemble_phi_rgb`), reduced exactly to k*channels rows, and the
-    joint least-squares problem is solved the same way; W need not have
-    orthonormal rows. On consistent data both paths give the same E @ W.
+    (:func:`assemble_phi_rgb`), whose rows add the Gram term
+    kron(W W.T, A A.T) to the normal equations, and the joint least-squares
+    problem is solved the same way, by pivoted QR on the stacked rows when
+    the guard declines; W need not have orthonormal rows. On consistent
+    data both paths give the same E @ W.
     """
     y = np.asarray(y, dtype=np.float64)
     mask = core.check_cube(mask, "mask")
@@ -459,7 +453,7 @@ def _stream(y, z, mask, grid, rank, workers, response, stats):
             answers = [_cell_solve(*(part[b0:b1].sum(axis=0) for part in strip), rank)
                        for b0, b1 in (spans[index][2:] for index in indices)]
         pending = [index for index, answer in zip(indices, answers) if answer is None]
-        # rows i0:i0 + patch_rows as plain row concatenations; _phi_w copies the mask pixel-major
+        # rows i0:i0 + patch_rows as plain concatenations; assemble_phi_w reorders the mask
         if pending or stats is not None:
             window = [np.concatenate(parts) for parts in zip(*reads)]
         for n, (index, answer) in enumerate(zip(indices, answers)):  # cell answers, in place

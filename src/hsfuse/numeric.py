@@ -135,12 +135,13 @@ def lstsq(phi, y):
 
 def cholesky_solve(gram, rhs):
     """Solution of gram @ x = rhs by Cholesky (``dposv``), or None (solve by pivoted QR
-    instead) unless G is finite, factors and has rcond(G) >= CHOLESKY_RCOND_MIN (``dpocon``)."""
+    instead) unless G and rhs are finite and G factors with rcond(G) >= CHOLESKY_RCOND_MIN
+    (``dpocon``)."""
     lapack = _blas.openblas()
     if lapack is None:
         from scipy.linalg import lapack
 
-    if not np.isfinite(gram).all():
+    if not (np.isfinite(gram).all() and np.isfinite(rhs).all()):
         return None
     factor, x, info = lapack.dposv(gram, rhs)
     if info != 0:

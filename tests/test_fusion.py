@@ -795,6 +795,11 @@ class TestFusionConfig:
             FusionConfig(rank_tol=1e-3)
 
 
+def decline_cholesky(patched):
+    """Make every Cholesky solve decline, so each solve falls back to pivoted QR."""
+    patched.setattr(fusion.numeric, "cholesky_solve", lambda *_args: None)
+
+
 def per_window_reference(monkeypatch, *args, qr=False, **kwargs):
     """pfuse output and stats with every window solved by the per-window path
     (its own SVD, phi and solve), and with ``qr`` that solve forced onto pivoted QR."""
@@ -802,7 +807,7 @@ def per_window_reference(monkeypatch, *args, qr=False, **kwargs):
     with monkeypatch.context() as patched:
         patched.setattr(fusion, "_cell_solve", lambda *_args: None)
         if qr:
-            patched.setattr(fusion.numeric, "normal_lstsq", fusion.numeric.lstsq)
+            decline_cholesky(patched)
         return fusion.pfuse(*args, **kwargs, stats=stats), stats
 
 
@@ -1058,14 +1063,14 @@ def noisy_joint_instance(seed, rows=12, cols=10, bands=6, rank=2, channels=3):
 
 
 class TestJointSolver:
-    """The reduced joint solve, by the normal equations, against the stacked pivoted-QR
-    system it replaces and against its own reduction solved by pivoted QR."""
+    """The joint solve, by the normal equations with the multiband Gram term, against the
+    stacked rows solved by pivoted QR, directly and as its own fallback."""
 
     def check_against_reference(self, monkeypatch, y, z, mask, response, w):
         ref = stacked_reference(y, mask, w, z, response)
         x = fusion.solve_basis(y, mask, w, z=z, response=response)
         with monkeypatch.context() as patched:
-            patched.setattr(fusion.numeric, "normal_lstsq", fusion.numeric.lstsq)
+            decline_cholesky(patched)
             x_qr = fusion.solve_basis(y, mask, w, z=z, response=response)
         assert np.abs(x - x_qr).max() <= 1e-12 * np.abs(x_qr).max()
         x = x.reshape(-1, order="F")
@@ -1075,8 +1080,9 @@ class TestJointSolver:
         assert abs(np.linalg.norm(rhs - phi @ x) - ref.residual) <= 1e-12 * ref.residual
 
     def test_sensing_matrix_is_not_copied(self):
-        # phi_W and the reduced multiband rows share one array: the peak beyond the inputs is
-        # that array and smaller temporaries (1.34 sensing matrices here, 2.08 with a copy)
+        # the multiband rows enter as a Gram term and are never assembled: the peak beyond the
+        # inputs is assemble_phi_w's own, phi_W and its pixel-major mask copy (1.33 sensing
+        # matrices here; a copy of phi_W, or the multiband rows stacked under it, would exceed 2)
         y, z, mask, response = noisy_joint_instance(76, rows=64, cols=64, bands=31, rank=3)
         w = fusion.estimate_coefficients(z, 3).coefficients
         tracemalloc.start()
@@ -1087,15 +1093,40 @@ class TestJointSolver:
             tracemalloc.stop()
         assert peak <= 1.6 * 64 * 64 * 3 * 31 * 8
 
-    def test_bits_equal_the_stacked_system(self):
-        # the same rows in the same C order as stacking phi_W on the reduced rows
+    @pytest.mark.parametrize("orthonormal", [True, False], ids=["orthonormal", "general"])
+    def test_normal_equations_equal_the_stacked_rows(self, monkeypatch, orthonormal):
+        # G = phi.T phi + kron(W W.T, A A.T) and b = phi.T vec(Y) + vec(A Z W.T) are the
+        # stacked rows' Gram and right-hand side
         y, z, mask, response = noisy_joint_instance(77, rank=3)
-        w = fusion.estimate_coefficients(z, 3).coefficients
-        q, r = np.linalg.qr(w.T)
-        phi = np.vstack((fusion.assemble_phi_w(mask, w), np.kron(r, response.T)))
-        rhs = np.concatenate((y.ravel(order="F"), (core.unfold3(z) @ q).ravel(order="F")))
-        stacked = numeric.normal_lstsq(phi, rhs).x.reshape(6, 3, order="F")
-        assert np.array_equal(fusion.solve_basis(y, mask, w, z=z, response=response), stacked)
+        if orthonormal:
+            w = fusion.estimate_coefficients(z, 3).coefficients
+        else:
+            w = np.random.default_rng(78).standard_normal((3, 120)) * np.array([[5.0], [1.0],
+                                                                                  [0.2]])
+        systems = []
+        solve = fusion.numeric.cholesky_solve
+        monkeypatch.setattr(fusion.numeric, "cholesky_solve",
+                            lambda gram, rhs: systems.append((gram, rhs)) or solve(gram, rhs))
+        fusion.solve_basis(y, mask, w, z=z, response=response)
+        phi = np.vstack((fusion.assemble_phi_w(mask, w), fusion.assemble_phi_rgb(response, w)))
+        rhs = np.concatenate((y.ravel(order="F"), z.ravel(order="F")))
+        ((gram, b),) = systems
+        assert np.abs(gram - phi.T @ phi).max() <= 1e-12 * np.abs(phi.T @ phi).max()
+        assert np.abs(b - phi.T @ rhs).max() <= 1e-12 * np.abs(phi.T @ rhs).max()
+
+    def test_qr_fallback_solves_the_stacked_rows(self, monkeypatch):
+        # a declined joint window is the stacked system itself, solved by pivoted QR
+        y, z, mask, response = noisy_joint_instance(79, rows=12, cols=12, rank=3)
+        stats = []
+        with monkeypatch.context() as patched:
+            decline_cholesky(patched)
+            fusion.pfuse(y, z, mask, FusionConfig(3, 12, 12, 12), response=response,
+                         stats=stats)
+        (s,) = stats
+        ref = stacked_reference(y, mask, s.coefficients, z, response)
+        assert s.solver == "qr"
+        assert np.array_equal(s.basis.reshape(-1, order="F"), ref.x)
+        assert s.residual == ref.residual
 
     def test_orthonormal_coefficients(self, monkeypatch):
         y, z, mask, response = noisy_joint_instance(70, rank=3)
@@ -1103,7 +1134,7 @@ class TestJointSolver:
         self.check_against_reference(monkeypatch, y, z, mask, response, w)
 
     def test_general_coefficients(self, monkeypatch):
-        # rows neither orthonormal nor of equal scale: the R factor carries them
+        # rows neither orthonormal nor of equal scale: the Gram term's W W.T carries them
         y, z, mask, response = noisy_joint_instance(71)
         rng = np.random.default_rng(72)
         w = rng.standard_normal((2, 120)) * np.array([[5.0], [0.2]])

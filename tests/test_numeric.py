@@ -219,6 +219,12 @@ class TestCholeskySolve:
         monkeypatch.setattr(_blas, "openblas", lambda: None)
         assert cholesky_solve(gram, np.ones(2)) is None
 
+    @pytest.mark.parametrize("rhs", [np.array([np.nan, 1.0]), np.array([1.0, -np.inf])],
+                             ids=["nan", "inf"])
+    def test_declines_non_finite_rhs(self, lapack_path, rhs):
+        # dposv would return [nan, nan] for a NaN right-hand side as an accepted answer
+        assert cholesky_solve(np.eye(2), rhs) is None
+
     @pytest.mark.parametrize("n", [2, 30, 93])
     def test_bits_equal_scipy_lapack(self, lapack_path, n):
         rng = np.random.default_rng(n)
