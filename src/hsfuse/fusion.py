@@ -25,9 +25,8 @@ joint ones, take the per-window path: own SVD, sensing matrix and solve.
 The improved (joint) solve, selected by passing the multiband response,
 adds the multiband measurement's rows (``assemble_phi_rgb``) to that
 system. They enter its normal equations as one Gram term kron(W W.T, A A.T)
-and one right-hand side vec(A Z W.T), which are solved like a base window's
-own: by the guarded Cholesky solve, falling back to pivoted QR on the
-stacked rows.
+and one right-hand side vec(A Z W.T), and one solve serves both systems:
+the guarded Cholesky solve, falling back to pivoted QR on the rows.
 
 The layout of vec(E) is defined operationally: stacking E column by column
 makes ``assemble_phi_w(C, W) @ vec(E)`` equal the pixel-major ravel of
@@ -212,29 +211,35 @@ def _joint_response(response, bands, channels):
 def _solve(y, mask, w, z, response):
     """Least-squares basis solve as a :class:`numeric.LstsqResult`.
 
-    Without ``response`` this is the base system, solved by
-    :func:`numeric.normal_lstsq`. With it (already checked by
-    :func:`_joint_response`) the multiband rows kron(W.T, A.T) join the
-    system through its normal equations: their Gram term is
-    kron(W W.T, A A.T) and their right-hand side vec(A Z W.T) (Z the
-    channels x pixels unfolding of z). That Gram is the base Gram plus a
-    positive semidefinite term, which never lowers its smallest eigenvalue.
-    When :func:`numeric.cholesky_solve` declines it, pivoted QR solves the
-    stacked rows of :func:`assemble_phi_w` and :func:`assemble_phi_rgb`.
-    Either way the residual is the stacked system's.
+    The system's rows are :func:`assemble_phi_w`'s against vec(Y) and, with
+    ``response`` (already checked by :func:`_joint_response`), the
+    multiband rows of :func:`assemble_phi_rgb` against vec(Z) (Z the
+    channels x pixels unfolding of z). The latter enter the normal
+    equations as the Gram term kron(W W.T, A A.T), positive semidefinite,
+    and the right-hand side vec(A Z W.T). :func:`numeric.cholesky_solve`
+    solves them once; when it declines, :func:`numeric.lstsq` solves the
+    rows themselves, and names a non-finite input. Either way the residual
+    is that of all the rows.
     """
     phi = assemble_phi_w(mask, w)
     rhs = y.ravel(order="F")
-    if response is None:
-        return numeric.normal_lstsq(phi, rhs)
-    zmat = core.unfold3(z)
-    x = numeric.cholesky_solve(phi.T @ phi + np.kron(w @ w.T, response @ response.T),
-                               phi.T @ rhs + (response @ (zmat @ w.T)).ravel(order="F"))
+    # inf * 0 from a non-finite input; cholesky_solve declines it, and lstsq names it
+    with np.errstate(invalid="ignore", over="ignore"):
+        gram, b = phi.T @ phi, phi.T @ rhs
+        if response is not None:
+            zmat = core.unfold3(z)
+            gram += np.kron(w @ w.T, response @ response.T)
+            b += (response @ (zmat @ w.T)).ravel(order="F")
+    x = numeric.cholesky_solve(gram, b)
     if x is None:
-        return numeric.lstsq(np.vstack((phi, assemble_phi_rgb(response, w))),
-                             np.concatenate((rhs, zmat.ravel())))
-    fit = response.T @ x.reshape(-1, len(w), order="F") @ w
-    residual = np.hypot(np.linalg.norm(rhs - phi @ x), np.linalg.norm(zmat - fit))
+        if response is not None:
+            phi = np.vstack((phi, assemble_phi_rgb(response, w)))
+            rhs = np.concatenate((rhs, zmat.ravel()))
+        return numeric.lstsq(phi, rhs)
+    residual = np.linalg.norm(rhs - phi @ x)
+    if response is not None:
+        fit = response.T @ x.reshape(-1, len(w), order="F") @ w
+        residual = np.hypot(residual, np.linalg.norm(zmat - fit))
     return numeric.LstsqResult(x, float(residual), "cholesky")
 
 
@@ -242,15 +247,14 @@ def solve_basis(y, mask, w, z=None, response=None):
     """Spectral basis from the coded image given coefficients W.
 
     Solves min ||vec(Y) - phi_W @ e|| by least squares and reshapes e to
-    (bands, k): through the Cholesky-factored normal equations when
-    phi_W is well conditioned, by pivoted QR otherwise
-    (:func:`numeric.normal_lstsq`). Given both ``response`` and ``z``, the
-    multiband measurement joins the system through its own structured matrix
+    (bands, k). Given both ``response`` and ``z``, the multiband
+    measurement joins the system through its own structured matrix
     (:func:`assemble_phi_rgb`), whose rows add the Gram term
-    kron(W W.T, A A.T) to the normal equations, and the joint least-squares
-    problem is solved the same way, by pivoted QR on the stacked rows when
-    the guard declines; W need not have orthonormal rows. On consistent
-    data both paths give the same E @ W.
+    kron(W W.T, A A.T) to the normal equations; W need not have orthonormal
+    rows. Either system is solved once: through its Cholesky-factored
+    normal equations when they are finite and well conditioned, by pivoted
+    QR on its rows otherwise. On consistent data the base and joint solves
+    give the same E @ W.
     """
     y = np.asarray(y, dtype=np.float64)
     mask = core.check_cube(mask, "mask")

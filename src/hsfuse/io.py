@@ -184,13 +184,13 @@ def save_response(response, path):
     bands, channels = response.shape
     lines = [f"{bands} {channels}"]
     lines += [" ".join(repr(float(v)) for v in row) for row in response]
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _read_text(path):
     """The text of the file at ``path``, or FormatError naming it if it is not UTF-8 text."""
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as err:
         raise FormatError(f"{path}: not a text file ({err.reason} at byte {err.start})") from err
 
@@ -264,7 +264,7 @@ def write_table(path, header, rows):
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def write_report(rows, path):
@@ -276,7 +276,7 @@ def write_manifest(path, entries):
     """Write configuration as human-readable ``key = value`` lines, refusing a value that
     :func:`read_manifest` would not read back as written (:func:`check_manifest_value`)."""
     lines = [f"{key} = {check_manifest_value(value, key)}" for key, value in entries.items()]
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def read_manifest(path):

@@ -6,10 +6,11 @@ the SVD returns descending singular triplets with orthonormal factors.
 factorisation (Q applied to the right-hand side, never formed), which
 equals the normal-equation solution on full-column-rank systems but does
 not square the condition number.
-``normal_lstsq`` solves the normal equations by Cholesky (``cholesky_solve``),
-several times faster on tall systems, and hands the system to ``lstsq``
-whenever the Gram matrix's estimated condition makes that squaring unsafe,
-so its answer stays within about 1e-10 relative of QR's.
+``cholesky_solve`` solves normal equations G x = b by Cholesky, several
+times faster on tall systems, and declines (returns None) whenever G or b
+is not finite or G's estimated condition makes the squaring unsafe; a
+caller then hands the system's rows to ``lstsq``, so an answer it keeps
+stays within about 1e-10 relative of QR's.
 
 ``cholesky_solve`` calls ``dposv`` and ``dpocon`` in numpy's own OpenBLAS
 (``_blas``), so a reconstruction whose windows all keep their Cholesky
@@ -33,7 +34,6 @@ __all__ = [
     "truncated_svd",
     "lstsq",
     "cholesky_solve",
-    "normal_lstsq",
 ]
 
 # Relative tolerance on the pivoted-QR diagonal below which a column is
@@ -80,7 +80,16 @@ def truncated_svd(mat, k):
     return SvdResult(u[:, :k].copy(), s[:k].copy(), vt[:k].T.copy())
 
 
-def _check_system(phi, y):
+def lstsq(phi, y):
+    """Minimise ||y - phi @ x||_2 for a tall full-column-rank system.
+
+    Solved through column-pivoted QR; Q.T @ y comes from applying the
+    Householder reflectors to y (``scipy.linalg.qr_multiply``), so the
+    economic Q is never formed. If the smallest diagonal of the R factor
+    falls below RANK_RTOL times the largest, the system is declared rank
+    deficient and the offending (original) column index is reported.
+    Returns the solution together with the residual 2-norm, measured on phi.
+    """
     phi = np.asarray(phi, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if phi.ndim != 2:
@@ -94,23 +103,8 @@ def _check_system(phi, y):
         raise ValueError("system matrix contains non-finite entries")
     if not np.isfinite(y).all():
         raise ValueError("right-hand side contains non-finite entries")
-    return phi, y
+    import scipy.linalg  # after the checks: a refused system does not pay its import
 
-
-def lstsq(phi, y):
-    """Minimise ||y - phi @ x||_2 for a tall full-column-rank system.
-
-    Solved through column-pivoted QR; Q.T @ y comes from applying the
-    Householder reflectors to y (``scipy.linalg.qr_multiply``), so the
-    economic Q is never formed. If the smallest diagonal of the R factor
-    falls below RANK_RTOL times the largest, the system is declared rank
-    deficient and the offending (original) column index is reported.
-    Returns the solution together with the residual 2-norm, measured on phi.
-    """
-    import scipy.linalg
-
-    phi, y = _check_system(phi, y)
-    cols = phi.shape[1]
     # Q is applied to y as its Householder reflectors and never formed (y @ Q is Q.T @ y)
     qty, r, perm = scipy.linalg.qr_multiply(phi, y, mode="right", pivoting=True)
     diag = np.abs(np.diag(r))
@@ -150,15 +144,3 @@ def cholesky_solve(gram, rhs):
     rcond, _ = lapack.dpocon(factor, np.abs(gram).sum(axis=0).max())
     return x if rcond >= CHOLESKY_RCOND_MIN else None
 
-
-def normal_lstsq(phi, y):
-    """:func:`lstsq` through the normal equations, when :func:`cholesky_solve` accepts them.
-
-    Otherwise it returns ``lstsq(phi, y)`` itself, with the same errors. The
-    residual is measured on phi, not derived from G.
-    """
-    phi, y = _check_system(phi, y)
-    x = cholesky_solve(phi.T @ phi, phi.T @ y)
-    if x is None:
-        return lstsq(phi, y)
-    return LstsqResult(x, float(np.linalg.norm(y - phi @ x)), "cholesky")

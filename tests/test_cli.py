@@ -22,7 +22,7 @@ def run(*argv):
 
 
 def read_csv(path):
-    lines = path.read_text().splitlines()
+    lines = path.read_text(encoding="utf-8").splitlines()
     header = lines[0].split(",")
     rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
     return rows
@@ -628,8 +628,11 @@ class TestStartup:
             "from hsfuse import _blas, core, forward, fusion, numeric\n"
             "heavy = ('scipy.signal', 'scipy.linalg')\n"
             "before = [m for m in heavy if m in sys.modules]\n"
+            "def solve(phi, rhs):  # fusion's per-window solve: Cholesky, else pivoted QR\n"
+            "    x = numeric.cholesky_solve(phi.T @ phi, phi.T @ rhs)\n"
+            "    return 'cholesky' if x is not None else numeric.lstsq(phi, rhs).solver\n"
             "rng = np.random.default_rng(0)\n"
-            "solvers = [numeric.normal_lstsq(rng.random((8, 3)), rng.random(8)).solver]\n"
+            "solvers = [solve(rng.random((8, 3)), rng.random(8))]\n"
             "cube = core.fold3(rng.random((12, 3)) @ rng.random((3, 24 * 24)), 24, 24)\n"
             "mask = forward.gen_mask(24, 24, 12, 5, 0.5)\n"
             "response = forward.average_response(12, 3)\n"
@@ -639,21 +642,28 @@ class TestStartup:
             "    stats = []\n"
             "    fusion.pfuse(y, z, mask, config, workers=2, response=joint, stats=stats)\n"
             "    solvers += [s.solver for s in stats]\n"
+            "y[5, 5] = np.inf  # refused by lstsq's checks, before it loads scipy.linalg\n"
+            "try:\n"
+            "    fusion.pfuse(y, z, mask, config)\n"
+            "    refused = None\n"
+            "except ValueError as err:\n"
+            "    refused = str(err)\n"
             "after_cholesky = 'scipy.linalg' in sys.modules\n"
             "a = rng.random((40, 2))\n"
             "declined = np.column_stack((a, a[:, 1] + 1e-6 * rng.random(40)))\n"
-            "solvers.append(numeric.normal_lstsq(declined, rng.random(40)).solver)\n"
-            "print(json.dumps([before, solvers, after_cholesky, 'scipy.linalg' in sys.modules,\n"
-            "                  _blas.openblas() is not None]))\n"
+            "solvers.append(solve(declined, rng.random(40)))\n"
+            "print(json.dumps([before, solvers, refused, after_cholesky,\n"
+            "                  'scipy.linalg' in sys.modules, _blas.openblas() is not None]))\n"
         )
         src = str(Path(hsfuse.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src)
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, timeout=120)
         assert done.returncode == 0, done.stderr
-        before, solvers, after_cholesky, after_qr, bound = json.loads(done.stdout)
+        before, solvers, refused, after_cholesky, after_qr, bound = json.loads(done.stdout)
         assert before == []
         assert solvers == ["cholesky"] * (len(solvers) - 1) + ["qr"]
+        assert refused.endswith("right-hand side contains non-finite entries")
         assert after_qr
         if not bound:
             pytest.skip("numpy bundles no scipy-openblas LAPACK symbols (numpy 1.x, MKL or "
@@ -1090,6 +1100,21 @@ class TestConfigHandling:
         row_again.pop("wall_seconds")
         assert row_first == row_again
         assert (row_first["method"], row_first["k"], row_first["m"]) == ("m", "2", "9")
+
+    def test_text_files_are_utf8_in_an_ascii_locale(self, scene, tmp_path):
+        # manifests, reports and responses are UTF-8 whatever the locale: a rerun in the
+        # POSIX locale, whose default encoding is ASCII, reads and writes the scene "café"
+        cube, truth, out_dir = scene
+        first, again = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run("eval", "--ref", truth, "--est", truth, "--out", first, "--scene", "café") == 0
+        env = dict(os.environ, PYTHONPATH=str(Path(hsfuse.__file__).resolve().parents[1]),
+                   LC_ALL="POSIX", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+        done = subprocess.run([sys.executable, "-m", "hsfuse.cli", "eval", "--config",
+                               f"{first}.manifest.txt", "--out", again], env=env,
+                              capture_output=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert read_csv(again)[0]["scene"] == "café"
+        assert hio.read_manifest(f"{again}.manifest.txt")["scene"] == "café"
 
     def test_sweep_rerun_from_manifest(self, tmp_path):
         cube, _, _ = dyadic_low_rank_cube(782, 24, 24, 8, 2)

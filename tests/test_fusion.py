@@ -873,6 +873,46 @@ class TestBaseSolver:
         assert [s.solver for s in stats] == ["qr"]
         assert np.array_equal(xhat, ref)
 
+    def test_qr_fallback_solves_the_coded_rows(self, monkeypatch):
+        # a declined base window is its own coded system, solved by pivoted QR
+        y, z, mask = noisy_instance(66, 12, 12)
+        stats = []
+        with monkeypatch.context() as patched:
+            decline_cholesky(patched)
+            fusion.pfuse(y, z, mask, FusionConfig(3, 12, 12, 12), stats=stats)
+        (s,) = stats
+        ref = numeric.lstsq(fusion.assemble_phi_w(mask, s.coefficients), y.ravel(order="F"))
+        assert s.solver == "qr"
+        assert np.array_equal(s.basis.reshape(-1, order="F"), ref.x)
+        assert s.residual == ref.residual
+
+    @pytest.mark.parametrize(
+        "case,error",
+        [("zero", RankDeficiencyError), ("duplicate-column", RankDeficiencyError),
+         ("mask-inf", ValueError), ("y-nan", ValueError), ("underdetermined", ValueError)],
+        ids=["zero", "duplicate-column", "mask-inf", "y-nan", "underdetermined"],
+    )
+    def test_declined_system_raises_as_qr(self, case, error):
+        # a system the Cholesky guard must not answer raises lstsq's error on its coded rows
+        rng = np.random.default_rng(67)
+        side = 2 if case == "underdetermined" else 8  # 4 rows < 2 * 4 unknowns
+        mask = forward.gen_mask(side, side, 4, 68, 0.5).copy()
+        y, w = rng.random((side, side)), rng.standard_normal((2, side * side))
+        if case == "zero":
+            mask[:] = 0.0
+        elif case == "duplicate-column":
+            mask[:, :, 3] = mask[:, :, 1]
+        elif case == "mask-inf":
+            mask[3, 4, 2] = np.inf
+        elif case == "y-nan":
+            y[3, 4] = np.nan
+        with pytest.raises(error) as ref:
+            numeric.lstsq(fusion.assemble_phi_w(mask, w), y.ravel(order="F"))
+        with pytest.raises(error) as fast:
+            fusion.solve_basis(y, mask, w)
+        assert str(fast.value) == str(ref.value)
+        assert getattr(fast.value, "column", None) == getattr(ref.value, "column", None)
+
 
 @pytest.fixture
 def per_window_calls(monkeypatch):
@@ -908,6 +948,18 @@ def noisy_instance(seed, rows, cols, bands=6, rank=3, channels=3):
     y = forward.add_noise(forward.simulate_cassi(cube, mask), 0.01, seed + 2)
     z = forward.add_noise(forward.simulate_multiband(cube, response), 0.01, seed + 3)
     return y, z, mask
+
+
+# (name, value, dead pixel, message) of one non-finite input value at pixel (10, 5)
+NON_FINITE_INPUTS = {
+    "z-nan": ("z", np.nan, False, "matrix contains non-finite entries"),
+    "z-inf-dead-pixel": ("z", np.inf, True, "matrix contains non-finite entries"),
+    "y-nan": ("y", np.nan, False, "right-hand side contains non-finite entries"),
+    "y-inf": ("y", np.inf, False, "right-hand side contains non-finite entries"),
+    "y-nan-dead-pixel": ("y", np.nan, True, "right-hand side contains non-finite entries"),
+    "mask-nan": ("mask", np.nan, False, "system matrix contains non-finite entries"),
+    "mask-inf": ("mask", np.inf, False, "system matrix contains non-finite entries"),
+}
 
 
 class TestCellPath:
@@ -1020,28 +1072,28 @@ class TestCellPath:
         assert np.abs(xhat - ref).max() <= 1e-12 * np.abs(ref).max()
 
     @pytest.mark.parametrize(
-        "name,value,dead,message",
-        [("z", np.nan, False, "matrix contains non-finite entries"),
-         ("z", np.inf, True, "matrix contains non-finite entries"),
-         ("y", np.nan, False, "right-hand side contains non-finite entries"),
-         ("y", np.nan, True, "right-hand side contains non-finite entries"),
-         ("mask", np.nan, False, "system matrix contains non-finite entries")],
-        ids=["z-nan", "z-inf-dead-pixel", "y-nan", "y-nan-dead-pixel", "mask-nan"],
+        "joint,name,value,dead,message",
+        [(joint, *case) for joint in (False, True) for case in NON_FINITE_INPUTS.values()],
+        ids=[prefix + case for prefix in ("", "joint-") for case in NON_FINITE_INPUTS],
     )
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_non_finite_input_names_first_origin(self, monkeypatch, name, value, dead, message,
-                                                 workers):
+    def test_non_finite_input_names_first_origin(self, monkeypatch, joint, name, value, dead,
+                                                 message, workers):
         # pixel (10, 5) lies in windows (4, 0), (4, 4), (8, 0) and (8, 4); (4, 0) comes first;
-        # a dead pixel has an all-zero mask spectrum, so its value is multiplied by zeros
+        # a dead pixel has an all-zero mask spectrum, so its value is multiplied by zeros.
+        # The base and the joint solve name it alike, and warn of nothing on the way.
         data = {key: v.copy() for key, v in zip(("y", "z", "mask"), noisy_instance(98, 16, 16))}
         if dead:
             data["mask"][10, 5] = 0.0
         data[name][10, 5] = value
         config = FusionConfig(rank=3, patch_rows=8, patch_cols=8, stride=4)
+        response = forward.average_response(6, 3) if joint else None
         with pytest.raises(ValueError) as fast:
-            fusion.pfuse(data["y"], data["z"], data["mask"], config, workers=workers)
+            fusion.pfuse(data["y"], data["z"], data["mask"], config, workers=workers,
+                         response=response)
         with pytest.raises(ValueError) as ref:
-            per_window_reference(monkeypatch, data["y"], data["z"], data["mask"], config)
+            per_window_reference(monkeypatch, data["y"], data["z"], data["mask"], config,
+                                 response=response)
         assert str(fast.value) == str(ref.value) == f"patch at origin (4, 0): {message}"
 
 
