@@ -19,14 +19,19 @@ adds up its cells, and U, S come from eigh of its Gram. As that squares the
 singular values and the system, a window keeps this answer only if its
 statistics are finite, its Gram is nonzero, its rank-th eigenvalue and the
 gap below it are at least ``numeric.CHOLESKY_RCOND_MIN`` times the largest,
-and the Cholesky solve passes that bound on rcond(G). Other windows, and all
-joint ones, take the per-window path: own SVD, sensing matrix and solve.
+and the Cholesky solve passes that bound on rcond(G). Other windows take the
+per-window path: own SVD, sensing matrix and solve.
 
 The improved (joint) solve, selected by passing the multiband response,
 adds the multiband measurement's rows (``assemble_phi_rgb``) to that
 system. They enter its normal equations as one Gram term kron(W W.T, A A.T)
-and one right-hand side vec(A Z W.T), and one solve serves both systems:
-the guarded Cholesky solve, falling back to pivoted QR on the rows.
+and one right-hand side vec(A Z W.T). A joint window is solved from the
+statistics of its own pixels, the window as its one cell, under the same
+guards: with W = m Z and m = S^-1 U.T, those terms are kron(m Z Z.T m.T,
+A A.T) and vec(A Z Z.T m.T), so neither W nor any rows are formed. A joint
+window the guards decline takes the per-window path, where one solve serves
+both systems: the guarded Cholesky solve, falling back to pivoted QR on the
+rows.
 
 The layout of vec(E) is defined operationally: stacking E column by column
 makes ``assemble_phi_w(C, W) @ vec(E)`` equal the pixel-major ravel of
@@ -123,7 +128,8 @@ class PatchStats:
     ``residual`` is the 2-norm residual of the patch's least-squares
     system: the coded rows, plus for the joint solve all channels*pixels
     multiband rows, whether they were solved through their Gram term or
-    stacked under the coded rows.
+    stacked under the coded rows. A patch solved from statistics takes it
+    through its map F (:func:`_cell_record`), without a sensing matrix.
     """
 
     origin: tuple
@@ -279,13 +285,25 @@ def _check_shapes(coded, z, mask):
         )
 
 
-def _fuse_block(y, z, mask, rank, response, origin):
+def _fuse_block(y, z, mask, rank, response, origin, record):
     """Fusion of the window at ``origin`` by its own solve; returns (F, PatchStats), where
-    the (bands, channels) map F = E @ S^-1 U.T turns multiband values into spectra."""
+    the (bands, channels) map F = E @ S^-1 U.T turns multiband values into spectra.
+
+    A joint window is first solved from its own pixels' statistics, the window as one
+    cell, with a record only if ``record`` is set. Base windows come here once their cells
+    declined; a window the statistics do not answer takes the per-window path (own SVD,
+    sensing matrix and :func:`_solve`)."""
     bands, channels = mask.shape[2], z.shape[2]
     if not (z.any() or y.any()):
         # nothing was measured at all: the zero cube is the exact solution
         return np.zeros((bands, channels)), PatchStats(origin, 0, 0.0, None, None, None)
+    if response is not None:
+        sums = (part[0] for part in _cell_stats(y, z, mask, (0, y.shape[1])))
+        answer = _cell_solve(*sums, rank, response)
+        if answer is not None:
+            e, m = answer
+            stats = _cell_record(y, z, mask, e, m, origin, response) if record else None
+            return e.reshape(bands, -1, order="F") @ m, stats
     try:
         est = estimate_coefficients(z, rank)
         sol = _solve(y, mask, est.coefficients, z, response)
@@ -308,16 +326,17 @@ def _cell_stats(y, z, mask, col_edges):
     for b, (c0, c1) in enumerate(zip(col_edges[:-1], col_edges[1:])):
         zc = z[:, c0:c1].reshape(-1, channels)
         yc = y[:, c0:c1].ravel()
-        a = (zc[:, :, None] * mask[:, c0:c1].reshape(len(yc), 1, -1)).reshape(len(yc), -1)
+        a = np.einsum("pc,pb->pcb", zc, mask[:, c0:c1].reshape(len(yc), -1)).reshape(len(yc), -1)
         np.matmul(a.T, a, out=out[0][b])
         np.matmul(a.T, yc, out=out[1][b])
         np.matmul(zc.T, zc, out=out[2][b])
     return out
 
 
-def _cell_solve(h, g, gram, rank):
+def _cell_solve(h, g, gram, rank, response=None):
     """(vec(E), S^-1 U.T) of a window from its summed cell statistics, or None where a
-    guard declines them."""
+    guard declines them. With ``response`` the multiband rows join the system in the
+    whitened coordinates: W W.T = m Z Z.T m.T and A Z W.T = A Z Z.T m.T (m = S^-1 U.T)."""
     channels, bands = len(gram), len(g) // len(gram)
     # a non-finite input value reaches H's diagonal (a_p), g (y_p) or the Gram (z_p)
     if not all(np.isfinite(part).all() for part in (h, g, gram)):
@@ -332,16 +351,25 @@ def _cell_solve(h, g, gram, rank):
     t = (m @ h.reshape(channels, -1)).reshape(rank, bands, channels, bands)
     gw = (m @ t.transpose(2, 0, 1, 3).reshape(channels, -1)).reshape(rank, rank, bands, bands)
     gw = gw.transpose(1, 2, 0, 3).reshape(rank * bands, -1)
-    e = numeric.cholesky_solve(gw, (m @ g.reshape(channels, bands)).ravel())
+    b = (m @ g.reshape(channels, bands)).ravel()
+    if response is not None:
+        gw += np.kron(m @ gram @ m.T, response @ response.T)
+        b += (response @ (gram @ m.T)).ravel(order="F")
+    e = numeric.cholesky_solve(gw, b)
     return None if e is None else (e, m)
 
 
-def _cell_record(y, z, mask, e, m, origin):
-    """PatchStats of a window solved from its cells, with the residual of its own system."""
-    w = m @ core.unfold3(z)
-    residual = float(np.linalg.norm(y.ravel(order="F") - assemble_phi_w(mask, w) @ e))
-    return PatchStats(origin, len(m), residual, w, e.reshape(mask.shape[2], -1, order="F"),
-                      "cholesky")
+def _cell_record(y, z, mask, e, m, origin, response=None):
+    """PatchStats of a window solved from statistics, with the residual of its own system.
+
+    Each pixel's spectrum is F z_p with F = E m, so the coded residual is
+    y - sum_c (C F)_c z_c, and the joint one adds Z - (F.T A).T Z: no sensing matrix."""
+    basis = e.reshape(mask.shape[2], -1, order="F")
+    fmap = basis @ m
+    residual = np.linalg.norm(y - ((mask @ fmap) * z).sum(axis=2))
+    if response is not None:
+        residual = np.hypot(residual, np.linalg.norm(z - z @ (fmap.T @ response)))
+    return PatchStats(origin, len(m), float(residual), m @ core.unfold3(z), basis, "cholesky")
 
 
 def fuse(y, z, mask, rank, response=None):
@@ -363,15 +391,18 @@ def pfuse(y, z, mask, config, workers=1, response=None, stats=None):
 
     This is :func:`pfuse_rows` over the arrays, collected into one
     (rows, cols, bands) array. A ``response`` selects the joint solve. Base
-    windows are solved from cell statistics on the calling thread, the rest
-    by the per-window path, with ``workers`` > 1 (None: one per CPU) on a
-    pool started at the first such window, with at most one thread per CPU
-    and per window from there on; while the pool runs, numpy's BLAS is held
-    to one thread. :func:`core.aggregate_rows`
+    windows are solved from shared cell statistics on the calling thread.
+    Joint windows (each solved from its own pixels' statistics) and the
+    windows the statistics decline (solved by the per-window path) go
+    through :func:`_fuse_block`, with ``workers`` > 1 (None: one per CPU) on
+    a pool started at the first such window, with at most one thread per
+    CPU and per window from there on; while the pool runs, numpy's BLAS is
+    held to one thread. :func:`core.aggregate_rows`
     averages the maps in grid order: the output is bit-identical for any
     worker count. Rank-deficient multiband patches are solved at their
     effective rank; all-zero patches reconstruct as zero. Pass a list as
-    ``stats`` to receive one :class:`PatchStats` per patch, in grid order.
+    ``stats`` to receive one :class:`PatchStats` per patch, in grid order;
+    without it, a window solved from statistics makes no record.
 
     The patch area must exceed the number of basis unknowns
     (patch_rows*patch_cols > rank*bands), otherwise the per-patch systems
@@ -402,15 +433,15 @@ def pfuse_rows(y, z, mask, config, workers=1, response=None, stats=None):
     of cells once, with no read longer than a window, into one record: its
     y, z and mask rows and, for base windows, its cells' statistics, made as
     it is read. A window's rows are a plain concatenation of its records'
-    rows, and its sensing matrix makes the pixel-major mask copy it reads. A
-    record is dropped when its rows of the result are yielded. So it holds
-    the records of one row of windows and yields the rows that row finishes
-    before it reads the next; while a pool runs, it submits the next row
-    before it draws this one's answers, so the workers do not wait between
-    rows, and holds two. Memory grows with patch_rows x cols x (bands +
-    channels + 1) input values plus (channels x bands)^2 values per cell,
-    not with the scene's height. Closing the generator early stops the pool
-    and restores BLAS's thread count.
+    rows, and a per-window sensing matrix makes the pixel-major mask copy it
+    reads. A record is dropped when its rows of the result are yielded. So
+    it holds the records of one row of windows and yields the rows that row
+    finishes before it reads the next; while a pool runs, it submits the
+    next row before it draws this one's answers, so the workers do not wait
+    between rows, and holds two. Memory grows with patch_rows x cols x
+    (bands + channels + 1) input values plus (channels x bands)^2 values per
+    cell, not with the scene's height. Closing the generator early stops the
+    pool and restores BLAS's thread count.
     """
     if workers is not None and not (core._integer(workers) and workers >= 1):
         raise ValueError(f"workers must be None or an integer >= 1, got {workers!r}")
@@ -457,7 +488,7 @@ def _stream(y, z, mask, grid, rank, workers, response, stats):
             answers = [_cell_solve(*(part[b0:b1].sum(axis=0) for part in strip), rank)
                        for b0, b1 in (spans[index][2:] for index in indices)]
         pending = [index for index, answer in zip(indices, answers) if answer is None]
-        # rows i0:i0 + patch_rows as plain concatenations; assemble_phi_w reorders the mask
+        # rows i0:i0 + patch_rows as plain concatenations; whatever reads the mask reorders it
         if pending or stats is not None:
             window = [np.concatenate(parts) for parts in zip(*reads)]
         for n, (index, answer) in enumerate(zip(indices, answers)):  # cell answers, in place
@@ -474,7 +505,8 @@ def _stream(y, z, mask, grid, rank, workers, response, stats):
             pool = stack.enter_context(
                 ThreadPoolExecutor(max_workers=min(workers, len(spans) - pending[0])))
         fused = (map if pool is None else pool.map)(
-            lambda index: _fuse_block(*at(window, index), rank, response, grid.origins[index]),
+            lambda index: _fuse_block(*at(window, index), rank, response, grid.origins[index],
+                                      stats is not None),
             pending)
         return (answer or next(fused) for answer in answers)
 

@@ -656,7 +656,7 @@ class TestPfuseRows:
         events, solve = [], fusion._fuse_block
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", EagerPool)
         monkeypatch.setattr(fusion, "_fuse_block",
-                            lambda *args: events.append(("solve", args[-1][0])) or solve(*args))
+                            lambda *args: events.append(("solve", args[-2][0])) or solve(*args))
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         y, z, mask, config, a = self.tall()
         for r0, _ in fusion.pfuse_rows(y[:, :, None], z, mask, config, workers=2, response=a):
@@ -920,9 +920,9 @@ def per_window_calls(monkeypatch):
     masks = []
     fuse_block = fusion._fuse_block
 
-    def recording(y, z, mask, rank, response, origin):
+    def recording(y, z, mask, rank, response, origin, record):
         masks.append(np.array(mask))
-        return fuse_block(y, z, mask, rank, response, origin)
+        return fuse_block(y, z, mask, rank, response, origin, record)
 
     monkeypatch.setattr(fusion, "_fuse_block", recording)
     return masks
@@ -1101,6 +1101,17 @@ def stacked_reference(y, mask, w, z, response):
     """The joint system as assembled rows: coded rows over channels*pixels multiband rows."""
     phi = np.vstack((fusion.assemble_phi_w(mask, w), fusion.assemble_phi_rgb(response, w)))
     return numeric.lstsq(phi, np.concatenate((y.ravel(order="F"), z.ravel(order="F"))))
+
+
+def sensing_matrix_residual(y, z, mask, basis, w, response=None):
+    """Residual of a window's own system through its assembled rows: the coded rows, and with
+    ``response`` the multiband rows too; the oracle for a record's residual through F."""
+    e = basis.reshape(-1, order="F")
+    residual = np.linalg.norm(y.ravel(order="F") - fusion.assemble_phi_w(mask, w) @ e)
+    if response is not None:
+        fit = fusion.assemble_phi_rgb(response, w) @ e
+        residual = np.hypot(residual, np.linalg.norm(z.ravel(order="F") - fit))
+    return residual
 
 
 def noisy_joint_instance(seed, rows=12, cols=10, bands=6, rank=2, channels=3):
@@ -1283,7 +1294,7 @@ class TestJointSolver:
 
     def test_response_alone_selects_joint_solve(self):
         # a default-built config has no solve switch: passing the response selects the
-        # joint solve in every window, and its records carry the stacked residual
+        # joint solve in every window, and its records carry the stacked system's answer
         y, z, mask, response = noisy_joint_instance(89, rows=100, cols=150, rank=3)
         stats = []
         xhat = fusion.pfuse(y, z, mask, FusionConfig(), response=response, stats=stats)
@@ -1293,9 +1304,8 @@ class TestJointSolver:
             ref = stacked_reference(y[window], mask[window], s.coefficients, z[window], response)
             assert s.solver == "cholesky"
             assert abs(s.residual - ref.residual) <= 1e-12 * ref.residual
-            joint = fusion.solve_basis(y[window], mask[window], s.coefficients, z=z[window],
-                                       response=response)
-            assert np.array_equal(s.basis, joint)
+            assert np.linalg.norm(s.basis.reshape(-1, order="F") - ref.x) <= (
+                1e-12 * np.linalg.norm(ref.x))
         assert not np.array_equal(xhat, fusion.pfuse(y, z, mask, FusionConfig()))
 
     def test_zero_mask_still_rank_deficient(self, monkeypatch):
@@ -1323,6 +1333,51 @@ class TestJointSolver:
         mask, response = np.zeros((8, 8, 4)), rng.random((4, 4)) + np.eye(4)
         w = fusion.estimate_coefficients(z, 2).coefficients
         self.check_against_reference(monkeypatch, y, z, mask, response, w)
+
+    @pytest.mark.parametrize("stats", [None, []], ids=["plain", "stats"])
+    def test_statistics_answer_needs_no_coefficient_svd_or_sensing_matrix(self, monkeypatch,
+                                                                          stats):
+        # a well-conditioned joint window is solved from its own pixels' statistics alone
+        def refused(*_args, **_kwargs):
+            raise AssertionError("a joint window took the per-window path")
+
+        y, z, mask, response = noisy_joint_instance(91, rows=16, cols=16, rank=3)
+        for name in ("estimate_coefficients", "assemble_phi_w", "assemble_phi_rgb"):
+            monkeypatch.setattr(fusion, name, refused)
+        fusion.pfuse(y, z, mask, FusionConfig(3, 8, 8, 4), response=response, stats=stats)
+        assert stats is None or [s.solver for s in stats] == ["cholesky"] * 9
+
+    @pytest.mark.parametrize("rank,channels", [(3, 3), (2, 3), (1, 2), (2, 4)])
+    def test_statistics_answer_equals_the_stacked_rows(self, monkeypatch, rank, channels):
+        # nine overlapping 8x8 windows; each record's W = S^-1 U.T Z defines the stacked system
+        y, z, mask, response = noisy_joint_instance(92 + channels, rows=16, cols=16,
+                                                    rank=rank, channels=channels)
+        monkeypatch.setattr(fusion, "estimate_coefficients", None)  # no per-window SVD
+        stats = []
+        fusion.pfuse(y, z, mask, FusionConfig(rank, 8, 8, 4), response=response, stats=stats)
+        assert [(s.solver, s.rank) for s in stats] == [("cholesky", rank)] * 9
+        for s in stats:
+            window = (slice(s.origin[0], s.origin[0] + 8), slice(s.origin[1], s.origin[1] + 8))
+            w = s.coefficients
+            assert np.allclose(w @ w.T, np.eye(rank), atol=1e-12)
+            ref = stacked_reference(y[window], mask[window], w, z[window], response)
+            assert np.linalg.norm(s.basis.reshape(-1, order="F") - ref.x) <= (
+                1e-12 * np.linalg.norm(ref.x))
+            assert abs(s.residual - ref.residual) <= 1e-12 * ref.residual
+
+    @pytest.mark.parametrize("joint", [False, True], ids=["base", "joint"])
+    def test_map_residual_equals_the_sensing_matrix_residual(self, joint):
+        # the record's residual through F = E S^-1 U.T against the rows themselves
+        y, z, mask = noisy_instance(93, 16, 16)
+        response = forward.average_response(6, 3) if joint else None
+        stats = []
+        fusion.pfuse(y, z, mask, FusionConfig(3, 8, 8, 4), response=response, stats=stats)
+        assert [s.solver for s in stats] == ["cholesky"] * 9
+        for s in stats:
+            window = (slice(s.origin[0], s.origin[0] + 8), slice(s.origin[1], s.origin[1] + 8))
+            ref = sensing_matrix_residual(y[window], z[window], mask[window], s.basis,
+                                          s.coefficients, response)
+            assert abs(s.residual - ref) <= 1e-12 * ref
 
     @pytest.mark.parametrize(
         "response,message",
