@@ -64,8 +64,8 @@ def _add_fusion_flags(p):
                    help="patch stride (default min(m,n)//2, at least 1)")
     p.add_argument("--improved", action="store_true", help="joint coded+multiband basis solve")
     p.add_argument("--threads", type=int, default=None,
-                   help="workers for per-window solves: --improved windows, and base windows "
-                   "the cell-statistics guards decline (default and cap: cpu count)")
+                   help="workers that make --improved windows' statistics (default and cap: "
+                   "cpu count)")
 
 
 def _simulate_flags(p):
@@ -209,6 +209,16 @@ def _check_threads(args):
         raise ValueError("--threads must be >= 1")
 
 
+def _shape_fault(args, y, z, mask):
+    """'--flag path' of a reconstruct input whose shape is refused, or '': a coded measurement
+    of more than one band, else each file whose size neither other file shares."""
+    if y.shape[2] != 1:
+        return f"--y {args.y}"
+    sizes = [reader.shape[:2] for reader in (y, z, mask)]
+    return ", ".join(f"--{flag} {getattr(args, flag)}"
+                     for flag, size in zip(("y", "z", "mask"), sizes) if sizes.count(size) == 1)
+
+
 def _check_manifest_flags(args):
     """Refuse, before any cube is read, a flag value that the command's manifest would not
     give a rerun unchanged (an empty value there means the flag's default)."""
@@ -314,7 +324,13 @@ def _run_reconstruct(args):
     with hio.CubeReader(args.y) as y, hio.CubeReader(args.z) as z, \
             hio.CubeReader(args.mask) as mask:
         start = time.perf_counter()
-        rows = fusion.pfuse_rows(y, z, mask, config, workers=args.threads, response=response)
+        try:
+            rows = fusion.pfuse_rows(y, z, mask, config, workers=args.threads, response=response)
+        except ValueError as err:  # a shape refusal, from the headers alone, names its file
+            fault = _shape_fault(args, y, z, mask)
+            if fault:
+                raise ValueError(f"{fault}: {err}") from err
+            raise
         out.parent.mkdir(parents=True, exist_ok=True)
         # closing the rows first stops the pool and restores BLAS threads if a write fails
         with hio.CubeWriter(out, mask.shape) as writer, contextlib.closing(rows):
@@ -349,7 +365,8 @@ def _run_eval(args):
     _check_manifest_flags(args)
     with hio.CubeReader(args.ref) as ref, hio.CubeReader(args.est) as est:
         if ref.shape != est.shape:  # evaluate's own check, from the headers alone
-            raise ValueError(f"shape mismatch: reference {ref.shape} vs estimate {est.shape}")
+            raise ValueError(f"--ref {args.ref}, --est {args.est}: shape mismatch: "
+                             f"reference {ref.shape} vs estimate {est.shape}")
         ref, est = ref[:], est[:]
     start = time.perf_counter()
     report = metrics.evaluate(ref, est, peak)

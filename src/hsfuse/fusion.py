@@ -39,6 +39,7 @@ makes ``assemble_phi_w(C, W) @ vec(E)`` equal the pixel-major ravel of
 """
 
 import contextlib
+import functools
 import itertools
 import os
 from dataclasses import dataclass
@@ -278,32 +279,14 @@ def solve_basis(y, mask, w, z=None, response=None):
     return sol.x.reshape(mask.shape[2], -1, order="F")
 
 
-def _check_shapes(coded, z, mask):
-    if coded != mask[:2] or z[:2] != mask[:2]:
-        raise ValueError(
-            f"inconsistent spatial shapes: coded {coded}, multiband {z[:2]}, mask {mask[:2]}"
-        )
-
-
-def _fuse_block(y, z, mask, rank, response, origin, record):
-    """Fusion of the window at ``origin`` by its own solve; returns (F, PatchStats), where
-    the (bands, channels) map F = E @ S^-1 U.T turns multiband values into spectra.
-
-    A joint window is first solved from its own pixels' statistics, the window as one
-    cell, with a record only if ``record`` is set. Base windows come here once their cells
-    declined; a window the statistics do not answer takes the per-window path (own SVD,
-    sensing matrix and :func:`_solve`)."""
+def _fuse_block(y, z, mask, rank, response, origin):
+    """(F, PatchStats) of a window whose statistics were declined, with F = E @ S^-1 U.T
+    its (bands, channels) map: zero for an all-zero window, else from its own SVD, sensing
+    matrix and :func:`_solve`."""
     bands, channels = mask.shape[2], z.shape[2]
     if not (z.any() or y.any()):
         # nothing was measured at all: the zero cube is the exact solution
         return np.zeros((bands, channels)), PatchStats(origin, 0, 0.0, None, None, None)
-    if response is not None:
-        sums = (part[0] for part in _cell_stats(y, z, mask, (0, y.shape[1])))
-        answer = _cell_solve(*sums, rank, response)
-        if answer is not None:
-            e, m = answer
-            stats = _cell_record(y, z, mask, e, m, origin, response) if record else None
-            return e.reshape(bands, -1, order="F") @ m, stats
     try:
         est = estimate_coefficients(z, rank)
         sol = _solve(y, mask, est.coefficients, z, response)
@@ -333,7 +316,7 @@ def _cell_stats(y, z, mask, col_edges):
     return out
 
 
-def _cell_solve(h, g, gram, rank, response=None):
+def _cell_solve(h, g, gram, rank, response):
     """(vec(E), S^-1 U.T) of a window from its summed cell statistics, or None where a
     guard declines them. With ``response`` the multiband rows join the system in the
     whitened coordinates: W W.T = m Z Z.T m.T and A Z W.T = A Z Z.T m.T (m = S^-1 U.T)."""
@@ -359,7 +342,7 @@ def _cell_solve(h, g, gram, rank, response=None):
     return None if e is None else (e, m)
 
 
-def _cell_record(y, z, mask, e, m, origin, response=None):
+def _cell_record(y, z, mask, e, m, origin, response):
     """PatchStats of a window solved from statistics, with the residual of its own system.
 
     Each pixel's spectrum is F z_p with F = E m, so the coded residual is
@@ -390,19 +373,18 @@ def pfuse(y, z, mask, config, workers=1, response=None, stats=None):
     """Patch-based fusion over an overlapping grid, averaged on overlaps.
 
     This is :func:`pfuse_rows` over the arrays, collected into one
-    (rows, cols, bands) array. A ``response`` selects the joint solve. Base
-    windows are solved from shared cell statistics on the calling thread.
-    Joint windows (each solved from its own pixels' statistics) and the
-    windows the statistics decline (solved by the per-window path) go
-    through :func:`_fuse_block`, with ``workers`` > 1 (None: one per CPU) on
-    a pool started at the first such window, with at most one thread per
-    CPU and per window from there on; while the pool runs, numpy's BLAS is
-    held to one thread. :func:`core.aggregate_rows`
-    averages the maps in grid order: the output is bit-identical for any
-    worker count. Rank-deficient multiband patches are solved at their
-    effective rank; all-zero patches reconstruct as zero. Pass a list as
-    ``stats`` to receive one :class:`PatchStats` per patch, in grid order;
-    without it, a window solved from statistics makes no record.
+    (rows, cols, bands) array. A ``response`` selects the joint solve. Each
+    window is answered on the calling thread from its statistics: a base
+    window sums its shared cells, and a joint window's own statistics are
+    made with ``workers`` > 1 (None: one per CPU) on a pool of at most one
+    thread per CPU and per window, while numpy's BLAS is held to one thread.
+    A window whose statistics are declined takes the per-window path
+    (:func:`_fuse_block`). :func:`core.aggregate_rows` averages the maps in
+    grid order: the output is bit-identical for any worker count.
+    Rank-deficient multiband patches are solved at their effective rank;
+    all-zero patches reconstruct as zero. Pass a list as ``stats`` to
+    receive one :class:`PatchStats` per patch, in grid order; without it, a
+    window solved from statistics makes no record.
 
     The patch area must exceed the number of basis unknowns
     (patch_rows*patch_cols > rank*bands), otherwise the per-patch systems
@@ -432,16 +414,16 @@ def pfuse_rows(y, z, mask, config, workers=1, response=None, stats=None):
     It goes through the grid one row of windows at a time and reads each row
     of cells once, with no read longer than a window, into one record: its
     y, z and mask rows and, for base windows, its cells' statistics, made as
-    it is read. A window's rows are a plain concatenation of its records'
-    rows, and a per-window sensing matrix makes the pixel-major mask copy it
-    reads. A record is dropped when its rows of the result are yielded. So
-    it holds the records of one row of windows and yields the rows that row
-    finishes before it reads the next; while a pool runs, it submits the
-    next row before it draws this one's answers, so the workers do not wait
-    between rows, and holds two. Memory grows with patch_rows x cols x
-    (bands + channels + 1) input values plus (channels x bands)^2 values per
-    cell, not with the scene's height. Closing the generator early stops the
-    pool and restores BLAS's thread count.
+    it is read. A row of windows' rows are one plain concatenation of its
+    records' rows, made at most once. A record is dropped when its rows of
+    the result are yielded. So it holds the records of one row of windows
+    and yields the rows that row finishes before it reads the next; while a
+    pool runs, it submits the next row's statistics before it draws this
+    one's answers, so the workers do not wait between rows, and holds two.
+    Memory grows with patch_rows x cols x (bands + channels + 1) input
+    values plus (channels x bands)^2 values per cell, not with the scene's
+    height. Closing the generator early stops the pool and restores BLAS's
+    thread count.
     """
     if workers is not None and not (core._integer(workers) and workers >= 1):
         raise ValueError(f"workers must be None or an integer >= 1, got {workers!r}")
@@ -449,7 +431,9 @@ def pfuse_rows(y, z, mask, config, workers=1, response=None, stats=None):
         raise ValueError(f"row sources must be 3-D, got shapes {y.shape}, {z.shape}, {mask.shape}")
     if y.shape[2] != 1:
         raise ValueError(f"coded measurement must have 1 band, got {y.shape[2]}")
-    _check_shapes(y.shape[:2], z.shape, mask.shape)
+    if y.shape[:2] != mask.shape[:2] or z.shape[:2] != mask.shape[:2]:
+        raise ValueError(f"inconsistent spatial shapes: coded {y.shape[:2]}, "
+                         f"multiband {z.shape[:2]}, mask {mask.shape[:2]}")
     grid = config.grid(mask.shape, z.shape[2])
     response = None if response is None else _joint_response(response, mask.shape[2], z.shape[2])
     return _stream(y, z, mask, grid, config.rank, workers, response, stats)
@@ -462,67 +446,65 @@ def _stream(y, z, mask, grid, rank, workers, response, stats):
     # its cell statistics, held until aggregate_rows takes its z rows
     inputs = {}
     cpus = os.cpu_count() or 1
-    workers = min(cpus if workers is None else workers, cpus)
-    # the pool and BLAS's one-thread pin: entered at the first per-window solve, left when
-    # the generator ends or is closed
-    stack, pool = contextlib.ExitStack(), None
+    workers = min(cpus if workers is None else workers, cpus, len(spans))
+    pool = None  # makes joint windows' statistics, started below with more than one worker
 
     def at(window, index):
         """The y, z and mask of window ``index`` from its window row's rows."""
         j0 = grid.origins[index][1]
         return [part[:, j0 : j0 + grid.patch_cols] for part in window]
 
+    def own_sums(window, index):  # a joint window's H, g and Gram: the window as one cell
+        return [part[0] for part in _cell_stats(*at(window, index), (0, grid.patch_cols))]
+
+    def answer(window, index, sums):
+        """The map F of window ``index`` from its statistics, or from the per-window path
+        where a guard declines them; its record goes to ``stats``."""
+        origin, solved = grid.origins[index], _cell_solve(*sums, rank, response)
+        if solved is None:
+            fmap, record = _fuse_block(*at(window(), index), rank, response, origin)
+        else:
+            e, m = solved
+            fmap, record = e.reshape(-1, rank, order="F") @ m, None
+            if stats is not None:
+                record = _cell_record(*at(window(), index), e, m, origin, response)
+        if stats is not None:
+            stats.append(record)
+        return fmap
+
     def submit(a0, a1, indices):
-        """Read one row of windows and return its (F, record) pairs in window order: the
-        cell answers are made here, the per-window solves submitted and drawn in order."""
-        nonlocal pool
+        """Read one row of windows and return its maps, answered in window order as they
+        are drawn: base windows sum their cells, joint windows' statistics are submitted."""
         for r0, r1 in zip(row_edges[a0:a1], row_edges[a0 + 1 : a1 + 1]):
             if r0 not in inputs:
                 coded, *rest = (np.asarray(part[r0:r1], dtype=np.float64) for part in (y, z, mask))
                 read = (coded[:, :, 0], *rest)
                 inputs[r0] = read, None if response is not None else _cell_stats(*read, col_edges)
-        reads, sums = zip(*(inputs[r0] for r0 in row_edges[a0:a1]))
-        answers = [None] * len(indices)  # (vec(E), S^-1 U.T) of each window its cells solve
+        reads, cells = zip(*(inputs[r0] for r0 in row_edges[a0:a1]))
+        # rows i0:i0 + patch_rows as plain concatenations, made once; the mask's readers reorder it
+        window = functools.cache(lambda: [np.concatenate(parts) for parts in zip(*reads)])
         if response is None:
-            strip = [sum(parts[1:], parts[0]) for parts in zip(*sums)]  # cell rows, in order
-            answers = [_cell_solve(*(part[b0:b1].sum(axis=0) for part in strip), rank)
-                       for b0, b1 in (spans[index][2:] for index in indices)]
-        pending = [index for index, answer in zip(indices, answers) if answer is None]
-        # rows i0:i0 + patch_rows as plain concatenations; whatever reads the mask reorders it
-        if pending or stats is not None:
-            window = [np.concatenate(parts) for parts in zip(*reads)]
-        for n, (index, answer) in enumerate(zip(indices, answers)):  # cell answers, in place
-            if answer is not None:
-                e, m = answer
-                record = None if stats is None else _cell_record(*at(window, index), e, m,
-                                                                 grid.origins[index])
-                answers[n] = e.reshape(-1, rank, order="F") @ m, record
-        if pending and pool is None and workers > 1:
+            strip = [sum(parts[1:], parts[0]) for parts in zip(*cells)]  # cell rows, in order
+            sums = ([part[b0:b1].sum(axis=0) for part in strip]
+                    for b0, b1 in (spans[index][2:] for index in indices))
+        else:
+            sums = (pool.map if pool else map)(functools.partial(own_sums, window()), indices)
+        return map(functools.partial(answer, window), indices, sums)
+
+    def maps():
+        submitted = []  # rows of windows' maps not yet drawn: while a pool runs, one is left
+        for (a0, a1), row in itertools.groupby(range(len(spans)), key=lambda w: spans[w][:2]):
+            submitted.append(submit(a0, a1, list(row)))
+            while len(submitted) > (pool is not None):
+                yield from submitted.pop(0)
+        yield from itertools.chain(*submitted)
+
+    # the pool and BLAS's one-thread pin, left when the generator ends or is closed
+    with contextlib.ExitStack() as stack:
+        if response is not None and workers > 1:
             from concurrent.futures import ThreadPoolExecutor  # with logging, ~6.5 ms to load
 
             # the pool threads are the parallelism: BLAS threads of their own would oversubscribe
             stack.enter_context(_blas.one_thread())
-            pool = stack.enter_context(
-                ThreadPoolExecutor(max_workers=min(workers, len(spans) - pending[0])))
-        fused = (map if pool is None else pool.map)(
-            lambda index: _fuse_block(*at(window, index), rank, response, grid.origins[index],
-                                      stats is not None),
-            pending)
-        return (answer or next(fused) for answer in answers)
-
-    def rows():
-        submitted = []  # rows of windows' pairs not yet drawn: while a pool runs, one is left
-        for (a0, a1), row in itertools.groupby(range(len(spans)), key=lambda w: spans[w][:2]):
-            submitted.append(submit(a0, a1, list(row)))
-            while len(submitted) > (pool is not None):
-                yield submitted.pop(0)
-        yield from submitted
-
-    def maps():
-        for fmap, record in itertools.chain.from_iterable(rows()):
-            if stats is not None:
-                stats.append(record)
-            yield fmap
-
-    with stack:
+            pool = stack.enter_context(ThreadPoolExecutor(max_workers=workers))
         yield from core.aggregate_rows(maps(), grid, lambda r0, r1: inputs.pop(r0)[0][1])

@@ -192,6 +192,7 @@ class TestReconstruct:
             raise AssertionError("a patch was solved before the response was checked")
 
         monkeypatch.setattr(fusion, "_fuse_block", no_solve)
+        monkeypatch.setattr(fusion, "_cell_solve", no_solve)
         cube, truth, out_dir = scene
         resp = tmp_path / "resp.txt"
         hio.save_response(np.ones(shape), resp)
@@ -354,7 +355,10 @@ class TestReconstruct:
         code = run("reconstruct", "--y", y, "--z", out_dir / "z.hsc",
                    "--mask", out_dir / "mask.hsc", *flags, "--out", out)
         assert code == cli.EXIT_USAGE
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err
+        if y_shape is not None:  # a shape refusal names the file at fault
+            assert f"--y {y}: {message}" in err
         assert not out.exists()
 
 
@@ -536,8 +540,8 @@ class TestEval:
         code = run("eval", "--ref", tmp_path / "ref.hsc", "--est", tmp_path / "est.hsc",
                    "--out", out)
         assert code == cli.EXIT_USAGE
-        assert ("shape mismatch: reference (20, 20, 4) vs estimate (20, 21, 4)"
-                in capsys.readouterr().err)
+        assert (f"--ref {tmp_path / 'ref.hsc'}, --est {tmp_path / 'est.hsc'}: shape mismatch: "
+                "reference (20, 20, 4) vs estimate (20, 21, 4)" in capsys.readouterr().err)
         assert payload_reads == []
         assert not out.exists()
 

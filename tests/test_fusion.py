@@ -50,7 +50,7 @@ def pool_sizes(monkeypatch):
 @pytest.fixture
 def four_patches():
     """(y, z, mask, config, response) of a 10x10x4 scene cut into four 5x5 patches,
-    with the improved solve: every patch is solved by the per-window path."""
+    with the improved solve: every patch keeps its own statistics' answer."""
     rng = np.random.default_rng(55)
     cube, _, _ = low_rank_cube(55, 10, 10, 4, 2)
     mask = forward.gen_mask(10, 10, 4, 56, 0.5)
@@ -456,15 +456,40 @@ class TestPfuse:
         assert pool_sizes == [4]
 
     def test_cell_path_starts_no_pool(self, monkeypatch, pool_sizes, four_patches):
-        # base windows are solved on the calling thread; the pool serves only
-        # the windows left to the per-window path, and here there are none
+        # base windows are solved on the calling thread; the pool makes only joint
+        # windows' statistics, so a base run starts none, even for a declined window
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         y, z, mask, config, _ = four_patches
         config = FusionConfig(rank=2, patch_rows=5, patch_cols=5, stride=5)
         stats = []
         fusion.pfuse(y, z, mask, config, workers=64, stats=stats)
         assert [s.solver for s in stats] == ["cholesky"] * 4
+        # a dead corner: its window's Gram is zero, so the cell guards decline it
+        y, z, mask = (part.copy() for part in noisy_instance(95, 16, 16))
+        for part in (y, z, mask):
+            part[8:, 8:] = 0.0
+        stats = []
+        fusion.pfuse(y, z, mask, FusionConfig(3, 8, 8, 4), workers=64, stats=stats)
+        assert [s.origin for s in stats if s.solver is None] == [(8, 8)]
         assert pool_sizes == []
+
+    def test_declined_joint_window_solved_on_the_calling_thread(self, monkeypatch):
+        # the pool makes joint windows' statistics; a window they leave to the
+        # per-window path is solved where the answers are drawn
+        def recording(*args):
+            calls.append((args[-1], threading.current_thread() is threading.main_thread()))
+            return fuse_block(*args)
+
+        calls, fuse_block = [], fusion._fuse_block
+        monkeypatch.setattr(fusion, "_fuse_block", recording)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        y, z, mask = (part.copy() for part in noisy_instance(95, 16, 16))
+        for part in (y, z, mask):
+            part[8:, 8:] = 0.0
+        config, response = FusionConfig(3, 8, 8, 4), forward.average_response(6, 3)
+        xhat = fusion.pfuse(y, z, mask, config, workers=2, response=response)
+        assert calls == [((8, 8), True)]
+        assert not xhat[8:, 8:].any()
 
     @pytest.mark.parametrize("cpus,sizes", [(2, [2]), (1, []), (None, [])])
     def test_workers_capped_at_cpu_count(self, monkeypatch, pool_sizes, four_patches,
@@ -653,16 +678,22 @@ class TestPfuseRows:
             def map(self, fn, *iterables):
                 return iter([fn(*args) for args in zip(*iterables)])
 
-        events, solve = [], fusion._fuse_block
+        def recorded(window_y, *rest):
+            # the window row whose coded values these are
+            (i0,) = {i0 for i0, j0 in config.grid(mask.shape, 2).origins
+                     if np.array_equal(y[i0 : i0 + 5, j0 : j0 + 5], window_y)}
+            events.append(("stats", i0))
+            return cell_stats(window_y, *rest)
+
+        events, cell_stats = [], fusion._cell_stats
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", EagerPool)
-        monkeypatch.setattr(fusion, "_fuse_block",
-                            lambda *args: events.append(("solve", args[-2][0])) or solve(*args))
+        monkeypatch.setattr(fusion, "_cell_stats", recorded)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         y, z, mask, config, a = self.tall()
         for r0, _ in fusion.pfuse_rows(y[:, :, None], z, mask, config, workers=2, response=a):
             events.append(("rows", r0))
-        assert events == [("solve", 0)] * 2 + [("solve", 5)] * 2 + [("rows", 0)] + \
-            [("solve", 10)] * 2 + [("rows", 5)] + [("solve", 15)] * 2 + [("rows", 10), ("rows", 15)]
+        assert events == [("stats", 0)] * 2 + [("stats", 5)] * 2 + [("rows", 0)] + \
+            [("stats", 10)] * 2 + [("rows", 5)] + [("stats", 15)] * 2 + [("rows", 10), ("rows", 15)]
 
 
 @pytest.fixture
@@ -686,14 +717,14 @@ class TestBlasThreads:
 
     @pytest.fixture
     def seen(self, monkeypatch, blas_at_two_threads):
-        """BLAS thread counts read inside each per-window solve."""
-        seen, solve = [], fusion._fuse_block
+        """BLAS thread counts read inside each joint window's statistics."""
+        seen, cell_stats = [], fusion._cell_stats
 
         def reading(*args):
             seen.append(blas_at_two_threads.get_threads())
-            return solve(*args)
+            return cell_stats(*args)
 
-        monkeypatch.setattr(fusion, "_fuse_block", reading)
+        monkeypatch.setattr(fusion, "_cell_stats", reading)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         return seen
 
@@ -920,9 +951,9 @@ def per_window_calls(monkeypatch):
     masks = []
     fuse_block = fusion._fuse_block
 
-    def recording(y, z, mask, rank, response, origin, record):
+    def recording(y, z, mask, rank, response, origin):
         masks.append(np.array(mask))
-        return fuse_block(y, z, mask, rank, response, origin, record)
+        return fuse_block(y, z, mask, rank, response, origin)
 
     monkeypatch.setattr(fusion, "_fuse_block", recording)
     return masks
@@ -1392,6 +1423,7 @@ class TestJointSolver:
             raise AssertionError("a patch was solved before the response was checked")
 
         monkeypatch.setattr(fusion, "_fuse_block", no_solve)
+        monkeypatch.setattr(fusion, "_cell_solve", no_solve)
         y, z, mask, _ = noisy_joint_instance(80)
         config = FusionConfig(rank=2, patch_rows=6, patch_cols=5, stride=5)
         with pytest.raises(ValueError) as err:
