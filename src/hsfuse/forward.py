@@ -212,7 +212,8 @@ def add_noise(meas, sigma, seed):
 
     Noise values are drawn from ``Pcg32(seed).normal`` and applied in C
     order over the array, so the result is reproducible bit-exactly from
-    (seed, shape, sigma). ``sigma = 0`` returns an unmodified copy.
+    (seed, shape, sigma). ``sigma = 0`` returns an unmodified copy. A sigma
+    whose noise overflows float64 on finite measurements raises ValueError.
     """
     meas = np.asarray(meas, dtype=np.float64)
     if not 0 <= sigma < float("inf"):
@@ -220,4 +221,8 @@ def add_noise(meas, sigma, seed):
     if sigma == 0:
         return meas.copy()
     noise = Pcg32(seed).normal(meas.size).reshape(meas.shape)
-    return meas + sigma * noise
+    with np.errstate(over="ignore"):
+        noisy = meas + sigma * noise
+    if not np.isfinite(noisy).all() and np.isfinite(meas).all():
+        raise ValueError(f"noise of sigma {sigma} overflows float64")
+    return noisy

@@ -414,16 +414,16 @@ def pfuse_rows(y, z, mask, config, workers=1, response=None, stats=None):
     It goes through the grid one row of windows at a time and reads each row
     of cells once, with no read longer than a window, into one record: its
     y, z and mask rows and, for base windows, its cells' statistics, made as
-    it is read. A row of windows' rows are one plain concatenation of its
-    records' rows, made at most once. A record is dropped when its rows of
-    the result are yielded. So it holds the records of one row of windows
-    and yields the rows that row finishes before it reads the next; while a
-    pool runs, it submits the next row's statistics before it draws this
-    one's answers, so the workers do not wait between rows, and holds two.
-    Memory grows with patch_rows x cols x (bands + channels + 1) input
-    values plus (channels x bands)^2 values per cell, not with the scene's
-    height. Closing the generator early stops the pool and restores BLAS's
-    thread count.
+    it is read. Joint statistics, a declined window and a record copy their
+    one window's pixels from those records, and drop the copy when done. A
+    record is dropped when its rows of the result are yielded. So it holds
+    the records of one row of windows and yields the rows that row finishes
+    before it reads the next; while a pool runs, it submits the next row's
+    statistics before it draws this one's answers, so the workers do not
+    wait between rows, and holds two. Memory grows with patch_rows x cols x
+    (bands + channels + 1) input values plus (channels x bands)^2 values per
+    cell and a window's copy per worker, not with the scene's height.
+    Closing the generator early stops the pool and restores BLAS's threads.
     """
     if workers is not None and not (core._integer(workers) and workers >= 1):
         raise ValueError(f"workers must be None or an integer >= 1, got {workers!r}")
@@ -442,32 +442,34 @@ def pfuse_rows(y, z, mask, config, workers=1, response=None, stats=None):
 def _stream(y, z, mask, grid, rank, workers, response, stats):
     """The generator of :func:`pfuse_rows`, on checked arguments."""
     row_edges, col_edges, spans = grid.cells()
-    # first row of a cell row -> its record: its (y, z, mask) rows and, on the base path,
-    # its cell statistics, held until aggregate_rows takes its z rows
+    # a cell row's first row -> ((y, z, mask) rows, base cell statistics), until aggregated
     inputs = {}
     cpus = os.cpu_count() or 1
     workers = min(cpus if workers is None else workers, cpus, len(spans))
     pool = None  # makes joint windows' statistics, started below with more than one worker
 
-    def at(window, index):
-        """The y, z and mask of window ``index`` from its window row's rows."""
-        j0 = grid.origins[index][1]
-        return [part[:, j0 : j0 + grid.patch_cols] for part in window]
+    def cut(reads, index):
+        """Window ``index``'s y, z and mask from its cell rows' reads, one C-ordered copy each:
+        a reader's band-major layout, kept, would move the statistics' bits."""
+        j0, n = grid.origins[index][1], grid.patch_cols
+        return [np.concatenate([part[:, j0 : j0 + n] for part in parts],
+                               out=np.empty((grid.patch_rows, n, *parts[0].shape[2:])))
+                for parts in zip(*reads)]
 
-    def own_sums(window, index):  # a joint window's H, g and Gram: the window as one cell
-        return [part[0] for part in _cell_stats(*at(window, index), (0, grid.patch_cols))]
+    def own_sums(reads, index):  # a joint window's H, g and Gram: the window as one cell
+        return [part[0] for part in _cell_stats(*cut(reads, index), (0, grid.patch_cols))]
 
-    def answer(window, index, sums):
+    def answer(reads, index, sums):
         """The map F of window ``index`` from its statistics, or from the per-window path
         where a guard declines them; its record goes to ``stats``."""
         origin, solved = grid.origins[index], _cell_solve(*sums, rank, response)
         if solved is None:
-            fmap, record = _fuse_block(*at(window(), index), rank, response, origin)
+            fmap, record = _fuse_block(*cut(reads, index), rank, response, origin)
         else:
             e, m = solved
             fmap, record = e.reshape(-1, rank, order="F") @ m, None
             if stats is not None:
-                record = _cell_record(*at(window(), index), e, m, origin, response)
+                record = _cell_record(*cut(reads, index), e, m, origin, response)
         if stats is not None:
             stats.append(record)
         return fmap
@@ -481,15 +483,13 @@ def _stream(y, z, mask, grid, rank, workers, response, stats):
                 read = (coded[:, :, 0], *rest)
                 inputs[r0] = read, None if response is not None else _cell_stats(*read, col_edges)
         reads, cells = zip(*(inputs[r0] for r0 in row_edges[a0:a1]))
-        # rows i0:i0 + patch_rows as plain concatenations, made once; the mask's readers reorder it
-        window = functools.cache(lambda: [np.concatenate(parts) for parts in zip(*reads)])
         if response is None:
             strip = [sum(parts[1:], parts[0]) for parts in zip(*cells)]  # cell rows, in order
             sums = ([part[b0:b1].sum(axis=0) for part in strip]
                     for b0, b1 in (spans[index][2:] for index in indices))
         else:
-            sums = (pool.map if pool else map)(functools.partial(own_sums, window()), indices)
-        return map(functools.partial(answer, window), indices, sums)
+            sums = (pool.map if pool else map)(functools.partial(own_sums, reads), indices)
+        return map(functools.partial(answer, reads), indices, sums)
 
     def maps():
         submitted = []  # rows of windows' maps not yet drawn: while a pool runs, one is left

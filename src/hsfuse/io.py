@@ -188,9 +188,10 @@ def save_response(response, path):
 
 
 def _read_text(path):
-    """The text of the file at ``path``, or FormatError naming it if it is not UTF-8 text."""
+    """The text of the file at ``path``, or FormatError naming it if it is not UTF-8 text.
+    A leading byte-order mark, as some editors save UTF-8, is not part of the text."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as err:
         raise FormatError(f"{path}: not a text file ({err.reason} at byte {err.start})") from err
 

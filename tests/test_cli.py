@@ -5,6 +5,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 import weakref
 from pathlib import Path
 
@@ -107,6 +108,17 @@ class TestSimulate:
         cube, truth, out_dir = scene
         out = tmp_path / "noisy"
         assert run("simulate", "--in", truth, "--noise-sigma", sigma, "--out-dir", out) == 2
+        assert not out.exists()
+
+    def test_overflowing_noise_refused(self, scene, tmp_path, capsys):
+        # noise of sigma 1e308 overflows float64: a bad flag value, refused before anything is
+        # written and without a RuntimeWarning (it used to fail writing y.hsc, exit 3)
+        cube, truth, out_dir = scene
+        out = tmp_path / "noisy"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("simulate", "--in", truth, "--noise-sigma", 1e308, "--out-dir", out) == 2
+        assert "noise of sigma 1e+308 overflows float64" in capsys.readouterr().err
         assert not out.exists()
 
     def test_manifest_records_every_flag(self, scene):
@@ -374,6 +386,8 @@ class TestStreamedReconstruct:
                                ("--patch", 12, "--stride", 6, "--improved", "--threads", 1), 12),
         "improved-threads-2": ("smooth", ("--noise-sigma", 0.01),
                                ("--patch", 12, "--stride", 6, "--improved", "--threads", 2), 12),
+        "improved-threads-omitted": ("smooth", ("--noise-sigma", 0.01),
+                                     ("--patch", 12, "--stride", 6, "--improved"), 12),
         "clamped": ("smooth", ("--noise-sigma", 0.01), ("--patch", "11,9", "--stride", 5), 11),
     }
 
@@ -737,6 +751,20 @@ class TestSweep:
                    "--out", out)
         assert code == cli.EXIT_USAGE
         assert "noise-sigma" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_noise_refused(self, tmp_path, capsys):
+        cube, _, _ = dyadic_low_rank_cube(781, 24, 24, 8, 2)
+        truth = tmp_path / "truth.hsc"
+        hio.write_cube(cube, truth)
+        out = tmp_path / "s.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run("sweep", "--in", truth, "--vary", "rank", "--values", "1,2",
+                       "--response", "average:2", "--noise-sigma", 1e308, "--patch", 24,
+                       "--out", out)
+        assert code == cli.EXIT_USAGE
+        assert "noise of sigma 1e+308 overflows float64" in capsys.readouterr().err
         assert not out.exists()
 
     def test_measurements_made_once(self, tmp_path, monkeypatch):
@@ -1119,6 +1147,26 @@ class TestConfigHandling:
         assert done.returncode == 0, done.stderr
         assert read_csv(again)[0]["scene"] == "café"
         assert hio.read_manifest(f"{again}.manifest.txt")["scene"] == "café"
+
+    @pytest.mark.parametrize("marked", ["config", "response"])
+    def test_byte_order_marked_text_parses(self, scene, tmp_path, marked):
+        # an editor may save UTF-8 with a byte-order mark: a config or a response file so saved
+        # reads as without it (the mark once made the config's first key unknown, exit 2, and
+        # the response's band count not a number, exit 3)
+        _, _, out_dir = scene
+        response, first = out_dir / "response.txt", tmp_path / "x.hsc"
+        inputs = ("--y", out_dir / "y.hsc", "--z", out_dir / "z.hsc",
+                  "--mask", out_dir / "mask.hsc", "--patch", 12, "--improved", "--threads", 1)
+        assert run("reconstruct", *inputs, "--response", response, "--out", first) == 0
+        source = {"config": Path(f"{first}.manifest.txt"), "response": response}[marked]
+        copy = tmp_path / source.name
+        copy.write_bytes(b"\xef\xbb\xbf" + source.read_bytes())
+        again = tmp_path / "again.hsc"
+        if marked == "config":
+            assert run("reconstruct", "--config", copy, "--out", again) == 0
+        else:
+            assert run("reconstruct", *inputs, "--response", copy, "--out", again) == 0
+        assert first.read_bytes() == again.read_bytes()
 
     def test_sweep_rerun_from_manifest(self, tmp_path):
         cube, _, _ = dyadic_low_rank_cube(782, 24, 24, 8, 2)

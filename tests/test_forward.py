@@ -1,5 +1,7 @@
 """Forward-model and seeded-randomness tests."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -331,6 +333,17 @@ class TestAddNoise:
     def test_negative_sigma(self):
         with pytest.raises(ValueError, match="nonnegative"):
             forward.add_noise(np.zeros((2, 2)), -0.1, 0)
+
+    def test_overflowing_noise_refused(self):
+        # 1e308 times a draw beyond 1.8 exceeds float64's range
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="noise of sigma 1e\\+308 overflows float64"):
+                forward.add_noise(np.ones((8, 8)), 1e308, 0)
+
+    def test_non_finite_measurement_passes_through(self):
+        out = forward.add_noise(np.array([np.nan, np.inf, 1.0]), 0.5, 0)
+        assert np.isnan(out[0]) and out[1] == np.inf and np.isfinite(out[2])
 
     @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
     def test_non_finite_sigma(self, sigma):

@@ -663,6 +663,25 @@ class TestPfuseRows:
         assert all(ref() is None for refs in made for ref in refs)
         assert np.concatenate([block for _, block in rows]).tobytes() == whole.tobytes()
 
+    @pytest.mark.parametrize("workers,bound", [(1, 1.5), (2, 2.5)])
+    def test_joint_windows_copy_no_window_row(self, monkeypatch, workers, bound):
+        # each joint window copies only its own pixels from the cell rows held: on a scene eight
+        # windows wide, copying a whole row of windows' y, z and mask instead peaked at 1.9
+        # such copies with one worker and 3.8 with two, and cutting each window reads about
+        # 0.9 and 1.5-2.0
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        y, z, mask = noisy_instance(96, 128, 512, bands=31)
+        config, response = FusionConfig(3, 64, 64, 32), forward.average_response(31, 3)
+        tracemalloc.start()
+        try:
+            for _ in fusion.pfuse_rows(y[:, :, None], z, mask, config, workers=workers,
+                                       response=response):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * 64 * 512 * (31 + 3 + 1) * 8
+
     def test_next_row_submitted_before_a_row_is_collected(self, monkeypatch):
         # a pool that solves at submission shows the order of submissions and output rows
         class EagerPool:
