@@ -7,8 +7,9 @@ Commands: ``simulate`` (measure a ground-truth cube), ``reconstruct``
 
 Each flag is defined once: ``sweep`` takes the measurement flags of
 ``simulate`` and the fusion flags of ``reconstruct`` from the same helpers,
-and one command table gives every command ``--config``. Every command
-writes a manifest of its configuration; rerunning with
+and one command table gives every command ``--config``. ``main`` checks
+every command's flags for its manifest before the command runs, and writes
+the manifest once the command's outputs are written; rerunning with
 ``--config <manifest>`` reproduces the outputs bit-exactly (explicit flags
 win over config values). Exit codes: 0 success, 2 usage or constraint
 error (any ``ValueError``), 3 I/O or file-format error, 4 numerical failure.
@@ -232,22 +233,14 @@ def _check_manifest_flags(args):
             hio.check_manifest_value(value, flag)
 
 
-def _manifest_value(value):
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if value is None:
-        return ""
-    return value
-
-
-def _write_manifest(path, args, **resolved):
+def _write_manifest(path, args, resolved):
     """Record every flag of ``args``, with the values the command resolved."""
     from . import io as hio
 
     flags = {k: v for k, v in vars(args).items()
              if k not in ("command", "config", "func", "parser")}
-    entries = {"command": args.command, "version": __version__, **flags, **resolved}
-    hio.write_manifest(path, {k: _manifest_value(v) for k, v in entries.items()})
+    hio.write_manifest(path, {"command": args.command, "version": __version__, **flags,
+                              **resolved})
 
 
 def _check_measurement_flags(args):
@@ -285,7 +278,6 @@ def _run_simulate(args):
     from . import io as hio
 
     _check_measurement_flags(args)
-    _check_manifest_flags(args)
     # the band count from the header alone: a bad spec is refused before the payload is read
     with hio.CubeReader(args.in_path) as reader:
         response = forward.response_from_spec(args.response, reader.shape[2])
@@ -293,17 +285,16 @@ def _run_simulate(args):
     y, mask = _coded(truth, args)
     z = _multiband(truth, response, args)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     hio.write_cube(y[:, :, None], out_dir / "y.hsc")
     hio.write_cube(z, out_dir / "z.hsc")
     hio.write_cube(mask, out_dir / "mask.hsc")
     hio.save_response(response, out_dir / "response.txt")
-    _write_manifest(out_dir / "manifest.txt", args)
     dead = forward.zero_spectrum_pixels(mask)
     if dead:
         plural = "pixel has" if dead == 1 else "pixels have"
         print(f"note: {dead} mask {plural} an all-zero spectrum (no coded signal there)")
-    print(f"wrote y.hsc, z.hsc, mask.hsc, response.txt, manifest.txt to {out_dir}")
+    return (out_dir / "manifest.txt", {},
+            f"wrote y.hsc, z.hsc, mask.hsc, response.txt, manifest.txt to {out_dir}")
 
 
 def _run_reconstruct(args):
@@ -317,7 +308,6 @@ def _run_reconstruct(args):
     m, n = _parse_patch(args.patch)
     config = fusion.FusionConfig(args.rank, m, n, args.stride)
     _check_threads(args)
-    _check_manifest_flags(args)
     # a bad response file fails before the cubes are read; pfuse_rows checks its bands
     response = hio.load_response(args.response) if args.response else None
     out = Path(args.out)
@@ -331,14 +321,13 @@ def _run_reconstruct(args):
             if fault:
                 raise ValueError(f"{fault}: {err}") from err
             raise
-        out.parent.mkdir(parents=True, exist_ok=True)
         # closing the rows first stops the pool and restores BLAS threads if a write fails
         with hio.CubeWriter(out, mask.shape) as writer, contextlib.closing(rows):
             for r0, block in rows:
                 writer.write(r0, block)
         wall = time.perf_counter() - start
-    _write_manifest(f"{out}.manifest.txt", args, patch=f"{m},{n}", stride=config.stride)
-    print(f"wrote {out} ({wall:.2f} s)")
+    return (f"{out}.manifest.txt", {"patch": f"{m},{n}", "stride": config.stride},
+            f"wrote {out} ({wall:.2f} s)")
 
 
 def _peak_value(text):
@@ -362,7 +351,6 @@ def _run_eval(args):
     scene = args.scene if args.scene is not None else Path(args.ref).stem
     label = "--scene value" if args.scene is not None else f"--ref value {args.ref!r}: stem"
     hio.check_manifest_value(hio.check_identifier(scene, label), label)
-    _check_manifest_flags(args)
     with hio.CubeReader(args.ref) as ref, hio.CubeReader(args.est) as est:
         if ref.shape != est.shape:  # evaluate's own check, from the headers alone
             raise ValueError(f"--ref {args.ref}, --est {args.est}: shape mismatch: "
@@ -374,13 +362,10 @@ def _run_eval(args):
     row = hio.ReportRow(scene, args.method, args.rank, m_label, args.stride,
                         report.m_psnr, report.m_ssim, report.msa, wall)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     hio.write_report([row], out)
-    _write_manifest(f"{out}.manifest.txt", args, scene=scene)
-    print(
-        f"m_psnr = {report.m_psnr:.6g} dB, m_ssim = {report.m_ssim:.6g}, "
-        f"msa = {report.msa:.6g} deg"
-    )
+    return (f"{out}.manifest.txt", {"scene": scene},
+            f"m_psnr = {report.m_psnr:.6g} dB, m_ssim = {report.m_ssim:.6g}, "
+            f"msa = {report.msa:.6g} deg")
 
 
 def _positive_int(flag, text):
@@ -423,7 +408,6 @@ def _run_sweep(args):
 
     _check_threads(args)
     _check_measurement_flags(args)
-    _check_manifest_flags(args)
     plan = _sweep_plan(args)
     scene = hio.check_identifier(Path(args.in_path).stem, f"--in value {args.in_path!r}: stem")
     # responses and grids need the cube's shape; all are checked before its payload is read
@@ -451,9 +435,8 @@ def _run_sweep(args):
                                          report.msa, wall))
         print(f"{args.vary} = {value}: m_psnr = {report.m_psnr:.6g} dB")
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     hio.write_report(report_rows, out)
-    _write_manifest(f"{out}.manifest.txt", args)
+    return f"{out}.manifest.txt", {}, None  # each value's line is printed as it is done
 
 
 def _run_analyze(args):
@@ -467,7 +450,6 @@ def _run_analyze(args):
     m = args.patch
     if m < 1:
         raise ValueError("--patch must be >= 1")
-    _check_manifest_flags(args)
     with hio.CubeReader(args.in_path) as reader:  # the header alone, before the payload
         rows, cols, _ = reader.shape
     if m > min(rows, cols):
@@ -487,14 +469,12 @@ def _run_analyze(args):
         global_log = np.log10(metrics.singular_spectrum(cube))
     length = min(patch_log.shape[0], global_log.shape[0])
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     hio.write_table(
         out,
         ("index", "patch_mean_log10_sigma", "global_log10_sigma"),
         [(t + 1, float(patch_log[t]), float(global_log[t])) for t in range(length)],
     )
-    _write_manifest(f"{out}.manifest.txt", args)
-    print(f"wrote {length} singular-value rows to {out}")
+    return f"{out}.manifest.txt", {}, f"wrote {length} singular-value rows to {out}"
 
 
 def main(argv=None):
@@ -502,7 +482,12 @@ def main(argv=None):
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
         args = _parse_args(argv)
-        args.func(args)
+        _check_manifest_flags(args)
+        # a command returns where its manifest goes, the values it resolved and its summary
+        manifest, resolved, summary = args.func(args)
+        _write_manifest(manifest, args, resolved)
+        if summary is not None:
+            print(summary)
         return 0
     except SystemExit as exc:  # argparse usage errors and --help/--version
         code = exc.code

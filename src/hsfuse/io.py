@@ -16,7 +16,10 @@ Response files are plain text: a first line ``bands channels`` followed by
 ``bands`` lines of ``channels`` space-separated decimal reals.
 
 Manifests are ``key = value`` lines ('#' starts a comment); a manifest plus
-the referenced input files reproduces a CLI run bit-exactly.
+the referenced input files reproduces a CLI run bit-exactly; a value of
+None is written empty, and a bool as ``true`` or ``false``.
+
+Every writer makes the directory of the file it writes.
 """
 
 import os
@@ -125,6 +128,7 @@ class CubeWriter:
             raise ValueError(f"{path}: invalid dimensions {'x'.join(map(str, shape))}")
         self.shape = rows, cols, bands = tuple(map(int, shape))
         self._next = 0
+        self.path.parent.mkdir(parents=True, exist_ok=True)
         # unique while this writer lives; another process has another pid
         self._temp = self.path.with_name(f".{self.path.name}.{os.getpid()}-{id(self):x}.tmp")
         self._file = open(self._temp, "xb")  # never an existing file; umask sets its mode
@@ -184,7 +188,14 @@ def save_response(response, path):
     bands, channels = response.shape
     lines = [f"{bands} {channels}"]
     lines += [" ".join(repr(float(v)) for v in row) for row in response]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_text(path, lines)
+
+
+def _write_text(path, lines):
+    """Write ``lines`` as UTF-8 text, one per line, making the file's directory."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _read_text(path):
@@ -251,9 +262,10 @@ def check_identifier(value, what):
 
 
 def check_manifest_value(value, what):
-    """``value`` as a string, or ValueError if a manifest could not carry it back unchanged:
-    :func:`read_manifest` ends a value at a line break and strips it."""
-    text = str(value)
+    """``value`` as a manifest's text (None empty, a bool ``true`` or ``false``), or ValueError
+    if a manifest could not carry it back unchanged: :func:`read_manifest` ends a value at a
+    line break and strips it."""
+    text = str(value).lower() if isinstance(value, bool) else "" if value is None else str(value)
     if text != text.strip() or len(text.splitlines()) > 1:
         raise ValueError(f"{what} {text!r} must not contain line breaks or surrounding "
                          "whitespace, which its manifest would not keep")
@@ -265,7 +277,7 @@ def write_table(path, header, rows):
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_text(path, lines)
 
 
 def write_report(rows, path):
@@ -277,7 +289,7 @@ def write_manifest(path, entries):
     """Write configuration as human-readable ``key = value`` lines, refusing a value that
     :func:`read_manifest` would not read back as written (:func:`check_manifest_value`)."""
     lines = [f"{key} = {check_manifest_value(value, key)}" for key, value in entries.items()]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_text(path, lines)
 
 
 def read_manifest(path):

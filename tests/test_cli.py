@@ -1036,15 +1036,23 @@ class TestEarlyRejection:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("label", ["a\rb", '"x"'], ids=["carriage-return", "quote"])
+    @pytest.mark.parametrize(
+        "label,message",
+        [
+            # a line break is refused first by the manifest check, which runs before any command
+            ("a\rb", "--method value 'a\\rb' must not contain line breaks or surrounding"),
+            ('"x"', "must not contain commas, quotes or line breaks"),
+        ],
+        ids=["carriage-return", "quote"],
+    )
     def test_eval_csv_label_rejected_before_reading(self, scene, tmp_path, monkeypatch, capsys,
-                                                    label):
+                                                    label, message):
         reads = count_cube_reads(monkeypatch)
         _, truth, _ = scene
         out = tmp_path / "eval.csv"
         code = run("eval", "--ref", truth, "--est", truth, "--method", label, "--out", out)
         assert code == cli.EXIT_USAGE
-        assert "must not contain commas, quotes or line breaks" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert reads == []
         assert not out.exists()
 
@@ -1058,9 +1066,17 @@ class TestEarlyRejection:
             (("eval", "--scene", " lab "), "--scene value ' lab ' must not contain"),
             (("eval", "--scene", ""), "--scene value must not be empty"),
             (("eval", "--ref", "dir/ lab.hsc"), "--ref value 'dir/ lab.hsc': stem ' lab' must not"),
+            # refused before the command's own checks, which would refuse the other flag
+            (("simulate", "--response", "single:0\n", "--noise-sigma", -1),
+             "--response value 'single:0\\n' must not contain line breaks"),
+            (("sweep", "--vary", "rank", "--values", " 1,2", "--threads", 0),
+             "--values value ' 1,2' must not contain"),
+            (("analyze", "--in", "truth.hsc\npatch = 8", "--samples", 0),
+             "--in value 'truth.hsc\\npatch = 8' must not contain line breaks"),
         ],
         ids=["reconstruct-out-newline", "reconstruct-patch-space", "eval-scene-spaces",
-             "eval-scene-empty", "eval-ref-stem-space"],
+             "eval-scene-empty", "eval-ref-stem-space", "simulate-response-newline",
+             "sweep-values-space", "analyze-in-newline"],
     )
     def test_value_the_manifest_would_change_rejected_before_reading(
             self, scene, tmp_path, monkeypatch, capsys, argv, message):
@@ -1069,7 +1085,10 @@ class TestEarlyRejection:
         command, *flags = argv
         inputs = {"reconstruct": ("--y", out_dir / "y.hsc", "--z", out_dir / "z.hsc",
                                   "--mask", out_dir / "mask.hsc", "--out", tmp_path / "x.hsc"),
-                  "eval": ("--ref", truth, "--est", truth, "--out", tmp_path / "e.csv")}[command]
+                  "eval": ("--ref", truth, "--est", truth, "--out", tmp_path / "e.csv"),
+                  "simulate": ("--in", truth, "--out-dir", tmp_path / "out"),
+                  "sweep": ("--in", truth, "--out", tmp_path / "out" / "s.csv"),
+                  "analyze": ("--in", truth, "--out", tmp_path / "out" / "a.csv")}[command]
         assert run(command, *inputs, *flags) == cli.EXIT_USAGE
         assert message in capsys.readouterr().err
         assert reads == []
@@ -1217,3 +1236,29 @@ class TestConfigHandling:
 
     def test_no_command_is_usage_error(self):
         assert run() == cli.EXIT_USAGE
+
+    @pytest.mark.parametrize("command", ["simulate", "reconstruct", "eval", "sweep", "analyze"])
+    def test_manifest_write_failure_prints_no_summary(self, scene, tmp_path, monkeypatch, capsys,
+                                                      command):
+        _, truth, sim = scene
+        argv = {
+            "simulate": ("--in", truth, "--mask-seed", 5, "--out-dir", tmp_path / "out"),
+            "reconstruct": ("--y", sim / "y.hsc", "--z", sim / "z.hsc", "--mask", sim / "mask.hsc",
+                            "--patch", 12, "--threads", 1, "--out", tmp_path / "x.hsc"),
+            "eval": ("--ref", truth, "--est", truth, "--out", tmp_path / "e.csv"),
+            "sweep": ("--in", truth, "--vary", "rank", "--values", 1, "--patch", 12,
+                      "--threads", 1, "--out", tmp_path / "s.csv"),
+            "analyze": ("--in", truth, "--patch", 8, "--samples", 3, "--out", tmp_path / "a.csv"),
+        }[command]
+
+        def full_disk(path, entries):
+            raise OSError(f"{path}: no space left on device")
+
+        monkeypatch.setattr(hio, "write_manifest", full_disk)
+        capsys.readouterr()
+        assert run(command, *argv) == cli.EXIT_IO
+        out, err = capsys.readouterr()
+        assert err.startswith("hsfuse: i/o error: ") and "manifest.txt: no space left" in err
+        # the summary follows the manifest; only a sweep's per-value lines come before it
+        assert [line.partition(":")[0] for line in out.splitlines()] == (
+            ["rank = 1"] if command == "sweep" else [])

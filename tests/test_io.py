@@ -311,3 +311,26 @@ class TestManifest:
         path = tmp_path / "manifest.txt"
         hio.write_manifest(path, {"rank": 3})
         assert path.read_text() == "rank = 3\n"
+
+    def test_none_and_bools_written_as_words(self, tmp_path):
+        # an omitted flag is empty and a switch is a boolean word; the integers 1 and 0 stay
+        path = tmp_path / "new" / "manifest.txt"
+        hio.write_manifest(path, {"threads": None, "improved": True, "quiet": False, "rank": 1,
+                                  "seed": 0})
+        assert path.read_text(encoding="utf-8") == (
+            "threads = \nimproved = true\nquiet = false\nrank = 1\nseed = 0\n")
+        assert hio.read_manifest(path) == {"threads": "", "improved": "true", "quiet": "false",
+                                           "rank": "1", "seed": "0"}
+
+
+@pytest.mark.parametrize("writer", ["write_cube", "save_response", "write_table", "write_report"])
+def test_writer_makes_its_directory(tmp_path, writer):
+    path = tmp_path / "a" / "b" / "out"
+    write = {
+        "write_cube": lambda: hio.write_cube(np.ones((2, 3, 1)), path),
+        "save_response": lambda: hio.save_response(np.full((2, 1), 0.5), path),
+        "write_table": lambda: hio.write_table(path, ("k",), [(1,)]),
+        "write_report": lambda: hio.write_report([_row()], path),
+    }[writer]
+    write()
+    assert [p.name for p in path.parent.iterdir()] == ["out"]
