@@ -7,11 +7,12 @@ Commands: ``simulate`` (measure a ground-truth cube), ``reconstruct``
 
 Each flag is defined once: ``sweep`` takes the measurement flags of
 ``simulate`` and the fusion flags of ``reconstruct`` from the same helpers,
-and one command table gives every command ``--config``. ``main`` checks
-every command's flags for its manifest before the command runs, and writes
-the manifest once the command's outputs are written; rerunning with
-``--config <manifest>`` reproduces the outputs bit-exactly (explicit flags
-win over config values). Exit codes: 0 success, 2 usage or constraint
+and one command table gives every command ``--config``. A command's flags are
+its manifest's keys and its config's, and a config value is parsed as its
+flag's is on the command line (``type``, ``choices``, error message). ``main``
+checks the flags before the command runs and writes the manifest once the
+outputs are written; rerunning with ``--config <manifest>`` reproduces them
+bit-exactly (explicit flags win). Exit codes: 0 success, 2 usage or constraint
 error (any ``ValueError``), 3 I/O or file-format error, 4 numerical failure.
 
 Each function imports the package modules it uses, so ``--version``,
@@ -129,8 +130,8 @@ def _build_parser():
         ("reconstruct", "reconstruct a cube from measurements",
          _reconstruct_flags, _run_reconstruct),
         ("eval", "metrics of an estimate against a reference", _eval_flags, _run_eval),
-        ("sweep", "simulate+reconstruct+eval over a varied parameter",
-         _sweep_flags, _run_sweep),
+        ("sweep", "simulate+reconstruct+eval over a varied parameter; holds whole cubes, "
+         "as a library-scale experiment", _sweep_flags, _run_sweep),
         ("analyze", "patch vs. global singular spectra of a cube",
          _analyze_flags, _run_analyze),
     ):
@@ -141,34 +142,36 @@ def _build_parser():
     return parser, commands
 
 
-def _coercers(subparser):
-    """Flag dest -> function turning a manifest/config string into its value."""
-    return {
-        a.dest: _bool_word if isinstance(a, argparse._StoreTrueAction) else a.type or str
-        for a in subparser._actions
-        if a.dest not in ("help", "config")
-    }
+def _flag_actions(subparser):
+    """dest -> action of every flag a command's manifest records and its config accepts."""
+    return {a.dest: a for a in subparser._actions if a.dest not in ("help", "config")}
 
 
 def _config_defaults(config_path, command, subparser):
     from . import io as hio
 
     entries = hio.read_manifest(config_path)
-    coercers = _coercers(subparser)
+    flags = _flag_actions(subparser)
     declared = entries.pop("command", None)
     if declared is not None and declared != command:
         raise ValueError(f"config {config_path} was written for '{declared}', not '{command}'")
     defaults = {}
-    for key, value in entries.items():
+    for key, text in entries.items():
         if key == "version":  # recorded in every manifest, but not a flag
             continue
-        if key not in coercers:
+        action = flags.get(key)
+        if action is None:
             raise ValueError(f"config {config_path}: unknown key {key!r} for {command}")
-        if value == "":
+        if text == "":
             continue
+        # a value is parsed as its flag's is on the command line: its type and choices
         try:
-            defaults[key] = coercers[key](value)
-        except ValueError as err:
+            if isinstance(action, argparse._StoreTrueAction):
+                defaults[key] = _bool_word(text)
+            else:
+                defaults[key] = subparser._get_value(action, text)
+                subparser._check_value(action, defaults[key])
+        except (ValueError, argparse.ArgumentError) as err:
             raise ValueError(f"config {config_path}: bad value for {key!r}: {err}") from err
     return defaults
 
@@ -225,20 +228,21 @@ def _check_manifest_flags(args):
     give a rerun unchanged (an empty value there means the flag's default)."""
     from . import io as hio
 
-    for action in args.parser._actions:
-        value, flag = getattr(args, action.dest, None), f"{action.option_strings[0]} value"
-        if action.dest != "config" and isinstance(value, str):
+    for dest, action in _flag_actions(args.parser).items():
+        value, flag = getattr(args, dest), f"{action.option_strings[0]} value"
+        if isinstance(value, str):
             if not value:
                 raise ValueError(f"{flag} must not be empty")
             hio.check_manifest_value(value, flag)
 
 
-def _write_manifest(path, args, resolved):
-    """Record every flag of ``args``, with the values the command resolved."""
+def _write_manifest(args, resolved):
+    """Record every flag of ``args``, with the values the command resolved, beside its outputs."""
     from . import io as hio
 
-    flags = {k: v for k, v in vars(args).items()
-             if k not in ("command", "config", "func", "parser")}
+    out_dir = getattr(args, "out_dir", None)
+    path = Path(out_dir, "manifest.txt") if out_dir else f"{Path(args.out)}.manifest.txt"
+    flags = {dest: getattr(args, dest) for dest in _flag_actions(args.parser)}
     hio.write_manifest(path, {"command": args.command, "version": __version__, **flags,
                               **resolved})
 
@@ -293,8 +297,7 @@ def _run_simulate(args):
     if dead:
         plural = "pixel has" if dead == 1 else "pixels have"
         print(f"note: {dead} mask {plural} an all-zero spectrum (no coded signal there)")
-    return (out_dir / "manifest.txt", {},
-            f"wrote y.hsc, z.hsc, mask.hsc, response.txt, manifest.txt to {out_dir}")
+    return {}, f"wrote y.hsc, z.hsc, mask.hsc, response.txt, manifest.txt to {out_dir}"
 
 
 def _run_reconstruct(args):
@@ -326,8 +329,7 @@ def _run_reconstruct(args):
             for r0, block in rows:
                 writer.write(r0, block)
         wall = time.perf_counter() - start
-    return (f"{out}.manifest.txt", {"patch": f"{m},{n}", "stride": config.stride},
-            f"wrote {out} ({wall:.2f} s)")
+    return {"patch": f"{m},{n}", "stride": config.stride}, f"wrote {out} ({wall:.2f} s)"
 
 
 def _peak_value(text):
@@ -361,9 +363,8 @@ def _run_eval(args):
     wall = time.perf_counter() - start
     row = hio.ReportRow(scene, args.method, args.rank, m_label, args.stride,
                         report.m_psnr, report.m_ssim, report.msa, wall)
-    out = Path(args.out)
-    hio.write_report([row], out)
-    return (f"{out}.manifest.txt", {"scene": scene},
+    hio.write_report([row], args.out)
+    return ({"scene": scene},
             f"m_psnr = {report.m_psnr:.6g} dB, m_ssim = {report.m_ssim:.6g}, "
             f"msa = {report.msa:.6g} deg")
 
@@ -434,9 +435,8 @@ def _run_sweep(args):
                                          config.stride, report.m_psnr, report.m_ssim,
                                          report.msa, wall))
         print(f"{args.vary} = {value}: m_psnr = {report.m_psnr:.6g} dB")
-    out = Path(args.out)
-    hio.write_report(report_rows, out)
-    return f"{out}.manifest.txt", {}, None  # each value's line is printed as it is done
+    hio.write_report(report_rows, args.out)
+    return {}, None  # each value's line is printed as it is done
 
 
 def _run_analyze(args):
@@ -474,7 +474,7 @@ def _run_analyze(args):
         ("index", "patch_mean_log10_sigma", "global_log10_sigma"),
         [(t + 1, float(patch_log[t]), float(global_log[t])) for t in range(length)],
     )
-    return f"{out}.manifest.txt", {}, f"wrote {length} singular-value rows to {out}"
+    return {}, f"wrote {length} singular-value rows to {out}"
 
 
 def main(argv=None):
@@ -483,9 +483,9 @@ def main(argv=None):
     try:
         args = _parse_args(argv)
         _check_manifest_flags(args)
-        # a command returns where its manifest goes, the values it resolved and its summary
-        manifest, resolved, summary = args.func(args)
-        _write_manifest(manifest, args, resolved)
+        # a command returns the values it resolved and its summary
+        resolved, summary = args.func(args)
+        _write_manifest(args, resolved)
         if summary is not None:
             print(summary)
         return 0

@@ -1215,24 +1215,39 @@ class TestConfigHandling:
         assert first.read_bytes() == again.read_bytes()
 
     @pytest.mark.parametrize(
-        "line,message",
+        "command,line,message",
         [
-            ("bogus = 1", "unknown key 'bogus' for reconstruct"),
-            ("rank = x", "bad value for 'rank': invalid literal for int()"),
-            ("improved = maybe", "bad value for 'improved': expected a boolean word, got 'maybe'"),
+            ("reconstruct", "bogus = 1", "unknown key 'bogus' for reconstruct"),
+            ("reconstruct", "rank = x",
+             "bad value for 'rank': argument --rank: invalid int value: 'x'"),
+            ("reconstruct", "improved = maybe",
+             "bad value for 'improved': expected a boolean word, got 'maybe'"),
+            ("sweep", "vary = bogus",
+             "bad value for 'vary': argument --vary: invalid choice: 'bogus'"),
         ],
-        ids=["unknown-key", "rank", "improved"],
+        ids=["unknown-key", "rank", "improved", "vary"],
     )
-    def test_bad_config_entry_rejected(self, scene, tmp_path, capsys, line, message):
-        _, _, out_dir = scene
+    def test_bad_config_entry_rejected(self, scene, tmp_path, monkeypatch, capsys, command, line,
+                                       message):
+        # a config value is parsed as its flag is on the command line, before any cube is read
+        _, truth, sim = scene
         config = tmp_path / "config.txt"
-        config.write_text(f"command = reconstruct\n{line}\n")
-        out = tmp_path / "x.hsc"
-        code = run("reconstruct", "--config", config, "--y", out_dir / "y.hsc",
-                   "--z", out_dir / "z.hsc", "--mask", out_dir / "mask.hsc", "--out", out)
-        assert code == cli.EXIT_USAGE
-        assert f"config {config}: {message}" in capsys.readouterr().err
-        assert not out.exists()
+        config.write_text(f"command = {command}\n{line}\n", encoding="utf-8")
+        out = tmp_path / "out"
+        argv = {
+            "reconstruct": ("--y", sim / "y.hsc", "--z", sim / "z.hsc", "--mask", sim / "mask.hsc"),
+            # a response sweep accepts this value, so a 'vary' read as any word would run
+            "sweep": ("--in", truth, "--values", "single:0", "--rank", 1, "--patch", 12),
+        }[command]
+        reads = count_cube_reads(monkeypatch)
+        assert run(command, "--config", config, *argv, "--out", out) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"config {config}: {message}" in err
+        if command == "sweep":  # argparse's own wording names the choices
+            choices = err.partition("choose from")[2]
+            assert all(choice in choices for choice in ("rank", "patch", "response"))
+        assert reads == []
+        assert not out.exists() and not Path(f"{out}.manifest.txt").exists()
 
     def test_no_command_is_usage_error(self):
         assert run() == cli.EXIT_USAGE
