@@ -38,11 +38,9 @@ _FALSE_WORDS = {"0", "false", "no", "off"}
 
 def _bool_word(text):
     word = str(text).strip().lower()
-    if word in _TRUE_WORDS:
-        return True
-    if word in _FALSE_WORDS:
-        return False
-    raise ValueError(f"expected a boolean word, got {text!r}")
+    if word not in _TRUE_WORDS | _FALSE_WORDS:
+        raise ValueError(f"expected a boolean word, got {text!r}")
+    return word in _TRUE_WORDS
 
 
 def _add_measurement_flags(p):
@@ -89,7 +87,9 @@ def _eval_flags(p):
     p.add_argument("--ref", required=True, help="reference cube (HSC1)")
     p.add_argument("--est", required=True, help="estimated cube (HSC1)")
     p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument("--peak", default="1.0", help="PSNR/SSIM peak value, or 'refmax'")
+    p.add_argument("--peak", default="1.0",
+                   help="PSNR/SSIM peak value, or 'refmax': each band's reference maximum "
+                        "as PSNR peak, and an SSIM range of 1")
     p.add_argument("--scene", default=None, help="scene label (default: reference stem)")
     p.add_argument("--method", default="eval", help="method label")
     p.add_argument("--rank", type=int, default=0, help="rank label for the CSV row")
@@ -200,11 +200,9 @@ def _parse_patch(text):
         dims = [int(p) for p in parts]
     except ValueError as err:
         raise ValueError(f"bad --patch value {text!r}: {err}") from err
-    if len(dims) == 1:
-        return dims[0], dims[0]
-    if len(dims) == 2:
-        return dims[0], dims[1]
-    raise ValueError(f"--patch takes m or m,n, got {text!r}")
+    if len(dims) not in (1, 2):
+        raise ValueError(f"--patch takes m or m,n, got {text!r}")
+    return dims[0], dims[-1]
 
 
 def _check_threads(args):

@@ -51,8 +51,8 @@ def check_cube(cube, name="cube"):
     return arr
 
 
-def validate_response(a, bands=None):
-    """Validate a spectral response matrix and return it as float64."""
+def validate_response(a, bands=None, channels=None):
+    """Validate a spectral response matrix, (``bands``, ``channels``) where given, as float64."""
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or min(a.shape) < 1:
         raise ValueError(f"response must be a (bands, channels) matrix, got shape {a.shape}")
@@ -65,6 +65,9 @@ def validate_response(a, bands=None):
     dead = np.flatnonzero(~a.any(axis=0))
     if dead.size:
         raise ValueError(f"response channel {int(dead[0])} is all zero")
+    if channels is not None and a.shape[1] != channels:
+        raise ValueError(f"response has {a.shape[1]} channels, "
+                         f"the multiband measurement has {channels}")
     return a
 
 

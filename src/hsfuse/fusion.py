@@ -204,22 +204,11 @@ def assemble_phi_rgb(response, w):
     return np.einsum("tp,bc->cptb", w, response).reshape(channels * pixels, k * bands)
 
 
-def _joint_response(response, bands, channels):
-    """The multiband response, checked against the mask's bands and z's channels."""
-    response = core.validate_response(response, bands=bands)
-    if response.shape[1] != channels:
-        raise ValueError(
-            f"response has {response.shape[1]} channels, "
-            f"the multiband measurement has {channels}"
-        )
-    return response
-
-
 def _solve(y, mask, w, z, response):
     """Least-squares basis solve as a :class:`numeric.LstsqResult`.
 
     The system's rows are :func:`assemble_phi_w`'s against vec(Y) and, with
-    ``response`` (already checked by :func:`_joint_response`), the
+    ``response`` (already checked by :func:`core.validate_response`), the
     multiband rows of :func:`assemble_phi_rgb` against vec(Z) (Z the
     channels x pixels unfolding of z). The latter enter the normal
     equations as the Gram term kron(W W.T, A A.T), positive semidefinite,
@@ -274,7 +263,7 @@ def solve_basis(y, mask, w, z=None, response=None):
         z = core.check_cube(z, "multiband measurement")
         if z.shape[:2] != y.shape:
             raise ValueError(f"multiband shape {z.shape} does not match image {y.shape}")
-        response = _joint_response(response, mask.shape[2], z.shape[2])
+        response = core.validate_response(response, mask.shape[2], z.shape[2])
     sol = _solve(y, mask, w, z, response)
     return sol.x.reshape(mask.shape[2], -1, order="F")
 
@@ -435,7 +424,8 @@ def pfuse_rows(y, z, mask, config, workers=1, response=None, stats=None):
         raise ValueError(f"inconsistent spatial shapes: coded {y.shape[:2]}, "
                          f"multiband {z.shape[:2]}, mask {mask.shape[:2]}")
     grid = config.grid(mask.shape, z.shape[2])
-    response = None if response is None else _joint_response(response, mask.shape[2], z.shape[2])
+    if response is not None:
+        response = core.validate_response(response, mask.shape[2], z.shape[2])
     return _stream(y, z, mask, grid, config.rank, workers, response, stats)
 
 

@@ -22,6 +22,7 @@ None is written empty, and a bool as ``true`` or ``false``.
 Every writer makes the directory of the file it writes.
 """
 
+import errno
 import os
 import struct
 from dataclasses import astuple, dataclass
@@ -118,7 +119,8 @@ class CubeWriter:
     positioned write per band, after the checks of :func:`write_cube`: finite
     values that do not overflow float32. When the ``with`` block ends without
     an error and every row is written, ``os.replace`` moves the file onto
-    ``path``; otherwise it is deleted and ``path`` is left as it was.
+    ``path``; otherwise it is deleted and ``path`` is left as it was. A
+    directory at ``path`` is refused on opening; OS errors name ``path``.
     """
 
     def __init__(self, path, shape):
@@ -128,27 +130,31 @@ class CubeWriter:
             raise ValueError(f"{path}: invalid dimensions {'x'.join(map(str, shape))}")
         self.shape = rows, cols, bands = tuple(map(int, shape))
         self._next = 0
-        self.path.parent.mkdir(parents=True, exist_ok=True)
+        if self.path.is_dir():  # which os.replace would refuse only once every row is in
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(self.path))
         # unique while this writer lives; another process has another pid
         self._temp = self.path.with_name(f".{self.path.name}.{os.getpid()}-{id(self):x}.tmp")
-        self._file = open(self._temp, "xb")  # never an existing file; umask sets its mode
+        try:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            self._file = open(self._temp, "xb")  # never an existing file; umask sets its mode
+        except OSError as err:  # named for the path asked for, not its temporary file
+            raise OSError(err.errno, err.strerror, str(self.path)) from err
         self._file.write(MAGIC + struct.pack("<III", rows, cols, bands))
 
     def __enter__(self):
         return self
 
     def __exit__(self, error, *_):
-        replaced = False
         try:
             self._file.close()
             if error is None:
                 if self._next != self.shape[0]:
                     raise ValueError(f"{self.path}: {self._next} of {self.shape[0]} rows written")
                 os.replace(self._temp, self.path)
-                replaced = True
+        except OSError as err:
+            raise OSError(err.errno, err.strerror, str(self.path)) from err
         finally:
-            if not replaced:
-                self._temp.unlink(missing_ok=True)
+            self._temp.unlink(missing_ok=True)  # gone already once it replaced ``path``
 
     def write(self, r0, block):
         """Write ``block``, a (rows, cols, bands) array, as the rows from ``r0``."""
@@ -157,12 +163,12 @@ class CubeWriter:
         if r0 != self._next or r0 + len(block) > rows or block.shape[1:] != (cols, bands):
             raise ValueError(f"{self.path}: expected rows from {self._next} of shape "
                              f"(*, {cols}, {bands}), got {block.shape} at row {r0}")
-        if not np.isfinite(block).all():
-            raise FormatError(f"{self.path}: cube contains non-finite values")
         with np.errstate(over="ignore"):
             payload = block.transpose(2, 0, 1).astype("<f4", order="C")
         if not np.isfinite(payload).all():
-            raise FormatError(f"{self.path}: cube values overflow float32")
+            fault = ("values overflow float32" if np.isfinite(block).all()
+                     else "contains non-finite values")
+            raise FormatError(f"{self.path}: cube {fault}")
         for band, part in enumerate(payload):
             self._file.seek(16 + 4 * (band * rows + r0) * cols)
             self._file.write(part)

@@ -194,11 +194,12 @@ def band_ssim(ref, est, peak=1.0):
     """Per-band SSIM with an 11x11 Gaussian window (sigma 1.5).
 
     Uses the standard stability constants K1=0.01, K2=0.03 with dynamic
-    range ``peak``; windows are fully interior (no padding), so images must
-    be at least 11x11.
+    range ``peak``, where ``None`` (:func:`evaluate`'s per-band peak) is a
+    range of 1.0; windows are fully interior (no padding), so images must be
+    at least 11x11.
     """
     ref, est = _check_pair(ref, est)
-    peak = check_peak(peak)
+    peak = 1.0 if peak is None else check_peak(peak)
     c1 = (_SSIM_K1 * peak) ** 2
     c2 = (_SSIM_K2 * peak) ** 2
     if not _normal(c1 * c2):
@@ -258,7 +259,7 @@ def evaluate(ref, est, peak=1.0):
     """
     ref, est = _check_pair(ref, est)
     psnr_bands = band_psnr(ref, est, peak)
-    ssim_bands = band_ssim(ref, est, 1.0 if peak is None else peak)
+    ssim_bands = band_ssim(ref, est, peak)
     angle, skipped = _msa(ref, est)
     return MetricReport(
         m_psnr=float(psnr_bands.mean()),
@@ -272,7 +273,6 @@ def evaluate(ref, est, peak=1.0):
 
 def singular_spectrum(cube):
     """Singular values (descending) of the cube's band-by-pixel unfolding."""
-    cube = core.check_cube(cube)
     return np.linalg.svd(core.unfold3(cube), compute_uv=False)
 
 

@@ -374,6 +374,23 @@ class TestReconstruct:
         assert not out.exists()
 
 
+    def test_out_directory_refused_before_the_payload(self, scene, tmp_path, monkeypatch,
+                                                      capsys):
+        def no_payload(*_args):
+            raise AssertionError("read a payload row before opening --out")
+
+        monkeypatch.setattr(hio.CubeReader, "__getitem__", no_payload)
+        _, _, out_dir = scene
+        out = tmp_path / "xhat"
+        out.mkdir()
+        code = run("reconstruct", "--y", out_dir / "y.hsc", "--z", out_dir / "z.hsc",
+                   "--mask", out_dir / "mask.hsc", "--patch", 12, "--out", out)
+        assert code == cli.EXIT_IO
+        assert f"Is a directory: '{out}'" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+        assert not [p for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+
+
 class TestStreamedReconstruct:
     """reconstruct streams its cubes by rows: the bytes of the in-memory library, inputs
     read a row of cells at a time, and nothing left behind by a failed run."""

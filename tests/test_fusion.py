@@ -1,10 +1,12 @@
 """Fusion pipeline tests: coefficients, structured systems, global and patch solves."""
 
 import concurrent.futures
+import ctypes
 import dataclasses
 import os
 import threading
 import tracemalloc
+import types
 import weakref
 
 import numpy as np
@@ -729,6 +731,54 @@ def blas_at_two_threads():
         yield lib
     finally:
         set_threads(before)
+
+
+class TestWithoutBundledOpenBLAS:
+    """Where numpy bundles no usable scipy-openblas (numpy 1.x, MKL or Accelerate builds),
+    the solves use scipy.linalg.lapack and no BLAS thread count is read or set."""
+
+    @pytest.fixture(params=["not-loadable", "no-dposv"])
+    def thread_calls(self, request, monkeypatch):
+        """Every BLAS thread-count call, while loading the bundled library raises OSError
+        or gives one without ``scipy_dposv_64_``; openblas()'s cache is cleared around."""
+        calls, cdll, bundled = [], ctypes.CDLL, _blas.openblas()
+
+        def get_threads():
+            calls.append("get")
+            return 2
+
+        def set_threads(count):
+            calls.append(("set", count))
+
+        if bundled is not None:  # the binding found before, were it reached
+            monkeypatch.setattr(bundled, "get_threads", get_threads)
+            monkeypatch.setattr(bundled, "set_threads", set_threads)
+
+        def loading(path, *args, **kwargs):
+            if "scipy_openblas" not in str(path):
+                return cdll(path, *args, **kwargs)
+            if request.param == "not-loadable":
+                raise OSError(f"{path}: cannot open shared object file")
+            return types.SimpleNamespace(scipy_openblas_get_num_threads64_=get_threads,
+                                         scipy_openblas_set_num_threads64_=set_threads)
+
+        monkeypatch.setattr(ctypes, "CDLL", loading)
+        _blas.openblas.cache_clear()
+        yield calls
+        _blas.openblas.cache_clear()
+
+    def test_threads_left_alone_and_same_bytes(self, thread_calls, monkeypatch, four_patches):
+        assert _blas.openblas() is None
+        with _blas.one_thread():
+            assert _blas._pins == []
+        y, z, mask, config, response = four_patches
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        stats = []
+        one = fusion.pfuse(y, z, mask, config, workers=1, response=response, stats=stats)
+        two = fusion.pfuse(y, z, mask, config, workers=2, response=response)
+        assert one.tobytes() == two.tobytes()
+        assert [s.solver for s in stats] == ["cholesky"] * 4  # scipy.linalg.lapack's
+        assert thread_calls == []
 
 
 class TestBlasThreads:

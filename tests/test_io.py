@@ -68,6 +68,12 @@ class TestCubeFile:
         with pytest.raises(FormatError, match="non-finite"):
             hio.write_cube(cube, tmp_path / "inf.hsc")
 
+    def test_non_finite_named_where_another_value_overflows(self, tmp_path):
+        cube = np.ones((2, 2, 1))
+        cube[0, 0, 0], cube[1, 1, 0] = 1e300, np.nan
+        with pytest.raises(FormatError, match="contains non-finite values"):
+            hio.write_cube(cube, tmp_path / "nan.hsc")
+
     def test_float32_overflow_rejected_on_write(self, tmp_path):
         cube = np.full((1, 1, 1), 1e300)
         with pytest.raises(FormatError, match="overflow"):
@@ -161,6 +167,21 @@ class TestCubeRows:
                     writer.write(3, block[:1])
         assert path.read_bytes() == b"old"
         assert [p.name for p in tmp_path.iterdir()] == ["out.hsc"]
+
+    @pytest.mark.parametrize("target", ["directory", "under-a-file"])
+    def test_bad_path_named_on_opening_and_no_temp(self, tmp_path, target):
+        # refused before a row is written, naming the path asked for, not its temporary file
+        if target == "directory":
+            path = tmp_path / "out.hsc"
+            path.mkdir()
+        else:
+            path = tmp_path / "file" / "out.hsc"
+            path.parent.write_bytes(b"")
+        with pytest.raises(OSError) as err:
+            hio.CubeWriter(path, (2, 3, 1))
+        assert (err.value.filename, err.value.filename2) == (str(path), None)
+        assert not list(tmp_path.rglob("*.tmp"))
+        assert not path.is_dir() or list(path.iterdir()) == []
 
 
 class TestResponseFile:

@@ -390,6 +390,13 @@ class TestEvaluate:
         report = metrics.evaluate(ref, est, peak=None)
         assert np.array_equal(report.band_ssim, metrics.band_ssim(ref, est, 1.0))
 
+    def test_no_peak_means_the_same_to_m_ssim(self):
+        # band_ssim reads peak=None as evaluate does, so m_ssim takes it too
+        rng = np.random.default_rng(26)
+        ref = 2.0 * rng.random((12, 12, 3)) + 0.5
+        est = ref + 0.1 * rng.standard_normal(ref.shape)
+        assert metrics.m_ssim(ref, est, peak=None) == metrics.evaluate(ref, est, peak=None).m_ssim
+
     def test_allocates_at_most_one_and_a_half_cubes(self):
         # beyond its inputs only band-sized PSNR, SSIM and MSA arrays (0.66 cubes here)
         rng = np.random.default_rng(24)
