@@ -8,12 +8,16 @@ Commands: ``simulate`` (measure a ground-truth cube), ``reconstruct``
 Each flag is defined once: ``sweep`` takes the measurement flags of
 ``simulate`` and the fusion flags of ``reconstruct`` from the same helpers,
 and one command table gives every command ``--config``. A command's flags are
-its manifest's keys and its config's, and a config value is parsed as its
-flag's is on the command line (``type``, ``choices``, error message). ``main``
-checks the flags before the command runs and writes the manifest once the
-outputs are written; rerunning with ``--config <manifest>`` reproduces them
-bit-exactly (explicit flags win). Exit codes: 0 success, 2 usage or constraint
-error (any ``ValueError``), 3 I/O or file-format error, 4 numerical failure.
+its manifest's keys and its config's. A bad value is refused in one of three
+places: a flag's own range at parse time, by its argparse ``type`` and
+``choices``, from the command line and a config alike; a value the manifest
+would not keep, and an output that cannot be written, in ``main`` before any
+input is read; ``--density`` (whose rule is ``forward``'s) and a rule that
+needs another flag or a file's header, in the command before any payload is
+read. ``main`` writes the manifest once the outputs are written; rerunning
+with ``--config <manifest>`` reproduces them bit-exactly (explicit flags win).
+Exit codes: 0 success, 2 usage or constraint error (any ``ValueError``), 3 I/O
+or file-format error, 4 numerical failure.
 
 Each function imports the package modules it uses, so ``--version``,
 ``--help`` and usage errors load none of them (nor numpy), and each command
@@ -22,6 +26,7 @@ loads only the modules it runs.
 
 import argparse
 import contextlib
+import errno
 import sys
 import time
 from pathlib import Path
@@ -43,16 +48,35 @@ def _bool_word(text):
     return word in _TRUE_WORDS
 
 
+def _ranged(kind, text, ok, rule):
+    """``kind(text)`` if ``ok`` holds for it; else argparse's refusal, in its own words for a
+    value that is not a ``kind`` at all."""
+    try:
+        value = kind(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
+    if not ok(value):
+        raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+    return value
+
+
+def _count(text):
+    """argparse type of --threads, --samples and analyze's --patch."""
+    return _ranged(int, text, lambda value: value >= 1, "an integer >= 1")
+
+
+def _sigma(text):
+    """argparse type of --noise-sigma."""
+    return _ranged(float, text, lambda value: 0 <= value < float("inf"), "finite and >= 0")
+
+
 def _add_measurement_flags(p):
     """The simulated-measurement flags, shared by ``simulate`` and ``sweep``."""
     p.add_argument("--mask-seed", type=int, default=0, help="seed for the coded mask")
     p.add_argument("--density", type=float, default=0.5, help="mask ones density in (0, 1]")
-    p.add_argument(
-        "--response",
-        default="average",
-        help="spectral response: average[:C] | single:i,j,... | file:PATH",
-    )
-    p.add_argument("--noise-sigma", type=float, default=0.0, help="additive Gaussian noise std")
+    p.add_argument("--response", default="average",
+                   help="spectral response: average[:C] | single:i,j,... | file:PATH")
+    p.add_argument("--noise-sigma", type=_sigma, default=0.0, help="additive Gaussian noise std")
     p.add_argument("--noise-seed", type=int, default=1, help="seed for the noise stream")
 
 
@@ -63,7 +87,7 @@ def _add_fusion_flags(p):
     p.add_argument("--stride", type=int, default=None,
                    help="patch stride (default min(m,n)//2, at least 1)")
     p.add_argument("--improved", action="store_true", help="joint coded+multiband basis solve")
-    p.add_argument("--threads", type=int, default=None,
+    p.add_argument("--threads", type=_count, default=None,
                    help="workers that make --improved windows' statistics (default and cap: "
                    "cpu count)")
 
@@ -110,17 +134,15 @@ def _sweep_flags(p):
 
 def _analyze_flags(p):
     p.add_argument("--in", dest="in_path", required=True, help="cube to analyse (HSC1)")
-    p.add_argument("--patch", type=int, default=100, help="square patch size")
-    p.add_argument("--samples", type=int, default=100, help="number of random patches")
+    p.add_argument("--patch", type=_count, default=100, help="square patch size")
+    p.add_argument("--samples", type=_count, default=100, help="number of random patches")
     p.add_argument("--seed", type=int, default=0, help="seed for patch placement")
     p.add_argument("--out", required=True, help="output CSV path")
 
 
 def _build_parser():
-    parser = argparse.ArgumentParser(
-        prog="hsfuse",
-        description="Dual-camera compressive hyperspectral simulation and fusion reconstruction.",
-    )
+    parser = argparse.ArgumentParser(prog="hsfuse", description="Dual-camera compressive "
+                                     "hyperspectral simulation and fusion reconstruction.")
     parser.add_argument("--version", action="version", version=f"hsfuse {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     commands = {}
@@ -155,10 +177,9 @@ def _config_defaults(config_path, command, subparser):
     declared = entries.pop("command", None)
     if declared is not None and declared != command:
         raise ValueError(f"config {config_path} was written for '{declared}', not '{command}'")
+    entries.pop("version", None)  # recorded in every manifest, but not a flag
     defaults = {}
     for key, text in entries.items():
-        if key == "version":  # recorded in every manifest, but not a flag
-            continue
         action = flags.get(key)
         if action is None:
             raise ValueError(f"config {config_path}: unknown key {key!r} for {command}")
@@ -195,20 +216,13 @@ def _parse_args(argv):
 
 
 def _parse_patch(text):
-    parts = str(text).split(",")
     try:
-        dims = [int(p) for p in parts]
+        dims = [int(p) for p in str(text).split(",")]
     except ValueError as err:
         raise ValueError(f"bad --patch value {text!r}: {err}") from err
     if len(dims) not in (1, 2):
         raise ValueError(f"--patch takes m or m,n, got {text!r}")
     return dims[0], dims[-1]
-
-
-def _check_threads(args):
-    # pfuse resolves an omitted --threads (None) to one worker per CPU
-    if args.threads is not None and args.threads < 1:
-        raise ValueError("--threads must be >= 1")
 
 
 def _shape_fault(args, y, z, mask):
@@ -221,9 +235,16 @@ def _shape_fault(args, y, z, mask):
                      for flag, size in zip(("y", "z", "mask"), sizes) if sizes.count(size) == 1)
 
 
-def _check_manifest_flags(args):
-    """Refuse, before any cube is read, a flag value that the command's manifest would not
-    give a rerun unchanged (an empty value there means the flag's default)."""
+def _manifest_path(args):
+    out_dir = getattr(args, "out_dir", None)
+    return Path(out_dir, "manifest.txt") if out_dir else Path(f"{Path(args.out)}.manifest.txt")
+
+
+def _check_run(args):
+    """Refuse, before any input is read, a flag value that the command's manifest would not
+    give a rerun unchanged (an empty value there means the flag's default), then an output
+    the command could not write: an ``--out`` or manifest that is a directory, or an
+    ``--out-dir`` that is not."""
     from . import io as hio
 
     for dest, action in _flag_actions(args.parser).items():
@@ -232,25 +253,21 @@ def _check_manifest_flags(args):
             if not value:
                 raise ValueError(f"{flag} must not be empty")
             hio.check_manifest_value(value, flag)
+    out_dir = getattr(args, "out_dir", None)
+    if out_dir and Path(out_dir).exists() and not Path(out_dir).is_dir():
+        raise NotADirectoryError(errno.ENOTDIR, "Not a directory", out_dir)
+    for path in (getattr(args, "out", None), _manifest_path(args)):
+        if path and Path(path).is_dir():
+            raise IsADirectoryError(errno.EISDIR, "Is a directory", str(path))
 
 
 def _write_manifest(args, resolved):
     """Record every flag of ``args``, with the values the command resolved, beside its outputs."""
     from . import io as hio
 
-    out_dir = getattr(args, "out_dir", None)
-    path = Path(out_dir, "manifest.txt") if out_dir else f"{Path(args.out)}.manifest.txt"
     flags = {dest: getattr(args, dest) for dest in _flag_actions(args.parser)}
-    hio.write_manifest(path, {"command": args.command, "version": __version__, **flags,
-                              **resolved})
-
-
-def _check_measurement_flags(args):
-    from . import forward
-
-    if not 0 <= args.noise_sigma < float("inf"):
-        raise ValueError(f"--noise-sigma must be finite and nonnegative, got {args.noise_sigma}")
-    forward.check_density(args.density)
+    hio.write_manifest(_manifest_path(args), {"command": args.command, "version": __version__,
+                                              **flags, **resolved})
 
 
 def _coded(truth, args):
@@ -279,7 +296,7 @@ def _run_simulate(args):
     from . import forward
     from . import io as hio
 
-    _check_measurement_flags(args)
+    forward.check_density(args.density)
     # the band count from the header alone: a bad spec is refused before the payload is read
     with hio.CubeReader(args.in_path) as reader:
         response = forward.response_from_spec(args.response, reader.shape[2])
@@ -308,7 +325,6 @@ def _run_reconstruct(args):
         raise ValueError("--response is used only by --improved (the base solve ignores it)")
     m, n = _parse_patch(args.patch)
     config = fusion.FusionConfig(args.rank, m, n, args.stride)
-    _check_threads(args)
     # a bad response file fails before the cubes are read; pfuse_rows checks its bands
     response = hio.load_response(args.response) if args.response else None
     out = Path(args.out)
@@ -369,12 +385,9 @@ def _run_eval(args):
 
 def _positive_int(flag, text):
     try:
-        value = int(text)
-        if value >= 1:
-            return value
-    except ValueError:
-        pass
-    raise ValueError(f"bad {flag} value {text!r} in --values: expected an integer >= 1")
+        return _count(text)
+    except argparse.ArgumentTypeError:
+        raise ValueError(f"bad {flag} value {text!r} in --values: expected an integer >= 1")
 
 
 def _sweep_plan(args):
@@ -405,8 +418,7 @@ def _run_sweep(args):
     from . import forward, fusion, metrics
     from . import io as hio
 
-    _check_threads(args)
-    _check_measurement_flags(args)
+    forward.check_density(args.density)
     plan = _sweep_plan(args)
     scene = hio.check_identifier(Path(args.in_path).stem, f"--in value {args.in_path!r}: stem")
     # responses and grids need the cube's shape; all are checked before its payload is read
@@ -438,16 +450,10 @@ def _run_sweep(args):
 
 
 def _run_analyze(args):
-    import numpy as np
-
     from . import core, forward, metrics
     from . import io as hio
 
-    if args.samples < 1:
-        raise ValueError("--samples must be >= 1")
     m = args.patch
-    if m < 1:
-        raise ValueError("--patch must be >= 1")
     with hio.CubeReader(args.in_path) as reader:  # the header alone, before the payload
         rows, cols, _ = reader.shape
     if m > min(rows, cols):
@@ -463,16 +469,10 @@ def _run_analyze(args):
             yield core.extract_patch(cube, origin, m, m)
 
     patch_log = metrics.mean_log_singular_spectrum(patches())
-    with np.errstate(divide="ignore"):
-        global_log = np.log10(metrics.singular_spectrum(cube))
-    length = min(patch_log.shape[0], global_log.shape[0])
-    out = Path(args.out)
-    hio.write_table(
-        out,
-        ("index", "patch_mean_log10_sigma", "global_log10_sigma"),
-        [(t + 1, float(patch_log[t]), float(global_log[t])) for t in range(length)],
-    )
-    return {}, f"wrote {length} singular-value rows to {out}"
+    global_log = metrics.mean_log_singular_spectrum([cube])  # one spectrum's mean is itself
+    table = [(t, float(p), float(g)) for t, (p, g) in enumerate(zip(patch_log, global_log), 1)]
+    hio.write_table(args.out, ("index", "patch_mean_log10_sigma", "global_log10_sigma"), table)
+    return {}, f"wrote {len(table)} singular-value rows to {Path(args.out)}"
 
 
 def main(argv=None):
@@ -480,7 +480,7 @@ def main(argv=None):
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
         args = _parse_args(argv)
-        _check_manifest_flags(args)
+        _check_run(args)
         # a command returns the values it resolved and its summary
         resolved, summary = args.func(args)
         _write_manifest(args, resolved)
@@ -488,8 +488,7 @@ def main(argv=None):
             print(summary)
         return 0
     except SystemExit as exc:  # argparse usage errors and --help/--version
-        code = exc.code
-        return code if isinstance(code, int) else EXIT_USAGE
+        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     except RankDeficiencyError as exc:
         print(f"hsfuse: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -922,6 +922,20 @@ class TestAnalyze:
         # one patch alive per patch spectrum, none left for the global one
         assert held == [1] * 12 + [0]
 
+    @pytest.mark.parametrize("filled", [2, 0], ids=["two-bands-filled", "all-zero"])
+    def test_global_column_is_the_cube_log_spectrum(self, tmp_path, filled):
+        # bands left zero give exact zero singular values, written as -inf
+        cube = np.zeros((12, 12, 6))
+        cube[:, :, :filled] = np.random.default_rng(886).random((12, 12, filled))
+        path = tmp_path / "scene.hsc"
+        hio.write_cube(cube, path)
+        out = tmp_path / "a.csv"
+        assert run("analyze", "--in", path, "--patch", 6, "--samples", 3, "--out", out) == 0
+        with np.errstate(divide="ignore"):
+            expected = np.log10(metrics.singular_spectrum(hio.read_cube(path)))
+        assert "-inf" in [f"{v:.6g}" for v in expected]
+        assert [r["global_log10_sigma"] for r in read_csv(out)] == [f"{v:.6g}" for v in expected]
+
     def test_patch_too_large(self, tmp_path):
         cube = two_zone_cube(883, 20, 10, 0, 10, 4, rank=2)
         path = tmp_path / "scene.hsc"
@@ -987,13 +1001,15 @@ class TestEarlyRejection:
     @pytest.mark.parametrize(
         "argv,message",
         [
-            (("sweep", "--vary", "rank", "--values", "1", "--threads", 0), "--threads must be >= 1"),
-            (("simulate", "--noise-sigma", -1), "--noise-sigma must be finite"),
-            (("analyze", "--samples", 0), "--samples must be >= 1"),
+            # a flag's range is its argparse type's, refused as the command line is parsed
+            (("sweep", "--vary", "rank", "--values", "1", "--threads", 0),
+             "argument --threads: must be an integer >= 1, got '0'"),
+            (("simulate", "--noise-sigma", -1), "argument --noise-sigma: must be finite and >= 0"),
+            (("analyze", "--samples", 0), "argument --samples: must be an integer >= 1, got '0'"),
             (("simulate", "--density", 5), "density must be in (0, 1], got 5.0"),
             (("sweep", "--vary", "rank", "--values", "1", "--density", 5),
              "density must be in (0, 1], got 5.0"),
-            (("analyze", "--patch", 0), "--patch must be >= 1"),
+            (("analyze", "--patch", 0), "argument --patch: must be an integer >= 1, got '0'"),
             (("sweep", "--vary", "patch", "--values", "8", "--stride", 0),
              "stride must satisfy 1 <= stride <= min(patch dims)"),
             (("sweep", "--vary", "rank", "--values", "x"), "rank value 'x'"),
@@ -1084,11 +1100,11 @@ class TestEarlyRejection:
             (("eval", "--scene", ""), "--scene value must not be empty"),
             (("eval", "--ref", "dir/ lab.hsc"), "--ref value 'dir/ lab.hsc': stem ' lab' must not"),
             # refused before the command's own checks, which would refuse the other flag
-            (("simulate", "--response", "single:0\n", "--noise-sigma", -1),
+            (("simulate", "--response", "single:0\n", "--density", 5),
              "--response value 'single:0\\n' must not contain line breaks"),
-            (("sweep", "--vary", "rank", "--values", " 1,2", "--threads", 0),
+            (("sweep", "--vary", "rank", "--values", " 1,2", "--stride", 0),
              "--values value ' 1,2' must not contain"),
-            (("analyze", "--in", "truth.hsc\npatch = 8", "--samples", 0),
+            (("analyze", "--in", "truth.hsc\npatch = 8", "--patch", 999),
              "--in value 'truth.hsc\\npatch = 8' must not contain line breaks"),
         ],
         ids=["reconstruct-out-newline", "reconstruct-patch-space", "eval-scene-spaces",
@@ -1110,6 +1126,37 @@ class TestEarlyRejection:
         assert message in capsys.readouterr().err
         assert reads == []
         assert sorted(p.name for p in tmp_path.iterdir()) == ["sim", "truth.hsc"]
+
+    @pytest.mark.parametrize("command,made", [
+        ("eval", "out"), ("analyze", "out"), ("sweep", "out"), ("simulate", "out-dir"),
+        ("eval", "manifest"),
+    ], ids=["eval-out-dir", "analyze-out-dir", "sweep-out-dir", "simulate-out-dir-file",
+            "eval-manifest-dir"])
+    def test_unusable_output_refused_before_reading(self, scene, tmp_path, monkeypatch, capsys,
+                                                    command, made):
+        # an --out or manifest path that is a directory, or an --out-dir that is a file, used
+        # to fail only once the command had done its work (eval, with its CSV written)
+        _, truth, _ = scene
+        out = tmp_path / "out"
+        bad = {"out": out, "out-dir": out, "manifest": tmp_path / "out.manifest.txt"}[made]
+        if made == "out-dir":
+            bad.write_text("a file\n", encoding="utf-8")
+        else:
+            bad.mkdir()
+        argv = {"eval": ("--ref", truth, "--est", truth, "--out", out),
+                "analyze": ("--in", truth, "--patch", 8, "--out", out),
+                "sweep": ("--in", truth, "--vary", "rank", "--values", "1,2", "--patch", 12,
+                          "--out", out),
+                "simulate": ("--in", truth, "--out-dir", out)}[command]
+        reads = count_cube_reads(monkeypatch)
+        assert run(command, *argv) == cli.EXIT_IO
+        captured = capsys.readouterr()
+        assert f"directory: '{bad}'" in captured.err
+        assert captured.out == ""
+        assert reads == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["sim", "truth.hsc", bad.name])
+        assert (bad.read_text(encoding="utf-8") == "a file\n" if made == "out-dir"
+                else list(bad.iterdir()) == [])
 
     @pytest.mark.parametrize("payload", [None, "31 3\n0.1 0.2 0.3\n", b"31 3\n\xae\x00\n"],
                              ids=["missing", "malformed", "binary"])
@@ -1241,8 +1288,13 @@ class TestConfigHandling:
              "bad value for 'improved': expected a boolean word, got 'maybe'"),
             ("sweep", "vary = bogus",
              "bad value for 'vary': argument --vary: invalid choice: 'bogus'"),
+            # a flag's range is its type's, so a config is refused as the command line is
+            ("reconstruct", "threads = 0",
+             "bad value for 'threads': argument --threads: must be an integer >= 1, got '0'"),
+            ("simulate", "noise_sigma = -1",
+             "bad value for 'noise_sigma': argument --noise-sigma: must be finite and >= 0"),
         ],
-        ids=["unknown-key", "rank", "improved", "vary"],
+        ids=["unknown-key", "rank", "improved", "vary", "threads", "noise-sigma"],
     )
     def test_bad_config_entry_rejected(self, scene, tmp_path, monkeypatch, capsys, command, line,
                                        message):
@@ -1255,9 +1307,11 @@ class TestConfigHandling:
             "reconstruct": ("--y", sim / "y.hsc", "--z", sim / "z.hsc", "--mask", sim / "mask.hsc"),
             # a response sweep accepts this value, so a 'vary' read as any word would run
             "sweep": ("--in", truth, "--values", "single:0", "--rank", 1, "--patch", 12),
+            "simulate": ("--in", truth),
         }[command]
         reads = count_cube_reads(monkeypatch)
-        assert run(command, "--config", config, *argv, "--out", out) == cli.EXIT_USAGE
+        out_flag = "--out-dir" if command == "simulate" else "--out"
+        assert run(command, "--config", config, *argv, out_flag, out) == cli.EXIT_USAGE
         err = capsys.readouterr().err
         assert f"config {config}: {message}" in err
         if command == "sweep":  # argparse's own wording names the choices
