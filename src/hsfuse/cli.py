@@ -242,9 +242,9 @@ def _manifest_path(args):
 
 def _check_run(args):
     """Refuse, before any input is read, a flag value that the command's manifest would not
-    give a rerun unchanged (an empty value there means the flag's default), then an output
-    the command could not write: an ``--out`` or manifest that is a directory, or an
-    ``--out-dir`` that is not."""
+    give a rerun unchanged (an empty value there means the flag's default), then an ``--out``
+    or manifest path (the manifest stands for ``--out-dir``) that is a directory or lies below
+    a file, naming the first of the path and its parents that exists."""
     from . import io as hio
 
     for dest, action in _flag_actions(args.parser).items():
@@ -253,12 +253,12 @@ def _check_run(args):
             if not value:
                 raise ValueError(f"{flag} must not be empty")
             hio.check_manifest_value(value, flag)
-    out_dir = getattr(args, "out_dir", None)
-    if out_dir and Path(out_dir).exists() and not Path(out_dir).is_dir():
-        raise NotADirectoryError(errno.ENOTDIR, "Not a directory", out_dir)
-    for path in (getattr(args, "out", None), _manifest_path(args)):
-        if path and Path(path).is_dir():
-            raise IsADirectoryError(errno.EISDIR, "Is a directory", str(path))
+    for path in map(Path, filter(None, (getattr(args, "out", None), _manifest_path(args)))):
+        first = next((p for p in (path, *path.parents) if p.exists()), path)  # what a write meets
+        if first == path and first.is_dir():
+            raise IsADirectoryError(errno.EISDIR, "Is a directory", str(first))
+        if first != path and not first.is_dir():
+            raise NotADirectoryError(errno.ENOTDIR, "Not a directory", str(first))
 
 
 def _write_manifest(args, resolved):
@@ -455,9 +455,10 @@ def _run_analyze(args):
 
     m = args.patch
     with hio.CubeReader(args.in_path) as reader:  # the header alone, before the payload
-        rows, cols, _ = reader.shape
-    if m > min(rows, cols):
-        raise ValueError(f"--patch {m} must be in [1, {min(rows, cols)}] for {args.in_path}")
+        rows, cols, bands = reader.shape
+    if m > min(rows, cols) or m * m < bands:  # else a patch has fewer singular values than bands
+        raise ValueError(f"--patch {m} must be in [1, {min(rows, cols)}] for {args.in_path}, "
+                         f"with m*m at least its {bands} bands")
     cube = hio.read_cube(args.in_path)
     rng = forward.Pcg32(args.seed)
 

@@ -115,12 +115,12 @@ class CubeReader:
 class CubeWriter:
     """A cube container written row block by row block, replacing ``path`` only when whole.
 
-    Blocks go, in row order, to a temporary file beside ``path``, one
-    positioned write per band, after the checks of :func:`write_cube`: finite
-    values that do not overflow float32. When the ``with`` block ends without
-    an error and every row is written, ``os.replace`` moves the file onto
-    ``path``; otherwise it is deleted and ``path`` is left as it was. A
-    directory at ``path`` is refused on opening; OS errors name ``path``.
+    Blocks go, in row order, to a temporary file beside ``path``, one positioned write per
+    band, after the checks of :func:`write_cube`: finite values that do not overflow float32.
+    When the ``with`` block ends without an error and every row is written, ``os.replace``
+    moves the file onto ``path``; otherwise it is deleted and ``path`` is left as it was. A
+    directory at ``path`` is refused on opening. A failed ``mkdir`` names the directory it
+    could not make (below a file, say); other OS errors name ``path``.
     """
 
     def __init__(self, path, shape):
@@ -134,8 +134,8 @@ class CubeWriter:
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(self.path))
         # unique while this writer lives; another process has another pid
         self._temp = self.path.with_name(f".{self.path.name}.{os.getpid()}-{id(self):x}.tmp")
+        self.path.parent.mkdir(parents=True, exist_ok=True)
         try:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
             self._file = open(self._temp, "xb")  # never an existing file; umask sets its mode
         except OSError as err:  # named for the path asked for, not its temporary file
             raise OSError(err.errno, err.strerror, str(self.path)) from err

@@ -1049,8 +1049,10 @@ class TestEarlyRejection:
             (("sweep", "--vary", "response", "--values", "average:2;single:0,,1", "--rank", 2),
              "bad response spec 'single:0,,1'"),
             (("analyze", "--patch", 9999), "--patch 9999 must be in [1, 24]"),
+            # a 3 x 3 patch has 9 singular values: 3 of the 12 bands' rows would be dropped
+            (("analyze", "--patch", 3), "with m*m at least its 12 bands"),
         ],
-        ids=["simulate-response", "sweep-response", "analyze-patch"],
+        ids=["simulate-response", "sweep-response", "analyze-patch", "analyze-patch-below-bands"],
     )
     def test_cube_dependent_flag_rejected_before_the_payload(self, scene, tmp_path,
                                                              monkeypatch, capsys, argv, message):
@@ -1129,34 +1131,45 @@ class TestEarlyRejection:
 
     @pytest.mark.parametrize("command,made", [
         ("eval", "out"), ("analyze", "out"), ("sweep", "out"), ("simulate", "out-dir"),
-        ("eval", "manifest"),
+        ("eval", "manifest"), ("eval", "below"), ("analyze", "below"), ("sweep", "below"),
+        ("reconstruct", "below"), ("simulate", "below"), ("eval", "two-below"),
     ], ids=["eval-out-dir", "analyze-out-dir", "sweep-out-dir", "simulate-out-dir-file",
-            "eval-manifest-dir"])
+            "eval-manifest-dir", "eval-below-a-file", "analyze-below-a-file",
+            "sweep-below-a-file", "reconstruct-below-a-file", "simulate-out-dir-below-a-file",
+            "eval-two-below-a-file"])
     def test_unusable_output_refused_before_reading(self, scene, tmp_path, monkeypatch, capsys,
                                                     command, made):
-        # an --out or manifest path that is a directory, or an --out-dir that is a file, used
-        # to fail only once the command had done its work (eval, with its CSV written)
-        _, truth, _ = scene
-        out = tmp_path / "out"
-        bad = {"out": out, "out-dir": out, "manifest": tmp_path / "out.manifest.txt"}[made]
-        if made == "out-dir":
-            bad.write_text("a file\n", encoding="utf-8")
-        else:
+        # an --out or manifest path that is a directory, an --out-dir that is a file, or any
+        # of them below a file, used to fail only once the command had done its work (eval,
+        # with its CSV written); the path in the way is named
+        _, truth, sim = scene
+        blocker = tmp_path / "out"
+        out = {"below": blocker / "x", "two-below": blocker / "a" / "x.csv"}.get(made, blocker)
+        bad = tmp_path / "out.manifest.txt" if made == "manifest" else blocker
+        if made in ("out", "manifest"):
             bad.mkdir()
+        else:
+            bad.write_text("a file\n", encoding="utf-8")
         argv = {"eval": ("--ref", truth, "--est", truth, "--out", out),
                 "analyze": ("--in", truth, "--patch", 8, "--out", out),
                 "sweep": ("--in", truth, "--vary", "rank", "--values", "1,2", "--patch", 12,
                           "--out", out),
+                "reconstruct": ("--y", sim / "y.hsc", "--z", sim / "z.hsc", "--mask",
+                                sim / "mask.hsc", "--patch", 12, "--out", out),
                 "simulate": ("--in", truth, "--out-dir", out)}[command]
+        sim_files = sorted(sim.iterdir())
         reads = count_cube_reads(monkeypatch)
         assert run(command, *argv) == cli.EXIT_IO
         captured = capsys.readouterr()
-        assert f"directory: '{bad}'" in captured.err
+        kind = "Is a" if made in ("out", "manifest") else "Not a"
+        assert f"{kind} directory: '{bad}'" in captured.err
         assert captured.out == ""
         assert reads == []
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["sim", "truth.hsc", bad.name])
-        assert (bad.read_text(encoding="utf-8") == "a file\n" if made == "out-dir"
-                else list(bad.iterdir()) == [])
+        assert sorted(sim.iterdir()) == sim_files
+        assert not list(tmp_path.rglob("*.tmp"))
+        assert (list(bad.iterdir()) == [] if bad.is_dir()
+                else bad.read_text(encoding="utf-8") == "a file\n")
 
     @pytest.mark.parametrize("payload", [None, "31 3\n0.1 0.2 0.3\n", b"31 3\n\xae\x00\n"],
                              ids=["missing", "malformed", "binary"])

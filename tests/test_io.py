@@ -168,18 +168,21 @@ class TestCubeRows:
         assert path.read_bytes() == b"old"
         assert [p.name for p in tmp_path.iterdir()] == ["out.hsc"]
 
-    @pytest.mark.parametrize("target", ["directory", "under-a-file"])
-    def test_bad_path_named_on_opening_and_no_temp(self, tmp_path, target):
-        # refused before a row is written, naming the path asked for, not its temporary file
+    @pytest.mark.parametrize("target,named", [
+        ("directory", "out.hsc"), ("under-a-file", "file"), ("two-below-a-file", "file/a"),
+    ], ids=["directory", "under-a-file", "two-below-a-file"])
+    def test_bad_path_named_on_opening_and_no_temp(self, tmp_path, target, named):
+        # refused before a row is written, naming a directory at the path itself, else the
+        # directory that could not be made for it, never the temporary file
+        path = tmp_path / {"directory": "out.hsc", "under-a-file": "file/out.hsc",
+                           "two-below-a-file": "file/a/out.hsc"}[target]
         if target == "directory":
-            path = tmp_path / "out.hsc"
             path.mkdir()
         else:
-            path = tmp_path / "file" / "out.hsc"
-            path.parent.write_bytes(b"")
+            (tmp_path / "file").write_bytes(b"")
         with pytest.raises(OSError) as err:
             hio.CubeWriter(path, (2, 3, 1))
-        assert (err.value.filename, err.value.filename2) == (str(path), None)
+        assert (err.value.filename, err.value.filename2) == (str(tmp_path / named), None)
         assert not list(tmp_path.rglob("*.tmp"))
         assert not path.is_dir() or list(path.iterdir()) == []
 
