@@ -8,14 +8,14 @@ Commands: ``simulate`` (measure a ground-truth cube), ``reconstruct``
 Each flag is defined once: ``sweep`` takes the measurement flags of
 ``simulate`` and the fusion flags of ``reconstruct`` from the same helpers,
 and one command table gives every command ``--config``. A command's flags are
-its manifest's keys and its config's. A bad value is refused in one of three
-places: a flag's own range at parse time, by its argparse ``type`` and
-``choices``, from the command line and a config alike; a value the manifest
-would not keep, and an output that cannot be written, in ``main`` before any
-input is read; ``--density`` (whose rule is ``forward``'s) and a rule that
-needs another flag or a file's header, in the command before any payload is
-read. ``main`` writes the manifest once the outputs are written; rerunning
-with ``--config <manifest>`` reproduces them bit-exactly (explicit flags win).
+its manifest's keys and its config's; ``_outputs`` lists the files it writes,
+the manifest last. A bad value is refused in one of three places: a flag's own
+range at parse time, by its argparse ``type`` and ``choices``, from the command
+line and a config alike; a value the manifest would not keep, and any output
+that cannot be written, in ``main`` before any input is read; ``--density``,
+``--peak`` and a rule that needs another flag or a file's header, in the
+command, which opens each input once and checks its header before its payload.
+``main`` writes the manifest last; ``--config <manifest>`` reruns bit-exactly.
 Exit codes: 0 success, 2 usage or constraint error (any ``ValueError``), 3 I/O
 or file-format error, 4 numerical failure.
 
@@ -235,16 +235,18 @@ def _shape_fault(args, y, z, mask):
                      for flag, size in zip(("y", "z", "mask"), sizes) if sizes.count(size) == 1)
 
 
-def _manifest_path(args):
-    out_dir = getattr(args, "out_dir", None)
-    return Path(out_dir, "manifest.txt") if out_dir else Path(f"{Path(args.out)}.manifest.txt")
+def _outputs(args):
+    """Every path the command writes, its manifest last."""
+    if args.command == "simulate":
+        return [Path(args.out_dir, name) for name in
+                ("y.hsc", "z.hsc", "mask.hsc", "response.txt", "manifest.txt")]
+    return [Path(args.out), Path(f"{Path(args.out)}.manifest.txt")]
 
 
-def _check_run(args):
+def _check_run(args, outputs):
     """Refuse, before any input is read, a flag value that the command's manifest would not
-    give a rerun unchanged (an empty value there means the flag's default), then an ``--out``
-    or manifest path (the manifest stands for ``--out-dir``) that is a directory or lies below
-    a file, naming the first of the path and its parents that exists."""
+    give a rerun unchanged (an empty value there means the flag's default), then any output
+    that is a directory or lies below a file, naming it or else its nearest existing parent."""
     from . import io as hio
 
     for dest, action in _flag_actions(args.parser).items():
@@ -253,7 +255,7 @@ def _check_run(args):
             if not value:
                 raise ValueError(f"{flag} must not be empty")
             hio.check_manifest_value(value, flag)
-    for path in map(Path, filter(None, (getattr(args, "out", None), _manifest_path(args)))):
+    for path in outputs:
         first = next((p for p in (path, *path.parents) if p.exists()), path)  # what a write meets
         if first == path and first.is_dir():
             raise IsADirectoryError(errno.EISDIR, "Is a directory", str(first))
@@ -261,13 +263,13 @@ def _check_run(args):
             raise NotADirectoryError(errno.ENOTDIR, "Not a directory", str(first))
 
 
-def _write_manifest(args, resolved):
-    """Record every flag of ``args``, with the values the command resolved, beside its outputs."""
+def _write_manifest(args, resolved, path):
+    """Record every flag of ``args``, with the values the command resolved, at ``path``."""
     from . import io as hio
 
     flags = {dest: getattr(args, dest) for dest in _flag_actions(args.parser)}
-    hio.write_manifest(_manifest_path(args), {"command": args.command, "version": __version__,
-                                              **flags, **resolved})
+    hio.write_manifest(path, {"command": args.command, "version": __version__, **flags,
+                              **resolved})
 
 
 def _coded(truth, args):
@@ -292,7 +294,7 @@ def _multiband(truth, response, args):
     return z
 
 
-def _run_simulate(args):
+def _run_simulate(args, outputs):
     from . import forward
     from . import io as hio
 
@@ -300,22 +302,20 @@ def _run_simulate(args):
     # the band count from the header alone: a bad spec is refused before the payload is read
     with hio.CubeReader(args.in_path) as reader:
         response = forward.response_from_spec(args.response, reader.shape[2])
-    truth = hio.read_cube(args.in_path)
+        truth = reader[:]
     y, mask = _coded(truth, args)
     z = _multiband(truth, response, args)
-    out_dir = Path(args.out_dir)
-    hio.write_cube(y[:, :, None], out_dir / "y.hsc")
-    hio.write_cube(z, out_dir / "z.hsc")
-    hio.write_cube(mask, out_dir / "mask.hsc")
-    hio.save_response(response, out_dir / "response.txt")
+    for cube, path in zip((y[:, :, None], z, mask), outputs):
+        hio.write_cube(cube, path)
+    hio.save_response(response, outputs[3])
     dead = forward.zero_spectrum_pixels(mask)
     if dead:
         plural = "pixel has" if dead == 1 else "pixels have"
         print(f"note: {dead} mask {plural} an all-zero spectrum (no coded signal there)")
-    return {}, f"wrote y.hsc, z.hsc, mask.hsc, response.txt, manifest.txt to {out_dir}"
+    return {}, f"wrote {', '.join(p.name for p in outputs)} to {outputs[0].parent}"
 
 
-def _run_reconstruct(args):
+def _run_reconstruct(args, outputs):
     from . import fusion
     from . import io as hio
 
@@ -327,7 +327,6 @@ def _run_reconstruct(args):
     config = fusion.FusionConfig(args.rank, m, n, args.stride)
     # a bad response file fails before the cubes are read; pfuse_rows checks its bands
     response = hio.load_response(args.response) if args.response else None
-    out = Path(args.out)
     with hio.CubeReader(args.y) as y, hio.CubeReader(args.z) as z, \
             hio.CubeReader(args.mask) as mask:
         start = time.perf_counter()
@@ -339,11 +338,11 @@ def _run_reconstruct(args):
                 raise ValueError(f"{fault}: {err}") from err
             raise
         # closing the rows first stops the pool and restores BLAS threads if a write fails
-        with hio.CubeWriter(out, mask.shape) as writer, contextlib.closing(rows):
+        with hio.CubeWriter(outputs[0], mask.shape) as writer, contextlib.closing(rows):
             for r0, block in rows:
                 writer.write(r0, block)
         wall = time.perf_counter() - start
-    return {"patch": f"{m},{n}", "stride": config.stride}, f"wrote {out} ({wall:.2f} s)"
+    return {"patch": f"{m},{n}", "stride": config.stride}, f"wrote {outputs[0]} ({wall:.2f} s)"
 
 
 def _peak_value(text):
@@ -352,12 +351,13 @@ def _peak_value(text):
     if str(text).strip().lower() == "refmax":
         return None
     try:
-        return metrics.check_peak(text)
+        metrics._ssim_constants(text)  # check_peak's rule, and SSIM's
     except ValueError as err:
         raise ValueError(f"bad --peak value {text!r}: {err}") from err
+    return float(text)
 
 
-def _run_eval(args):
+def _run_eval(args, outputs):
     from . import io as hio
     from . import metrics
 
@@ -371,13 +371,14 @@ def _run_eval(args):
         if ref.shape != est.shape:  # evaluate's own check, from the headers alone
             raise ValueError(f"--ref {args.ref}, --est {args.est}: shape mismatch: "
                              f"reference {ref.shape} vs estimate {est.shape}")
+        metrics._ssim_constants(peak, ref.shape)  # SSIM's window against the header
         ref, est = ref[:], est[:]
     start = time.perf_counter()
     report = metrics.evaluate(ref, est, peak)
     wall = time.perf_counter() - start
     row = hio.ReportRow(scene, args.method, args.rank, m_label, args.stride,
                         report.m_psnr, report.m_ssim, report.msa, wall)
-    hio.write_report([row], args.out)
+    hio.write_report([row], outputs[0])
     return ({"scene": scene},
             f"m_psnr = {report.m_psnr:.6g} dB, m_ssim = {report.m_ssim:.6g}, "
             f"msa = {report.msa:.6g} deg")
@@ -414,20 +415,19 @@ def _sweep_plan(args):
     return plan
 
 
-def _run_sweep(args):
+def _run_sweep(args, outputs):
     from . import forward, fusion, metrics
     from . import io as hio
 
     forward.check_density(args.density)
     plan = _sweep_plan(args)
     scene = hio.check_identifier(Path(args.in_path).stem, f"--in value {args.in_path!r}: stem")
-    # responses and grids need the cube's shape; all are checked before its payload is read
-    with hio.CubeReader(args.in_path) as reader:
-        shape = reader.shape
-    responses = [forward.response_from_spec(spec, shape[2]) for _, _, spec in plan]
-    for (_, config, _), response in zip(plan, responses):
-        config.grid(shape, response.shape[1])
-    truth = hio.read_cube(args.in_path)
+    with hio.CubeReader(args.in_path) as reader:  # every check of the shape, then the payload
+        responses = [forward.response_from_spec(spec, reader.shape[2]) for _, _, spec in plan]
+        for (_, config, _), response in zip(plan, responses):
+            config.grid(reader.shape, response.shape[1])
+        metrics._ssim_constants(1.0, reader.shape)  # evaluate's, at its default peak
+        truth = reader[:]
     # the mask and coded image do not depend on any swept value
     y, mask = _coded(truth, args)
     method = "pfusion-improved" if args.improved else "pfusion"
@@ -445,21 +445,21 @@ def _run_sweep(args):
                                          config.stride, report.m_psnr, report.m_ssim,
                                          report.msa, wall))
         print(f"{args.vary} = {value}: m_psnr = {report.m_psnr:.6g} dB")
-    hio.write_report(report_rows, args.out)
+    hio.write_report(report_rows, outputs[0])
     return {}, None  # each value's line is printed as it is done
 
 
-def _run_analyze(args):
+def _run_analyze(args, outputs):
     from . import core, forward, metrics
     from . import io as hio
 
     m = args.patch
-    with hio.CubeReader(args.in_path) as reader:  # the header alone, before the payload
+    with hio.CubeReader(args.in_path) as reader:  # the header checked before the payload
         rows, cols, bands = reader.shape
-    if m > min(rows, cols) or m * m < bands:  # else a patch has fewer singular values than bands
-        raise ValueError(f"--patch {m} must be in [1, {min(rows, cols)}] for {args.in_path}, "
-                         f"with m*m at least its {bands} bands")
-    cube = hio.read_cube(args.in_path)
+        if m > min(rows, cols) or m * m < bands:  # else fewer singular values than bands
+            raise ValueError(f"--patch {m} must be in [1, {min(rows, cols)}] for "
+                             f"{args.in_path}, with m*m at least its {bands} bands")
+        cube = reader[:]
     rng = forward.Pcg32(args.seed)
 
     def patches():
@@ -472,8 +472,8 @@ def _run_analyze(args):
     patch_log = metrics.mean_log_singular_spectrum(patches())
     global_log = metrics.mean_log_singular_spectrum([cube])  # one spectrum's mean is itself
     table = [(t, float(p), float(g)) for t, (p, g) in enumerate(zip(patch_log, global_log), 1)]
-    hio.write_table(args.out, ("index", "patch_mean_log10_sigma", "global_log10_sigma"), table)
-    return {}, f"wrote {len(table)} singular-value rows to {Path(args.out)}"
+    hio.write_table(outputs[0], ("index", "patch_mean_log10_sigma", "global_log10_sigma"), table)
+    return {}, f"wrote {len(table)} singular-value rows to {outputs[0]}"
 
 
 def main(argv=None):
@@ -481,10 +481,11 @@ def main(argv=None):
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
         args = _parse_args(argv)
-        _check_run(args)
-        # a command returns the values it resolved and its summary
-        resolved, summary = args.func(args)
-        _write_manifest(args, resolved)
+        outputs = _outputs(args)
+        _check_run(args, outputs)
+        # a command writes each output but the manifest, and returns what it resolved and a summary
+        resolved, summary = args.func(args, outputs)
+        _write_manifest(args, resolved, outputs[-1])
         if summary is not None:
             print(summary)
         return 0

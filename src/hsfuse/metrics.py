@@ -190,6 +190,19 @@ def _ssim_band(x, y, c1, c2, taps):
     return float(np.mean(ssim))
 
 
+def _ssim_constants(peak, shape=None):
+    """SSIM's (c1, c2) for the range ``peak`` (``None`` is 1.0), or ValueError if they are
+    unusable or an image of ``shape`` is smaller than the window: checks that need no pixels."""
+    peak = 1.0 if peak is None else check_peak(peak)
+    c1, c2 = (_SSIM_K1 * peak) ** 2, (_SSIM_K2 * peak) ** 2
+    if not _normal(c1 * c2):  # else a flat window's SSIM, c1*c2 / (c1*c2), is 0/0 or inf/inf
+        raise ValueError(f"peak {peak} is out of range for SSIM's stability constants")
+    if shape is not None and min(shape[:2]) < _SSIM_WINDOW:
+        raise ValueError(f"image {shape[:2]} is smaller than the {_SSIM_WINDOW}x{_SSIM_WINDOW} "
+                         "SSIM window")
+    return c1, c2
+
+
 def band_ssim(ref, est, peak=1.0):
     """Per-band SSIM with an 11x11 Gaussian window (sigma 1.5).
 
@@ -199,17 +212,7 @@ def band_ssim(ref, est, peak=1.0):
     at least 11x11.
     """
     ref, est = _check_pair(ref, est)
-    peak = 1.0 if peak is None else check_peak(peak)
-    c1 = (_SSIM_K1 * peak) ** 2
-    c2 = (_SSIM_K2 * peak) ** 2
-    if not _normal(c1 * c2):
-        # a flat window's SSIM is c1*c2 / (c1*c2), which is 0/0 or inf/inf
-        # once that product leaves the normal range
-        raise ValueError(f"peak {peak} is out of range for SSIM's stability constants")
-    if ref.shape[0] < _SSIM_WINDOW or ref.shape[1] < _SSIM_WINDOW:
-        raise ValueError(
-            f"image {ref.shape[:2]} is smaller than the {_SSIM_WINDOW}x{_SSIM_WINDOW} SSIM window"
-        )
+    c1, c2 = _ssim_constants(peak, ref.shape)
     taps = _gaussian_taps()
     return np.array(
         [_ssim_band(ref[:, :, b], est[:, :, b], c1, c2, taps) for b in range(ref.shape[2])]

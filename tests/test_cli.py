@@ -592,13 +592,18 @@ class TestEval:
         assert [row[key] for key in ("m_psnr", "m_ssim", "msa")] == [
             f"{value:.6g}" for value in (expected.m_psnr, expected.m_ssim, expected.msa)]
 
-    def test_peak_beyond_ssim_range(self, scene, tmp_path, capsys):
+    def test_peak_beyond_ssim_range(self, scene, tmp_path, monkeypatch, capsys):
+        # check_peak accepts 1e-100, whose square is normal, but SSIM's constants underflow;
+        # refused with --peak's other checks, before any cube is opened
         cube, truth, out_dir = scene
+        reads = count_cube_reads(monkeypatch)
         out = tmp_path / "eval.csv"
         code = run("eval", "--ref", truth, "--est", truth, "--out", out, "--peak", "1e-100")
         assert code == cli.EXIT_USAGE
-        assert "peak 1e-100" in capsys.readouterr().err
-        assert not out.exists()
+        assert ("bad --peak value '1e-100': peak 1e-100 is out of range for SSIM's stability "
+                "constants" in capsys.readouterr().err)
+        assert reads == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sim", "truth.hsc"]
 
 
 def loaded_by(argv, cwd):
@@ -997,6 +1002,9 @@ class TestMalformedCubes:
         assert not out.exists()
 
 
+SIMULATE_OUTPUTS = ("y.hsc", "z.hsc", "mask.hsc", "response.txt", "manifest.txt")
+
+
 class TestEarlyRejection:
     @pytest.mark.parametrize(
         "argv,message",
@@ -1071,6 +1079,24 @@ class TestEarlyRejection:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["eval", "sweep"])
+    def test_image_below_ssim_window_refused_from_the_header(self, tmp_path, monkeypatch,
+                                                             capsys, command):
+        # used to be found only by SSIM: eval after reading both cubes and scoring PSNR,
+        # sweep after simulating and reconstructing its first value
+        def no_payload(*_args):
+            raise AssertionError("read the payload before checking SSIM's window")
+
+        small = tmp_path / "small.hsc"
+        hio.write_cube(np.random.default_rng(33).random((10, 10, 4)), small)
+        monkeypatch.setattr(hio.CubeReader, "__getitem__", no_payload)
+        out = tmp_path / "out.csv"
+        argv = {"eval": ("--ref", small, "--est", small),
+                "sweep": ("--in", small, "--vary", "rank", "--values", "1", "--patch", 5)}[command]
+        assert run(command, *argv, "--out", out) == cli.EXIT_USAGE
+        assert "image (10, 10) is smaller than the 11x11 SSIM window" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["small.hsc"]
+
     @pytest.mark.parametrize(
         "label,message",
         [
@@ -1133,21 +1159,24 @@ class TestEarlyRejection:
         ("eval", "out"), ("analyze", "out"), ("sweep", "out"), ("simulate", "out-dir"),
         ("eval", "manifest"), ("eval", "below"), ("analyze", "below"), ("sweep", "below"),
         ("reconstruct", "below"), ("simulate", "below"), ("eval", "two-below"),
+        *(("simulate", name) for name in SIMULATE_OUTPUTS),
     ], ids=["eval-out-dir", "analyze-out-dir", "sweep-out-dir", "simulate-out-dir-file",
             "eval-manifest-dir", "eval-below-a-file", "analyze-below-a-file",
             "sweep-below-a-file", "reconstruct-below-a-file", "simulate-out-dir-below-a-file",
-            "eval-two-below-a-file"])
+            "eval-two-below-a-file", *(f"simulate-{name}-dir" for name in SIMULATE_OUTPUTS)])
     def test_unusable_output_refused_before_reading(self, scene, tmp_path, monkeypatch, capsys,
                                                     command, made):
         # an --out or manifest path that is a directory, an --out-dir that is a file, or any
         # of them below a file, used to fail only once the command had done its work (eval,
-        # with its CSV written); the path in the way is named
+        # with its CSV written), and so did a directory at one of simulate's file names in
+        # --out-dir, leaving the files written before it; the path in the way is named
         _, truth, sim = scene
         blocker = tmp_path / "out"
         out = {"below": blocker / "x", "two-below": blocker / "a" / "x.csv"}.get(made, blocker)
-        bad = tmp_path / "out.manifest.txt" if made == "manifest" else blocker
-        if made in ("out", "manifest"):
-            bad.mkdir()
+        bad = {"manifest": tmp_path / "out.manifest.txt", **{
+            name: blocker / name for name in SIMULATE_OUTPUTS}}.get(made, blocker)
+        if made in ("out", "manifest", *SIMULATE_OUTPUTS):
+            bad.mkdir(parents=True)
         else:
             bad.write_text("a file\n", encoding="utf-8")
         argv = {"eval": ("--ref", truth, "--est", truth, "--out", out),
@@ -1161,15 +1190,31 @@ class TestEarlyRejection:
         reads = count_cube_reads(monkeypatch)
         assert run(command, *argv) == cli.EXIT_IO
         captured = capsys.readouterr()
-        kind = "Is a" if made in ("out", "manifest") else "Not a"
+        kind = "Is a" if bad.is_dir() else "Not a"
         assert f"{kind} directory: '{bad}'" in captured.err
         assert captured.out == ""
         assert reads == []
-        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["sim", "truth.hsc", bad.name])
+        top = bad.relative_to(tmp_path).parts[0]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["sim", "truth.hsc", top])
+        if bad.parent == blocker:
+            assert list(blocker.iterdir()) == [bad]
         assert sorted(sim.iterdir()) == sim_files
         assert not list(tmp_path.rglob("*.tmp"))
         assert (list(bad.iterdir()) == [] if bad.is_dir()
                 else bad.read_text(encoding="utf-8") == "a file\n")
+
+    @pytest.mark.parametrize("command,flags", [
+        ("simulate", ("--out-dir", "sim2")),
+        ("sweep", ("--vary", "rank", "--values", "1,2", "--patch", 12, "--out", "s.csv")),
+        ("analyze", ("--patch", 8, "--samples", 3, "--out", "a.csv")),
+    ], ids=["simulate", "sweep", "analyze"])
+    def test_opens_its_input_once(self, scene, tmp_path, monkeypatch, command, flags):
+        # the reader that checks the header also reads the payload
+        _, truth, _ = scene
+        reads = count_cube_reads(monkeypatch)
+        monkeypatch.chdir(tmp_path)
+        assert run(command, "--in", truth, *flags) == 0
+        assert reads == [str(truth)]
 
     @pytest.mark.parametrize("payload", [None, "31 3\n0.1 0.2 0.3\n", b"31 3\n\xae\x00\n"],
                              ids=["missing", "malformed", "binary"])
