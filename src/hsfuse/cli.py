@@ -246,21 +246,33 @@ def _outputs(args):
 def _check_run(args, outputs):
     """Refuse, before any input is read, a flag value that the command's manifest would not
     give a rerun unchanged (an empty value there means the flag's default), then any output
-    that is a directory or lies below a file, naming it or else its nearest existing parent."""
+    that is a directory or lies below a file, naming it or else its nearest existing parent,
+    and any that is a file the command reads as data (a --config file it may rewrite)."""
     from . import io as hio
 
+    reads = []  # (flag, path) of every data file: the cubes, and a response file
     for dest, action in _flag_actions(args.parser).items():
-        value, flag = getattr(args, dest), f"{action.option_strings[0]} value"
+        value, flag = getattr(args, dest), action.option_strings[0]
         if isinstance(value, str):
             if not value:
-                raise ValueError(f"{flag} must not be empty")
-            hio.check_manifest_value(value, flag)
+                raise ValueError(f"{flag} value must not be empty")
+            hio.check_manifest_value(value, f"{flag} value")
+        if dest in ("in_path", "y", "z", "mask", "ref", "est") or (
+                dest == "response" and args.command == "reconstruct"):
+            reads.append((flag, value))
+        elif dest == "response" or (dest == "values" and args.vary == "response"):
+            specs = [value] if dest == "response" else [v.strip() for v in value.split(";")]
+            reads += [(flag, s.removeprefix("file:")) for s in specs if s.startswith("file:")]
+    out_flag = "--out-dir" if args.command == "simulate" else "--out"
     for path in outputs:
         first = next((p for p in (path, *path.parents) if p.exists()), path)  # what a write meets
         if first == path and first.is_dir():
             raise IsADirectoryError(errno.EISDIR, "Is a directory", str(first))
         if first != path and not first.is_dir():
             raise NotADirectoryError(errno.ENOTDIR, "Not a directory", str(first))
+        for flag, source in reads if path.is_file() else ():
+            if source and Path(source).exists() and path.samefile(source):
+                raise OSError(f"{out_flag} {path} is the {flag} input")
 
 
 def _write_manifest(args, resolved, path):

@@ -105,9 +105,8 @@ class FusionConfig:
         if self.rank > channels:
             raise ValueError(f"rank {self.rank} exceeds the channel count {channels}")
         if m * n <= self.rank * bands:
-            raise ValueError(
-                f"patch area m*n = {m * n} must exceed rank*bands = {self.rank * bands}"
-            )
+            raise ValueError(f"window area m*n = {m * n} must exceed rank*bands = "
+                             f"{self.rank * bands}")
         return core.make_grid(rows, cols, m, n, self.stride)
 
 
@@ -306,7 +305,7 @@ def _cell_stats(y, z, mask, col_edges):
 
 
 def _cell_solve(h, g, gram, rank, response):
-    """(vec(E), S^-1 U.T) of a window from its summed cell statistics, or None where a
+    """(E, S^-1 U.T) of a window from its summed cell statistics, or None where a
     guard declines them. With ``response`` the multiband rows join the system in the
     whitened coordinates: W W.T = m Z Z.T m.T and A Z W.T = A Z Z.T m.T (m = S^-1 U.T)."""
     channels, bands = len(gram), len(g) // len(gram)
@@ -328,16 +327,14 @@ def _cell_solve(h, g, gram, rank, response):
         gw += np.kron(m @ gram @ m.T, response @ response.T)
         b += (response @ (gram @ m.T)).ravel(order="F")
     e = numeric.cholesky_solve(gw, b)
-    return None if e is None else (e, m)
+    return None if e is None else (e.reshape(bands, rank, order="F"), m)
 
 
-def _cell_record(y, z, mask, e, m, origin, response):
+def _cell_record(y, z, mask, basis, m, fmap, origin, response):
     """PatchStats of a window solved from statistics, with the residual of its own system.
 
     Each pixel's spectrum is F z_p with F = E m, so the coded residual is
     y - sum_c (C F)_c z_c, and the joint one adds Z - (F.T A).T Z: no sensing matrix."""
-    basis = e.reshape(mask.shape[2], -1, order="F")
-    fmap = basis @ m
     residual = np.linalg.norm(y - ((mask @ fmap) * z).sum(axis=2))
     if response is not None:
         residual = np.hypot(residual, np.linalg.norm(z - z @ (fmap.T @ response)))
@@ -349,12 +346,11 @@ def fuse(y, z, mask, rank, response=None):
 
     Coefficients come from the multiband image, the spectral basis from the
     coded image, jointly with the multiband one if ``response`` is given.
-    This is :func:`pfuse` with one window covering the whole image, so it
-    requires more pixels than basis unknowns (rows*cols > rank*bands).
+    This is :func:`pfuse` with one window covering the whole image, so the
+    grid (:meth:`FusionConfig.grid`) refuses an image with no more pixels
+    than basis unknowns (rows*cols <= rank*bands).
     """
-    rows, cols, bands = core.check_cube(mask, "mask").shape
-    if rows * cols <= rank * bands:
-        raise ValueError(f"image area {rows * cols} must exceed rank*bands = {rank * bands}")
+    rows, cols, _ = core.check_cube(mask, "mask").shape
     return pfuse(y, z, mask, FusionConfig(rank, rows, cols), response=response)
 
 
@@ -456,10 +452,10 @@ def _stream(y, z, mask, grid, rank, workers, response, stats):
         if solved is None:
             fmap, record = _fuse_block(*cut(reads, index), rank, response, origin)
         else:
-            e, m = solved
-            fmap, record = e.reshape(-1, rank, order="F") @ m, None
+            basis, m = solved
+            fmap, record = basis @ m, None
             if stats is not None:
-                record = _cell_record(*cut(reads, index), e, m, origin, response)
+                record = _cell_record(*cut(reads, index), basis, m, fmap, origin, response)
         if stats is not None:
             stats.append(record)
         return fmap

@@ -1160,38 +1160,59 @@ class TestEarlyRejection:
         ("eval", "manifest"), ("eval", "below"), ("analyze", "below"), ("sweep", "below"),
         ("reconstruct", "below"), ("simulate", "below"), ("eval", "two-below"),
         *(("simulate", name) for name in SIMULATE_OUTPUTS),
+        ("eval", "--ref"), ("eval", "--est"), ("reconstruct", "--y"), ("reconstruct", "--mask"),
+        ("simulate", "--in"), ("sweep", "--in"), ("analyze", "--in"), ("eval", "link"),
     ], ids=["eval-out-dir", "analyze-out-dir", "sweep-out-dir", "simulate-out-dir-file",
             "eval-manifest-dir", "eval-below-a-file", "analyze-below-a-file",
             "sweep-below-a-file", "reconstruct-below-a-file", "simulate-out-dir-below-a-file",
-            "eval-two-below-a-file", *(f"simulate-{name}-dir" for name in SIMULATE_OUTPUTS)])
+            "eval-two-below-a-file", *(f"simulate-{name}-dir" for name in SIMULATE_OUTPUTS),
+            "eval-out-is-ref", "eval-out-is-est", "reconstruct-out-is-y",
+            "reconstruct-out-is-mask", "simulate-writes-its-in", "sweep-out-is-in",
+            "analyze-out-is-in", "eval-out-links-to-ref"])
     def test_unusable_output_refused_before_reading(self, scene, tmp_path, monkeypatch, capsys,
                                                     command, made):
         # an --out or manifest path that is a directory, an --out-dir that is a file, or any
         # of them below a file, used to fail only once the command had done its work (eval,
         # with its CSV written), and so did a directory at one of simulate's file names in
-        # --out-dir, leaving the files written before it; the path in the way is named
+        # --out-dir, leaving the files written before it; the path in the way is named. An
+        # output that is one of the command's inputs, under any spelling, was written over it
         _, truth, sim = scene
         blocker = tmp_path / "out"
         out = {"below": blocker / "x", "two-below": blocker / "a" / "x.csv"}.get(made, blocker)
         bad = {"manifest": tmp_path / "out.manifest.txt", **{
             name: blocker / name for name in SIMULATE_OUTPUTS}}.get(made, blocker)
+        if command == "simulate" and made == "--in":
+            bad = blocker / "z.hsc"
+        argv = {"eval": ["--ref", truth, "--est", truth, "--out", out],
+                "analyze": ["--in", truth, "--patch", 8, "--out", out],
+                "sweep": ["--in", truth, "--vary", "rank", "--values", "1,2", "--patch", 12,
+                          "--out", out],
+                "reconstruct": ["--y", sim / "y.hsc", "--z", sim / "z.hsc", "--mask",
+                                sim / "mask.hsc", "--patch", 12, "--out", out],
+                "simulate": ["--in", truth, "--out-dir", out]}[command]
         if made in ("out", "manifest", *SIMULATE_OUTPUTS):
             bad.mkdir(parents=True)
+        elif made == "link":  # --out spells --ref through a symbolic link
+            bad.symlink_to(truth)
+        elif made.startswith("--"):  # a copy of the flag's input at the output, read from there
+            at = argv.index(made) + 1
+            bad.parent.mkdir(exist_ok=True)
+            bad.write_bytes(Path(argv[at]).read_bytes())
+            argv[at] = bad
         else:
             bad.write_text("a file\n", encoding="utf-8")
-        argv = {"eval": ("--ref", truth, "--est", truth, "--out", out),
-                "analyze": ("--in", truth, "--patch", 8, "--out", out),
-                "sweep": ("--in", truth, "--vary", "rank", "--values", "1,2", "--patch", 12,
-                          "--out", out),
-                "reconstruct": ("--y", sim / "y.hsc", "--z", sim / "z.hsc", "--mask",
-                                sim / "mask.hsc", "--patch", 12, "--out", out),
-                "simulate": ("--in", truth, "--out-dir", out)}[command]
+        before = None if bad.is_dir() else bad.read_bytes()
         sim_files = sorted(sim.iterdir())
         reads = count_cube_reads(monkeypatch)
         assert run(command, *argv) == cli.EXIT_IO
         captured = capsys.readouterr()
-        kind = "Is a" if bad.is_dir() else "Not a"
-        assert f"{kind} directory: '{bad}'" in captured.err
+        refused = {"link": "--ref"}.get(made, made)
+        if refused.startswith("--"):
+            out_flag = "--out-dir" if command == "simulate" else "--out"
+            assert f"{out_flag} {bad} is the {refused} input" in captured.err
+        else:
+            kind = "Is a" if bad.is_dir() else "Not a"
+            assert f"{kind} directory: '{bad}'" in captured.err
         assert captured.out == ""
         assert reads == []
         top = bad.relative_to(tmp_path).parts[0]
@@ -1200,8 +1221,8 @@ class TestEarlyRejection:
             assert list(blocker.iterdir()) == [bad]
         assert sorted(sim.iterdir()) == sim_files
         assert not list(tmp_path.rglob("*.tmp"))
-        assert (list(bad.iterdir()) == [] if bad.is_dir()
-                else bad.read_text(encoding="utf-8") == "a file\n")
+        assert list(bad.iterdir()) == [] if before is None else bad.read_bytes() == before
+        assert bad.is_symlink() == (made == "link")
 
     @pytest.mark.parametrize("command,flags", [
         ("simulate", ("--out-dir", "sim2")),

@@ -325,7 +325,8 @@ class TestFuse:
 
     def test_area_constraint(self):
         # 4x4 image with rank*bands = 16 is not overdetermined
-        with pytest.raises(ValueError, match="image area 16 must exceed rank\\*bands = 16"):
+        with pytest.raises(ValueError,
+                           match="window area m\\*n = 16 must exceed rank\\*bands = 16"):
             fusion.fuse(np.ones((4, 4)), np.ones((4, 4, 3)), np.ones((4, 4, 8)), 2)
 
     def test_rank_above_channels(self):

@@ -234,8 +234,8 @@ class TestCholeskySolve:
                                   scipy.linalg.lapack.dpotrs(factor, rhs)[0])
 
     def test_threads_solve_as_one_thread_does(self, lapack_path):
-        # the binding reuses info, rcond and dpocon's work arrays across calls, one set per
-        # thread; mixed orders rebuild them and indefinite Grams write a nonzero info
+        # calls from many threads at once, of mixed orders, give the bits one thread gives,
+        # and each indefinite Gram is declined
         rng = np.random.default_rng(16)
         systems = []
         for n in (2, 30, 93) * 8:
